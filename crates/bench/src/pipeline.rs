@@ -6,8 +6,7 @@
 //! regenerate every [`DomainObservation`] from scratch (DRBG draws,
 //! certificate building, DER encoding, SHA-256 fingerprinting) once *per
 //! analysis*. The pipeline sweeps the rank range **once**, generates each
-//! observation a single time through a bounded per-worker
-//! [`ObservationStore`], and fans the borrowed observation to every
+//! observation a single time, and fans the borrowed observation to every
 //! registered [`AnalysisPass`].
 //!
 //! Contract (all three are load-bearing for the equivalence tests):
@@ -21,9 +20,9 @@
 //!    `CCC_THREADS` chunk pattern as the legacy paths: sequential below
 //!    256 domains, `div_ceil` chunks above) and partials merge in
 //!    thread-index order, so results are identical for any worker count.
-//! 3. **Memory bound** — a worker holds at most
-//!    [`REUSE_WINDOW`]`.min(chunk)` observations at a time; whole-corpus
-//!    memory is O(threads × window), never O(corpus).
+//! 3. **Memory bound** — a worker holds one observation at a time (each
+//!    rank is visited exactly once, so nothing is worth keeping);
+//!    whole-corpus memory is O(threads), never O(corpus).
 //!
 //! Adding a pass: implement [`AnalysisPass`] (see DESIGN.md §12 for the
 //! contract), then hand it to [`Pipeline::run`] — tuples of passes are
@@ -31,22 +30,21 @@
 //! with no further plumbing.
 
 use crate::{threads_from_env, CorpusSummary, DifferentialSummary};
-use ccc_core::clients::{client_profiles, ClientKind};
+use ccc_core::clients::ClientKind;
 use ccc_core::completeness::RootResolution;
 use ccc_core::leaf::cert_covers_domain;
 use ccc_core::report::{count_pct, render_cache_stats, render_phase_split, TextTable};
 use ccc_core::topology::CacheStats;
 use ccc_core::{
-    analyze_compliance_with_graph, BuildContext, BuildOutcome, ChainEngine, Completeness,
-    ComplianceReport, CompletenessAnalyzer, DifferentialHarness, IncompleteReason,
-    IssuanceChecker, NonCompliance, TopologyGraph,
+    analyze_compliance_with_graph, BuildOutcome, Completeness, ComplianceReport,
+    CompletenessAnalyzer, DifferentialHarness, IncompleteReason, IssuanceChecker, NonCompliance,
+    TopologyGraph,
 };
 use ccc_lint::{LintEngine, LintSummary};
-use ccc_netsim::{FaultPlan, FaultyTransport};
-use ccc_rootstore::{RootProgram, RootStore};
+use ccc_netsim::{AiaTransport, FaultPlan, FaultyTransport};
+use ccc_rootstore::RootProgram;
 use ccc_testgen::corpus::scan_time;
-use ccc_testgen::{Corpus, DomainObservation, ObservationStore};
-use ccc_x509::Certificate;
+use ccc_testgen::{Corpus, DomainObservation};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -55,12 +53,6 @@ use std::time::{Duration, Instant};
 /// legacy `compute_with_threads` threshold; spawning threads for tiny
 /// corpora costs more than it saves and the tests straddle this value).
 pub const PARALLEL_THRESHOLD: usize = 256;
-
-/// Per-worker [`ObservationStore`] ring capacity. Each rank in a sweep is
-/// visited exactly once, so the window only needs to cover the
-/// currently-borrowed observation plus a little lookback slack; the
-/// worker's resident set is `REUSE_WINDOW.min(chunk)` observations.
-pub const REUSE_WINDOW: usize = 32;
 
 /// Everything a pass may borrow for the duration of one pipeline run.
 #[derive(Clone, Copy, Debug)]
@@ -85,7 +77,7 @@ pub struct PassContext<'c> {
 /// (the equivalence suite pins this).
 ///
 /// Lives for exactly one observation; dropped before the next rank, so it
-/// never grows the pipeline's O(window) memory bound.
+/// never grows the pipeline's one-observation-per-worker memory bound.
 #[derive(Debug, Default)]
 pub struct ObservationMemo {
     graph: OnceCell<TopologyGraph>,
@@ -390,8 +382,8 @@ impl Pipeline {
 
 /// Run a forked worker pass over one rank range (the sequential kernel
 /// the legacy `compute_range` entry points delegate to). Each observation
-/// is generated once through a bounded [`ObservationStore`] and consumed
-/// by reference.
+/// is generated once, consumed by reference, and dropped before the next
+/// rank.
 pub fn run_range<'c, P: AnalysisPass<'c>>(
     corpus: &'c Corpus,
     checker: &'c IssuanceChecker,
@@ -410,20 +402,11 @@ fn run_chunk<'c, P: AnalysisPass<'c>>(
     start: usize,
     end: usize,
 ) -> (P, Duration, Duration) {
-    if start >= end {
-        // Empty rank range (zero-domain corpus, `start == end` range, or
-        // a trailing worker past the clamped chunk edges): nothing to
-        // generate, so return the untouched worker instead of allocating
-        // a bogus 1-slot store for zero observations.
-        return (worker, Duration::ZERO, Duration::ZERO);
-    }
-    let window = REUSE_WINDOW.min(end - start);
-    let mut store = ObservationStore::new(ctx.corpus, window);
     let mut generation = Duration::ZERO;
     let mut analysis = Duration::ZERO;
     for rank in start..end {
         let gen_start = Instant::now();
-        let obs = store.get(rank);
+        let obs = ctx.corpus.observation(rank);
         let visit_start = Instant::now();
         // Deferred verification: warm the shared cache through one
         // `verify_batch` flush over this observation's issuance pairs
@@ -432,7 +415,7 @@ fn run_chunk<'c, P: AnalysisPass<'c>>(
         // otherwise do one at a time.
         ctx.checker.prefetch_served(&obs.served);
         let memo = ObservationMemo::default();
-        worker.visit(obs, &memo);
+        worker.visit(&obs, &memo);
         generation += visit_start.duration_since(gen_start);
         analysis += visit_start.elapsed();
     }
@@ -974,20 +957,21 @@ impl ChaosSummary {
     }
 }
 
-/// Worker-local state for the fault pass: one [`FaultyTransport`] per
-/// scenario (all wrapping the corpus's AIA repository) plus the eight
-/// client engines.
+/// Worker-local state for the fault pass: one differential harness (the
+/// eight client engines) plus one [`FaultyTransport`] per scenario, all
+/// wrapping the corpus's AIA repository.
 #[derive(Debug)]
 struct FaultState<'c> {
-    checker: &'c IssuanceChecker,
-    store: &'c RootStore,
-    cache: Vec<Certificate>,
+    harness: DifferentialHarness<'c>,
     transports: Vec<FaultyTransport<'c>>,
-    clients: Vec<(ClientKind, ChainEngine)>,
 }
 
 /// [`AnalysisPass`] sweeping every observation through every
 /// (fault scenario × client profile) pair.
+///
+/// One [`DifferentialHarness::run_under`] call per observation yields all
+/// (scenario × client) outcomes, so the candidate pool, store lookups and
+/// path validations are shared by every build of that observation.
 ///
 /// Determinism: each fetch outcome is a pure function of the scenario's
 /// plan seed, the URI, and the attempt number, and retry backoff runs on
@@ -1030,14 +1014,18 @@ impl<'c> AnalysisPass<'c> for FaultPass<'c> {
             .iter()
             .map(|sc| FaultyTransport::new(&ctx.corpus.aia, sc.plan.clone()))
             .collect();
+        let harness = DifferentialHarness::new(
+            ctx.corpus.programs.unified(),
+            None,
+            ctx.corpus.intermediate_cache(),
+            scan_time(),
+            ctx.checker,
+        );
         FaultPass {
             scenarios: self.scenarios.clone(),
             state: Some(FaultState {
-                checker: ctx.checker,
-                store: ctx.corpus.programs.unified(),
-                cache: ctx.corpus.intermediate_cache(),
+                harness,
                 transports,
-                clients: client_profiles(),
             }),
             summary: ChaosSummary::empty_for(&self.scenarios),
         }
@@ -1054,21 +1042,15 @@ impl<'c> AnalysisPass<'c> for FaultPass<'c> {
             .first()
             .map(|leaf| cert_covers_domain(leaf, &obs.domain))
             .unwrap_or(false);
-        for (scenario, transport) in self.summary.scenarios.iter_mut().zip(&st.transports) {
-            let ctx = BuildContext {
-                store: st.store,
-                aia: Some(transport),
-                cache: &st.cache,
-                now: scan_time(),
-                checker: st.checker,
-            };
-            for (kind, engine) in &st.clients {
-                let outcome = engine.process(&obs.served, &ctx);
+        let transports = st.transports.iter().map(|t| Some(t as &dyn AiaTransport));
+        let rows = st.harness.run_under(&obs.served, transports);
+        for (scenario, outcomes) in self.summary.scenarios.iter_mut().zip(&rows) {
+            for (kind, outcome) in outcomes {
                 scenario
                     .per_client
                     .get_mut(kind)
                     .expect("prefilled for all clients")
-                    .absorb(&outcome, covers);
+                    .absorb(outcome, covers);
             }
         }
     }
@@ -1121,12 +1103,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_domain_corpus_runs_without_allocating_a_store() {
-        // Regression: `run_chunk` used to clamp the reuse window with
-        // `end.saturating_sub(start).max(1)`, silently allocating a
-        // 1-slot ObservationStore for an empty rank range. The empty
-        // sweep must short-circuit and still agree with the standalone
-        // compute paths on an empty corpus.
+    fn zero_domain_corpus_runs_without_touching_the_cache() {
+        // An empty rank range generates nothing and visits nothing; the
+        // empty sweep must still agree with the standalone compute paths
+        // on an empty corpus.
         let corpus = scan_corpus(0);
         let checker = IssuanceChecker::new();
         let ((compliance, lint), stats) = Pipeline::new(1).run(

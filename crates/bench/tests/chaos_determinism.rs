@@ -8,15 +8,20 @@
 //!    exactly what plain sequential [`ChainEngine::process`] runs over
 //!    the untouched [`AiaRepository`] produce: no retries, no simulated
 //!    latency, no budget exhaustion.
-//! 3. **Resilience split** — under heavy transient faults, retrying
+//! 3. **Per-build identity under faults** — `FaultPass` shares one build
+//!    session across every (scenario × client) build of an observation;
+//!    its cells still equal a fold over plain per-build
+//!    [`ChainEngine::process`] calls at fault rates 0.1, 0.3 and 1.0.
+//! 4. **Resilience split** — under heavy transient faults, retrying
 //!    profiles (Chrome/Edge, 3 attempts) recover chains that the
 //!    non-retrying CryptoAPI profile loses, and the recovery counter
 //!    attributes them.
 
-use ccc_bench::{scan_corpus, ChaosSummary, FaultPass, FaultScenario, Pipeline};
+use ccc_bench::{scan_corpus, ChaosClientCell, ChaosSummary, FaultPass, FaultScenario, Pipeline};
 use ccc_core::clients::{client_profiles, ClientKind};
 use ccc_core::leaf::cert_covers_domain;
 use ccc_core::{BuildContext, IssuanceChecker};
+use ccc_netsim::FaultyTransport;
 use ccc_testgen::corpus::scan_time;
 use ccc_testgen::Corpus;
 use std::collections::BTreeMap;
@@ -93,6 +98,93 @@ fn zero_fault_scenario_matches_plain_sequential_builds() {
         assert_eq!(cell.aia_retries, 0);
         assert_eq!(cell.sim_latency_ms, 0);
         assert_eq!(cell.budget_exhausted, 0);
+    }
+}
+
+/// The chaos cells a hand-rolled sweep folds from one plain
+/// [`ChainEngine::process`] call per (observation, scenario, client), with
+/// nothing shared between builds but the signature cache. One map per
+/// scenario, plus the per-scenario transports for fetch accounting.
+fn per_build_cells<'c>(
+    corpus: &'c Corpus,
+    scenarios: &[FaultScenario],
+) -> (
+    Vec<BTreeMap<ClientKind, ChaosClientCell>>,
+    Vec<FaultyTransport<'c>>,
+) {
+    let checker = IssuanceChecker::new();
+    let cache = corpus.intermediate_cache();
+    let clients = client_profiles();
+    let transports: Vec<FaultyTransport<'c>> = scenarios
+        .iter()
+        .map(|sc| FaultyTransport::new(&corpus.aia, sc.plan.clone()))
+        .collect();
+    let mut cells = vec![BTreeMap::<ClientKind, ChaosClientCell>::new(); scenarios.len()];
+    for rank in 0..corpus.spec.domains {
+        let obs = corpus.observation(rank);
+        let covers = obs
+            .served
+            .first()
+            .is_some_and(|leaf| cert_covers_domain(leaf, &obs.domain));
+        for (row, transport) in cells.iter_mut().zip(&transports) {
+            let ctx = BuildContext {
+                store: corpus.programs.unified(),
+                aia: Some(transport),
+                cache: &cache,
+                now: scan_time(),
+                checker: &checker,
+            };
+            for (kind, engine) in &clients {
+                let outcome = engine.process(&obs.served, &ctx);
+                let stats = &outcome.stats;
+                let cell = row.entry(*kind).or_default();
+                if outcome.accepted() && covers {
+                    cell.passes += 1;
+                    if stats.aia_retries > 0 {
+                        cell.recovered += 1;
+                    }
+                }
+                cell.aia_attempts += stats.aia_attempts;
+                cell.aia_fetches += stats.aia_fetches;
+                cell.aia_retries += stats.aia_retries;
+                if stats.aia_budget_exhausted {
+                    cell.budget_exhausted += 1;
+                }
+                cell.sim_latency_ms += stats.sim_latency_ms;
+            }
+        }
+    }
+    (cells, transports)
+}
+
+#[test]
+fn faulty_scenarios_match_plain_per_build_processes() {
+    let corpus = scan_corpus(300);
+    let scenarios: Vec<FaultScenario> = [0.1, 0.3, 1.0]
+        .iter()
+        .map(|&rate| FaultScenario::for_corpus(&corpus, rate))
+        .collect();
+    let (expected, transports) = per_build_cells(&corpus, &scenarios);
+
+    // Rate 1.0 must really exercise the retry loop and the permanent
+    // failure classes, or the comparison below proves little.
+    let heavy = &expected[2];
+    assert!(heavy.values().map(|c| c.aia_retries).sum::<usize>() > 0);
+    let costs = transports[2].costs();
+    assert!(costs.transient_failures > 0, "{costs:?}");
+    assert!(costs.dead_hits + costs.corrupt_hits > 0, "{costs:?}");
+
+    for threads in [1, 3] {
+        let summary = chaos(&corpus, scenarios.clone(), threads);
+        assert_eq!(summary.total, 300);
+        assert_eq!(summary.scenarios.len(), expected.len());
+        for (scenario, cells) in summary.scenarios.iter().zip(&expected) {
+            assert_eq!(
+                &scenario.per_client, cells,
+                "threads={threads} scenario {}",
+                scenario.label
+            );
+        }
     }
 }
 

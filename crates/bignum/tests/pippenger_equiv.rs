@@ -99,7 +99,7 @@ fn window_choice_never_exceeds_exponent_width_budget() {
         for bits in [8usize, 64, 256, 1536] {
             let c = optimal_window(k, bits);
             assert_eq!(c, optimal_window(k, bits));
-            assert!(c >= 1 && c <= 12);
+            assert!((1..=12).contains(&c));
         }
     }
 }

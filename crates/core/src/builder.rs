@@ -19,7 +19,7 @@
 //! - **backtracking** — whether a dead end (untrusted root, invalid
 //!   candidate) rolls back to try an alternative path (I-3).
 
-use crate::topology::{CacheStats, IssuanceChecker};
+use crate::topology::IssuanceChecker;
 use crate::validate::{validate_path, ValidationOptions};
 use ccc_asn1::Time;
 use ccc_mc::OnceLock;
@@ -297,12 +297,6 @@ pub struct BuildStats {
     pub aia_budget_exhausted: bool,
     /// Dead ends rolled back.
     pub backtracks: usize,
-    /// Shared signature-cache activity during this build (counter delta
-    /// from the context's [`IssuanceChecker`]; `entries` is not tracked
-    /// per build and stays 0). When the checker is shared across threads
-    /// the delta can include concurrent builds' lookups, so treat it as
-    /// attribution only for single-threaded use.
-    pub cache: CacheStats,
 }
 
 /// `ccc-obs` registry handles for the builder counters, registered once
@@ -462,12 +456,12 @@ struct Candidate {
 /// The policy-independent part of the candidate pool: the deduplicated
 /// served list with trust-store membership resolved.
 ///
-/// Every engine sharing a [`BuildContext`] starts from the *same* base
-/// pool (dedup order and trusted flags depend only on the served list and
-/// the store), so a caller fanning one observation out to many engines —
-/// the differential harness runs eight — can build this once and hand each
-/// engine a clone instead of re-hashing and re-probing the store per
-/// engine. Certificates are refcounted, so cloning the seed is cheap.
+/// Every build over the same served list and store starts from the *same*
+/// base pool (dedup order and trusted flags depend only on the served list
+/// and the store), so a caller fanning one observation out to many builds —
+/// the differential harness runs eight engines under each of several
+/// transports — builds this once and lends it to every build instead of
+/// re-hashing and re-probing the store per build.
 #[derive(Clone, Debug)]
 pub(crate) struct PoolSeed {
     pool: Vec<Candidate>,
@@ -476,8 +470,8 @@ pub(crate) struct PoolSeed {
 
 impl PoolSeed {
     /// Deduplicate the served list and resolve store membership. This is
-    /// the single source of truth for base-pool construction; the legacy
-    /// per-engine path in [`ChainEngine::process`] routes through it too.
+    /// the single source of truth for base-pool construction; a standalone
+    /// [`ChainEngine::process`] routes through it too.
     pub(crate) fn build(served: &[Certificate], ctx: &BuildContext<'_>) -> PoolSeed {
         let mut pool: Vec<Candidate> = Vec::new();
         let mut seen = FingerprintSet::default();
@@ -499,8 +493,7 @@ impl PoolSeed {
 ///
 /// The cache contents and the store don't change between observations, so
 /// a harness can build this once for its lifetime; at use the entries are
-/// still filtered against the per-observation `seen` set, reproducing the
-/// legacy per-engine loop bit for bit.
+/// still filtered against the per-observation `seen` set.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct CachePool {
     entries: Vec<Candidate>,
@@ -523,11 +516,12 @@ impl CachePool {
 }
 
 /// Per-served-list scratch shared across engines processing the same list
-/// under the same [`BuildContext`].
+/// under contexts that differ at most in their AIA transport.
 ///
 /// Every memo here caches a value that is fully determined by certificate
-/// contents plus the shared context — never by the engine's policy — so
-/// sharing it across engines cannot change any engine's outcome:
+/// contents plus the context's store, clock and checker — never by the
+/// engine's policy or the transport — so sharing it across engines and
+/// transports cannot change any build's outcome:
 ///
 /// - **store candidates**: the roots related to a given certificate
 ///   (subject/SKID lookups filtered by identity match) depend only on
@@ -563,26 +557,26 @@ impl ChainEngine {
     }
 
     /// Process a served certificate list: construct a path and validate it.
+    /// A build session of one: seed, cache pool and scratch serve this
+    /// build alone.
     pub fn process(&self, served: &[Certificate], ctx: &BuildContext<'_>) -> BuildOutcome {
-        let scratch = RunScratch::default();
-        let mut stats = BuildStats::default();
-        let cache_before = ctx.checker.counters();
-        let (path, verdict) = self.process_inner(served, ctx, &mut stats, None, &scratch);
-        stats.cache = ctx.checker.counters().since(&cache_before);
-        record_build_metrics(&stats, verdict.is_ok());
-        BuildOutcome {
-            path,
-            verdict,
-            stats,
-        }
+        let cache_pool = if self.policy.use_intermediate_cache {
+            CachePool::build(ctx.cache, ctx.store)
+        } else {
+            CachePool::default()
+        };
+        let seed = PoolSeed::build(served, ctx);
+        self.process_with_seed(served, ctx, &seed, &cache_pool, &RunScratch::default())
     }
 
-    /// [`process`](Self::process) with a pre-built base pool and scratch
-    /// shared across engines. Bit-identical to `process`: the seed is
-    /// exactly what [`PoolSeed::build`] returns for `(served, ctx)`,
-    /// `cache_pool` resolves `ctx.cache` against `ctx.store`, and the
-    /// scratch only memoizes (certificate, store)-determined lookups; the
-    /// per-engine work that remains is the policy-dependent search itself.
+    /// [`process`](Self::process) with a base pool and scratch shared
+    /// across engines and transports. Bit-identical to a standalone build:
+    /// the seed is what [`PoolSeed::build`] returns for `(served, ctx)`
+    /// (it reads only the store), `cache_pool` resolves `ctx.cache`
+    /// against `ctx.store`, and the scratch only memoizes lookups
+    /// determined by certificates, store, clock and checker; the per-build
+    /// work that remains is the policy- and transport-dependent search
+    /// itself.
     pub(crate) fn process_with_seed(
         &self,
         served: &[Certificate],
@@ -592,10 +586,7 @@ impl ChainEngine {
         scratch: &RunScratch,
     ) -> BuildOutcome {
         let mut stats = BuildStats::default();
-        let cache_before = ctx.checker.counters();
-        let (path, verdict) =
-            self.process_inner(served, ctx, &mut stats, Some((seed, cache_pool)), scratch);
-        stats.cache = ctx.checker.counters().since(&cache_before);
+        let (path, verdict) = self.construct(served, ctx, &mut stats, seed, cache_pool, scratch);
         record_build_metrics(&stats, verdict.is_ok());
         BuildOutcome {
             path,
@@ -604,15 +595,14 @@ impl ChainEngine {
         }
     }
 
-    /// [`process`](Self::process) body; the caller wraps it with the
-    /// signature-cache counter delta. With `seed`, the base pool is
-    /// borrowed from the shared [`PoolSeed`] instead of rebuilt.
-    fn process_inner(
+    /// Construct and validate one path, counting work into `stats`.
+    fn construct(
         &self,
         served: &[Certificate],
         ctx: &BuildContext<'_>,
         stats: &mut BuildStats,
-        seed: Option<(&PoolSeed, &CachePool)>,
+        seed: &PoolSeed,
+        cache_pool: &CachePool,
         scratch: &RunScratch,
     ) -> (Vec<Certificate>, Result<(), ClientError>) {
         let p = &self.policy;
@@ -632,40 +622,17 @@ impl ChainEngine {
         }
 
         // Candidate pool: the deduplicated served list is the borrowed
-        // `base` (built once per served list when seeded), cache and
-        // AIA-fetched certificates join the per-engine `extra` overflow.
-        // The search iterates base-then-extra, which reproduces the old
-        // single-Vec append order exactly.
-        let owned_seed;
-        let (base, base_seen): (&[Candidate], &FingerprintSet) = match seed {
-            Some((s, _)) => (&s.pool, &s.seen),
-            None => {
-                owned_seed = PoolSeed::build(served, ctx);
-                (&owned_seed.pool, &owned_seed.seen)
-            }
-        };
+        // `base` (built once per session), cache and AIA-fetched
+        // certificates join the per-build `extra` overflow. The search
+        // iterates base-then-extra, which reproduces the old single-Vec
+        // append order exactly.
         let mut extra: Vec<Candidate> = Vec::new();
         let mut seen: Option<FingerprintSet> = None;
         if p.use_intermediate_cache {
-            let mut s = base_seen.clone();
-            match seed {
-                Some((_, cache_pool)) => {
-                    for cand in &cache_pool.entries {
-                        if s.insert(cand.cert.fingerprint()) {
-                            extra.push(cand.clone());
-                        }
-                    }
-                }
-                None => {
-                    for cert in ctx.cache {
-                        if s.insert(cert.fingerprint()) {
-                            extra.push(Candidate {
-                                trusted: ctx.store.contains(cert),
-                                cert: cert.clone(),
-                                origin: CandidateOrigin::Cache,
-                            });
-                        }
-                    }
+            let mut s = seed.seen.clone();
+            for cand in &cache_pool.entries {
+                if s.insert(cand.cert.fingerprint()) {
+                    extra.push(cand.clone());
                 }
             }
             seen = Some(s);
@@ -674,8 +641,8 @@ impl ChainEngine {
         let mut search = Search {
             engine: self,
             ctx,
-            base,
-            base_seen,
+            base: &seed.pool,
+            base_seen: &seed.seen,
             extra,
             seen,
             scratch,
@@ -688,7 +655,7 @@ impl ChainEngine {
         let mut on_path = FingerprintSet::default();
         on_path.insert(leaf.fingerprint());
         let mut path = vec![leaf];
-        let result = search.dfs(&mut path, &mut on_path, 0);
+        let result = search.dfs(&mut path, &mut on_path);
         let deepest = std::mem::take(&mut search.deepest);
         let first_error = search.first_error;
 
@@ -758,7 +725,6 @@ impl Search<'_, '_, '_> {
         &mut self,
         path: &mut Vec<Certificate>,
         on_path: &mut FingerprintSet,
-        depth: usize,
     ) -> Option<Vec<Certificate>> {
         let p = &self.engine.policy;
         self.note_depth(path);
@@ -769,7 +735,7 @@ impl Search<'_, '_, '_> {
 
         // Terminal checks: trusted anchor reached?
         if self.ctx.store.contains(&current) {
-            return self.finish(path, on_path, depth);
+            return self.finish(path);
         }
         if current.is_self_issued() && self.ctx.checker.signature_verifies(&current, &current) {
             // Untrusted self-signed terminal: dead end.
@@ -806,7 +772,7 @@ impl Search<'_, '_, '_> {
             }
             path.push(cand.cert.clone());
             on_path.insert(cand.cert.fingerprint());
-            let result = self.dfs(path, on_path, depth + 1);
+            let result = self.dfs(path, on_path);
             on_path.remove(&cand.cert.fingerprint());
             path.pop();
             match result {
@@ -828,14 +794,9 @@ impl Search<'_, '_, '_> {
     /// profile validates a finished path with all checks on), so the
     /// verdict for a given certificate sequence is shared through the
     /// scratch: engines converging on the same path — the common case in
-    /// a differential run — validate it once.
-    fn finish(
-        &mut self,
-        path: &mut [Certificate],
-        _on_path: &mut FingerprintSet,
-        _depth: usize,
-    ) -> Option<Vec<Certificate>> {
-        let p = &self.engine.policy;
+    /// a differential run — validate it once. A failed validation is a
+    /// dead end; backtracking callers continue with siblings.
+    fn finish(&mut self, path: &[Certificate]) -> Option<Vec<Certificate>> {
         let key: Vec<CertificateFingerprint> = path.iter().map(|c| c.fingerprint()).collect();
         let memo_hit = self.scratch.validations.borrow().get(&key).copied();
         let verdict = match memo_hit {
@@ -852,12 +813,7 @@ impl Search<'_, '_, '_> {
             Ok(()) => Some(path.to_vec()),
             Err(e) => {
                 self.note_error(e);
-                if p.backtracking {
-                    // Treat as dead end; caller continues with siblings.
-                    None
-                } else {
-                    None
-                }
+                None
             }
         }
     }
@@ -1391,21 +1347,25 @@ mod tests {
     }
 
     #[test]
-    fn build_stats_expose_cache_delta() {
+    fn repeat_build_is_served_from_the_signature_cache() {
         let p = pki();
         let checker = IssuanceChecker::new();
         let engine = ChainEngine::new(BuilderPolicy::full_capability("t"));
         let served = vec![p.leaf.clone(), p.int.clone()];
+        let before = checker.snapshot_stats();
         let first = engine.process(&served, &ctx(&p, &checker));
         assert!(first.accepted());
-        assert!(first.stats.cache.lookups > 0);
-        assert!(first.stats.cache.verifications > 0);
+        let after_first = checker.snapshot_stats();
+        let cold = after_first.since(&before);
+        assert!(cold.lookups > 0);
+        assert!(cold.verifications > 0);
         // Second build over the same chain: all lookups hit the cache.
         let second = engine.process(&served, &ctx(&p, &checker));
         assert!(second.accepted());
-        assert_eq!(second.stats.cache.verifications, 0);
-        assert_eq!(second.stats.cache.hits, second.stats.cache.lookups);
-        assert!(second.stats.cache.lookups > 0);
+        let warm = checker.snapshot_stats().since(&after_first);
+        assert_eq!(warm.verifications, 0);
+        assert_eq!(warm.hits, warm.lookups);
+        assert_eq!(warm.lookups, cold.lookups, "the same build asks the same questions");
     }
 
     #[test]

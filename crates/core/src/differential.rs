@@ -163,9 +163,10 @@ impl DifferentialReport {
 pub struct DifferentialHarness<'a> {
     clients: Vec<(ClientKind, crate::builder::ChainEngine)>,
     store: &'a RootStore,
-    /// AIA transport: a plain [`ccc_netsim::AiaRepository`] for the
-    /// zero-fault path, or a [`ccc_netsim::FaultyTransport`] to inject
-    /// latency and failures into every AIA-capable client.
+    /// AIA transport [`run`](Self::run) builds with: a plain
+    /// [`ccc_netsim::AiaRepository`] for the zero-fault path, or a
+    /// [`ccc_netsim::FaultyTransport`] to inject latency and failures into
+    /// every AIA-capable client.
     aia: Option<&'a dyn AiaTransport>,
     /// Firefox-style intermediate cache contents.
     cache: Vec<Certificate>,
@@ -218,31 +219,65 @@ impl<'a> DifferentialHarness<'a> {
         result
     }
 
-    /// Run all clients on one served list.
-    ///
-    /// The base candidate pool (served-list dedup + trust-store probes) is
-    /// identical for every engine sharing this harness's context, so it is
-    /// built once per served list and cloned into each of the eight
-    /// engines rather than rebuilt eight times.
+    /// Run all clients on one served list under the harness's own AIA
+    /// transport: the one-transport case of [`run_under`](Self::run_under).
     pub fn run(&self, served: &[Certificate]) -> DifferentialResult {
-        let ctx = BuildContext {
+        let outcomes = self
+            .run_under(served, [self.aia])
+            .pop()
+            .expect("one transport yields one row");
+        let causes = attribute_causes(&outcomes);
+        DifferentialResult { outcomes, causes }
+    }
+
+    /// Run all clients on one served list once per AIA transport. Row `t`
+    /// of the result holds the eight outcomes (Table 9 order) of the
+    /// builds that fetched through the `t`-th transport; the harness's own
+    /// transport is not used.
+    ///
+    /// Every (transport, client) build shares one base candidate pool
+    /// (served-list dedup + trust-store probes) and one [`RunScratch`]:
+    /// store candidates, base-pool issuer indices and `validate_path`
+    /// verdicts depend only on certificate contents, the store, the clock
+    /// and the checker — never on the policy or the transport — so they
+    /// are computed once per served list. The AIA memo, simulated clock,
+    /// retry counters and pool extensions stay per build, so every outcome
+    /// is bit-identical to a plain [`ChainEngine::process`] call.
+    ///
+    /// [`ChainEngine::process`]: crate::builder::ChainEngine::process
+    pub fn run_under<'t>(
+        &self,
+        served: &[Certificate],
+        transports: impl IntoIterator<Item = Option<&'t dyn AiaTransport>>,
+    ) -> Vec<Vec<(ClientKind, BuildOutcome)>> {
+        let base = BuildContext {
             store: self.store,
-            aia: self.aia,
+            aia: None,
             cache: &self.cache,
             now: self.now,
             checker: self.checker,
         };
-        let seed = PoolSeed::build(served, &ctx);
+        let seed = PoolSeed::build(served, &base);
         let scratch = RunScratch::default();
-        let outcomes: Vec<(ClientKind, BuildOutcome)> = self
-            .clients
-            .iter()
-            .map(|(kind, engine)| {
-                (*kind, engine.process_with_seed(served, &ctx, &seed, &self.cache_pool, &scratch))
+        transports
+            .into_iter()
+            .map(|aia| {
+                let ctx = BuildContext { aia, ..base };
+                self.clients
+                    .iter()
+                    .map(|(kind, engine)| {
+                        let outcome = engine.process_with_seed(
+                            served,
+                            &ctx,
+                            &seed,
+                            &self.cache_pool,
+                            &scratch,
+                        );
+                        (*kind, outcome)
+                    })
+                    .collect()
             })
-            .collect();
-        let causes = attribute_causes(&outcomes);
-        DifferentialResult { outcomes, causes }
+            .collect()
     }
 
     /// Run a whole corpus and aggregate.
@@ -351,7 +386,7 @@ fn attribute_causes(outcomes: &[(ClientKind, BuildOutcome)]) -> Vec<DiscrepancyC
 mod tests {
     use super::*;
     use crate::completeness::{CompletenessAnalyzer, IncompleteReason};
-    use ccc_netsim::{AiaFailure, AiaRepository};
+    use ccc_netsim::{AiaFailure, AiaRepository, FaultPlan, FaultyTransport};
     use ccc_rootstore::{CaUniverse, RootPrograms};
     use ccc_x509::CertificateBuilder;
 
@@ -578,6 +613,100 @@ mod tests {
             analysis.incomplete_reason,
             Some(IncompleteReason::AiaWrongCertificate)
         );
+    }
+
+    /// `run_under` shares one pool seed and scratch across every
+    /// (transport, client) build, yet each outcome — path, verdict and
+    /// every `BuildStats` field — equals a plain `ChainEngine::process`
+    /// call, and each faulty transport sees the same fetches. Transports:
+    /// none, the plain repository, and rate-1.0 fault plans (a mixed one
+    /// plus all-transient, all-dead and all-corrupt).
+    #[test]
+    fn run_under_matches_per_build_processes() {
+        let e = env();
+        let store = e.programs.unified();
+        let cache = vec![e.universe.roots[2].intermediates[0].cert.clone()];
+        // Per intermediate: a complete list, a lone leaf (AIA or cache
+        // completion), and a list with the root ahead of the intermediate.
+        let mut lists = Vec::new();
+        for (ca, root) in e.universe.roots.iter().enumerate() {
+            for (i, int) in root.intermediates.iter().enumerate() {
+                let leaf = leaf(&e, ca, i, &format!("under-{ca}-{i}.sim"));
+                lists.push(vec![leaf.clone(), int.cert.clone()]);
+                lists.push(vec![leaf.clone()]);
+                lists.push(vec![leaf, root.cert.clone(), int.cert.clone()]);
+            }
+        }
+        let quiet = FaultPlan::with_fault_rate(7, 0.0);
+        let plans = [
+            FaultPlan::with_fault_rate(7, 1.0),
+            FaultPlan {
+                transient_rate: 1.0,
+                ..quiet.clone()
+            },
+            FaultPlan {
+                dead_rate: 1.0,
+                ..quiet.clone()
+            },
+            FaultPlan {
+                corrupt_rate: 1.0,
+                ..quiet
+            },
+        ];
+        let transports = || -> Vec<FaultyTransport<'_>> {
+            plans
+                .iter()
+                .map(|p| FaultyTransport::new(&e.aia, p.clone()))
+                .collect()
+        };
+        let (shared, solo) = (transports(), transports());
+        fn with_plain<'t>(
+            plain: &'t AiaRepository,
+            faulty: &'t [FaultyTransport<'_>],
+        ) -> Vec<Option<&'t dyn AiaTransport>> {
+            [None, Some(plain as &dyn AiaTransport)]
+                .into_iter()
+                .chain(faulty.iter().map(|t| Some(t as &dyn AiaTransport)))
+                .collect()
+        }
+
+        let harness = DifferentialHarness::new(store, None, cache.clone(), now(), &e.checker);
+        let engines = client_profiles();
+        let mut retries = 0;
+        for served in &lists {
+            let rows = harness.run_under(served, with_plain(&e.aia, &shared));
+            let references = with_plain(&e.aia, &solo);
+            assert_eq!(rows.len(), references.len());
+            for (row, aia) in rows.iter().zip(references) {
+                let ctx = BuildContext {
+                    store,
+                    aia,
+                    cache: &cache,
+                    now: now(),
+                    checker: &e.checker,
+                };
+                assert_eq!(row.len(), engines.len());
+                for ((kind, got), (expected_kind, engine)) in row.iter().zip(&engines) {
+                    let want = engine.process(served, &ctx);
+                    assert_eq!(kind, expected_kind);
+                    let fingerprints = |o: &BuildOutcome| {
+                        o.path.iter().map(|c| c.fingerprint()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(fingerprints(got), fingerprints(&want), "{}", kind.name());
+                    assert_eq!(got.verdict, want.verdict, "{}", kind.name());
+                    assert_eq!(got.stats, want.stats, "{}", kind.name());
+                    retries += got.stats.aia_retries;
+                }
+            }
+        }
+        for (s, o) in shared.iter().zip(&solo) {
+            assert_eq!(s.costs(), o.costs());
+        }
+        // The sweep really exercised retries and every failure class.
+        assert!(retries > 0);
+        assert!(shared[1].costs().transient_failures > 0);
+        assert!(shared[2].costs().dead_hits > 0);
+        assert!(shared[3].costs().corrupt_hits > 0);
     }
 
     #[test]

@@ -431,16 +431,6 @@ impl IssuanceChecker {
     /// been joined; monotone but possibly momentarily inconsistent while
     /// other threads are mid-lookup.
     pub fn snapshot_stats(&self) -> CacheStats {
-        CacheStats {
-            entries: self.cache_size(),
-            ..self.counters()
-        }
-    }
-
-    /// Counter-only snapshot: atomics only, no shard locks (`entries` is
-    /// left 0). Used on the per-build hot path where taking every shard
-    /// lock just to count entries would add contention.
-    pub(crate) fn counters(&self) -> CacheStats {
         // ordering: Relaxed — monotone counters read individually; the
         // snapshot is only promised exact after worker threads are
         // joined (the join edge orders the final values), so there is
@@ -459,7 +449,7 @@ impl IssuanceChecker {
             tables_built: routes.tables_built,
             batched_verifies: routes.batched_verifies,
             batch_flushes: routes.batch_flushes,
-            entries: 0,
+            entries: self.cache_size(),
         }
     }
 }

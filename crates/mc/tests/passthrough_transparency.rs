@@ -33,8 +33,9 @@ fn shims_are_literal_std_type_aliases() {
         TypeId::of::<ccc_mc::AtomicBool>(),
         TypeId::of::<std::sync::atomic::AtomicBool>()
     );
-    assert!(!ccc_mc::MODEL_CHECK_BUILD);
 }
+
+const _: () = assert!(!ccc_mc::MODEL_CHECK_BUILD);
 
 #[test]
 fn shim_sizes_match_std() {

@@ -850,14 +850,13 @@ impl Corpus {
 /// every call — repeating the certificate building, DER encoding, and
 /// fingerprinting each time. An `ObservationStore` memoizes the most
 /// recently generated observations in a fixed ring (slot = `rank %
-/// capacity`), so consumers that revisit nearby ranks (fused analysis
-/// passes, benchmark sweeps that loop over a window) pay the generation
-/// cost **once** per rank while memory stays **O(capacity)** — never
-/// O(corpus), whatever `spec.domains` is.
+/// capacity`), so consumers that revisit nearby ranks (benchmark sweeps
+/// that loop over a window) pay the generation cost **once** per rank
+/// while memory stays **O(capacity)** — never O(corpus), whatever
+/// `spec.domains` is.
 ///
-/// Each pipeline worker owns one store sized to (a bound on) its chunk,
-/// which is where the fused sweep's "generate each observation a single
-/// time" guarantee comes from.
+/// A sweep that visits each rank exactly once (the fused pipeline) gains
+/// nothing from a store and calls [`Corpus::observation`] directly.
 #[derive(Debug)]
 pub struct ObservationStore<'c> {
     corpus: &'c Corpus,
