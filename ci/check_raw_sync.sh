@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 # Crates whose concurrency is model-checked. crates/mc itself is the
 # shim layer and is intentionally exempt. crates/obs is wired because
 # its registry lock and metric atomics sit on the hot paths the model
-# tests explore (cache fills, batched verifies bump obs counters).
+# tests explore (cache fills and verifications bump obs counters).
 WIRED=(crates/crypto crates/core crates/lint crates/bench crates/obs)
 
 # Banned constructs: direct std lock/once types (path or braced import),

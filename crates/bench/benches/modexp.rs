@@ -1,7 +1,7 @@
 //! Modular-exponentiation stack comparison: schoolbook square-and-multiply
 //! (`modpow_naive`) vs the Montgomery/fixed-window path (`MontgomeryCtx`)
-//! vs the fixed-base generator tables (`FixedBaseTable`, the `g^k` path
-//! used by keygen and signing).
+//! vs the group's 8-bit fixed-base generator table (`GroupOps::g_table`,
+//! the `g^k` path used by keygen, signing and verification).
 //!
 //! The operands mirror the crypto crate's real workload: exponentiation
 //! modulo the group prime with exponents the width of the subgroup order
@@ -9,7 +9,7 @@
 //! `rfc3526`). All three paths must produce identical residues — asserted
 //! here before timing so a broken optimization can't "win".
 
-use ccc_bignum::{modpow_naive, FixedBaseTable, MontgomeryCtx, Uint};
+use ccc_bignum::{modpow_naive, Uint};
 use ccc_crypto::{Drbg, Group};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -46,15 +46,15 @@ fn exponents(group: &Group, n: usize) -> Vec<Uint> {
 fn bench_modexp(c: &mut Criterion) {
     for case in cases() {
         let group = case.group;
-        let ctx = MontgomeryCtx::new(&group.p).expect("group prime is odd");
-        let table = FixedBaseTable::new(&ctx, &group.g, group.q.bit_len());
+        let ops = group.ops();
+        let (ctx, table) = (&ops.ctx, &ops.g_table);
         let exps = exponents(group, 8);
 
         // Cross-check all three paths before timing anything.
         for e in &exps {
             let naive = modpow_naive(&group.g, e, &group.p).expect("p is non-zero");
             assert_eq!(ctx.modpow(&group.g, e), naive);
-            assert_eq!(table.pow(&ctx, e), naive);
+            assert_eq!(table.pow(ctx, e), naive);
         }
 
         let mut grp = c.benchmark_group(format!("modexp/{}", case.label));
@@ -83,7 +83,7 @@ fn bench_modexp(c: &mut Criterion) {
             |b, exps| {
                 b.iter(|| {
                     for e in exps {
-                        std::hint::black_box(table.pow(&ctx, e));
+                        std::hint::black_box(table.pow(ctx, e));
                     }
                 })
             },

@@ -54,7 +54,7 @@ fn main() {
     touch_pipeline_metrics();
     ccc_core::builder::touch_build_metrics();
     ccc_netsim::touch_fetch_metrics();
-    let _ = ccc_crypto::verify_route_stats();
+    let _ = ccc_crypto::verify_stats();
 
     let snapshot = ccc_obs::MetricsRegistry::global().snapshot();
     let rendered = match out.as_deref() {

@@ -4,53 +4,40 @@
 //!
 //! - **modexp**: times the three arithmetic paths (schoolbook
 //!   `modpow_naive`, the Montgomery fixed-window `MontgomeryCtx::modpow`,
-//!   and the fixed-base generator tables used for `g^k`) on both group
-//!   presets → `BENCH_modexp.json`.
+//!   and the group's 8-bit fixed-base generator table used for `g^k`) on
+//!   both group presets → `BENCH_modexp.json`.
 //! - **pipeline**: times the fused single-generation 3-analysis sweep
 //!   (compliance + differential + lint, one shared checker) against
 //!   three sequential standalone sweeps, each with a fresh checker, on a
 //!   1k-domain corpus → `BENCH_pipeline.json`. The run first asserts the
 //!   fused summaries are identical to the sequential ones.
-//! - **verify**: times the three Schnorr verification routes (the legacy
-//!   two-independent-pows baseline, the cold Straus joint multi-exp, the
-//!   hot per-key fixed-base lookup) on both groups, then A/Bs a 1k-domain
-//!   fused sweep under `TablePolicy::Never` vs `Always` →
-//!   `BENCH_verify.json`. Routes are cross-checked for verdict agreement
-//!   before any timing.
-//!
-//! - **batch**: times `verify_batch` per signature across batch sizes
-//!   {1, 4, 16, 64, 256} next to freshly measured hot/cold per-signature
-//!   routes on both groups, then A/Bs a 1k-domain fused sweep with
-//!   `CCC_VERIFY_BATCH` effectively on vs off → `BENCH_batch.json`.
-//!   Batch verdicts are cross-checked against sequential `verify` before
-//!   any timing, and the on/off sweeps must produce identical summaries.
+//! - **verify**: times steady-state `PublicKey::verify` (a promoted CA
+//!   key) against the legacy two-independent-pows baseline on both groups
+//!   → `BENCH_verify.json`. Both are cross-checked to accept before any
+//!   timing.
 //!
 //! ```text
 //! perf_snapshot                       all cases, default output paths
 //! perf_snapshot <path>                modexp only (CI compat)
 //! perf_snapshot --pipeline <path>     pipeline only
 //! perf_snapshot --verify <path>       verify only
-//! perf_snapshot --batch <path>        batch only
 //! ```
 //!
 //! The committed snapshots back the perf tables in README and the
 //! acceptance thresholds (≥5× 1536-bit modexp, ≥10× fixed-base `g^k`,
-//! ≥2.5× fused 3-analysis sweep, ≥2× hot verify route); CI runs this
-//! binary in smoke steps to keep them from bit-rotting. Set
-//! `CCC_SNAPSHOT_ITERS` to raise the iteration count for a lower-noise
-//! measurement.
+//! ≥2.5× fused 3-analysis sweep, ≥2× steady-state verify); CI runs this
+//! binary in smoke steps to keep them from bit-rotting, and
+//! `ci/bench_gate.sh` gates the verify snapshot's `speedup_vs_legacy`
+//! ratios. Set `CCC_SNAPSHOT_ITERS` to raise the iteration count for a
+//! lower-noise measurement.
 
 use ccc_bench::{
     CompliancePass, CorpusSummary, DifferentialPass, DifferentialSummary, LintPass, Pipeline,
     PipelineStats,
 };
-use ccc_bignum::{modpow_naive, FixedBaseTable, MontgomeryCtx, Uint};
+use ccc_bignum::{modpow_naive, MontgomeryCtx, Uint};
 use ccc_core::IssuanceChecker;
-use ccc_crypto::batch::{verify_batch, BatchItem};
-use ccc_crypto::{
-    set_verify_batch_policy, set_verify_table_policy, sha256, BatchPolicy, Drbg, Group, KeyPair,
-    Signature, TablePolicy, VerifyRoute,
-};
+use ccc_crypto::{sha256, Drbg, Group, KeyPair, Signature};
 use ccc_lint::LintSummary;
 use std::time::{Duration, Instant};
 
@@ -78,8 +65,8 @@ fn time_path(iters: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn run_case(label: &'static str, group: &'static Group, iters: usize) -> CaseResult {
-    let ctx = MontgomeryCtx::new(&group.p).expect("group prime is odd");
-    let table = FixedBaseTable::new(&ctx, &group.g, group.q.bit_len());
+    let ops = group.ops();
+    let (ctx, table) = (&ops.ctx, &ops.g_table);
     let mut drbg = Drbg::from_u64(0xbe9c_4a11);
     let exps: Vec<Uint> = (0..4)
         .map(|_| {
@@ -93,7 +80,7 @@ fn run_case(label: &'static str, group: &'static Group, iters: usize) -> CaseRes
     for e in &exps {
         let naive = modpow_naive(&group.g, e, &group.p).expect("p is non-zero");
         assert_eq!(ctx.modpow(&group.g, e), naive, "{label}: montgomery drift");
-        assert_eq!(table.pow(&ctx, e), naive, "{label}: fixed-base drift");
+        assert_eq!(table.pow(ctx, e), naive, "{label}: fixed-base drift");
     }
 
     let per = |total: f64| total / exps.len() as f64;
@@ -109,7 +96,7 @@ fn run_case(label: &'static str, group: &'static Group, iters: usize) -> CaseRes
     }));
     let fixed_base = per(time_path(iters, || {
         for e in &exps {
-            std::hint::black_box(table.pow(&ctx, e));
+            std::hint::black_box(table.pow(ctx, e));
         }
     }));
 
@@ -258,7 +245,7 @@ fn write_modexp_snapshot(out_path: &str, iters: usize) {
 
 /// The pre-amortization verification — fixed-base `g^s` next to a generic
 /// 4-bit-window `y^(q-e)` with no per-key state (what `PublicKey::verify`
-/// did before the intern registry). The baseline the routes are judged
+/// did before the intern registry). The baseline `verify` is judged
 /// against; mirrored in `benches/verify.rs`.
 fn verify_legacy(kp: &KeyPair, message: &[u8], sig: &Signature) -> bool {
     let group = kp.public.group();
@@ -285,7 +272,8 @@ fn verify_legacy(kp: &KeyPair, message: &[u8], sig: &Signature) -> bool {
     sha256(&buf) == sig.e
 }
 
-/// ns/op for the three verify routes over one CA-style key on `group`.
+/// ns/op for the legacy baseline and steady-state `verify` over one
+/// CA-style key on `group`.
 fn run_verify_case(label: &'static str, group: &'static Group, iters: usize) -> CaseResult {
     let kp = KeyPair::from_seed(group, b"bench-verify-ca-key");
     let mut drbg = Drbg::from_u64(0xbe9c_4a11);
@@ -297,18 +285,12 @@ fn run_verify_case(label: &'static str, group: &'static Group, iters: usize) -> 
         })
         .collect();
 
-    // Route agreement gate before timing; the hot calls also build the
-    // per-key table so the timed region is steady-state.
+    // Agreement gate before timing; the four `verify` calls also pass
+    // the promotion threshold and build the key's table, so the timed
+    // region is steady-state.
     for (message, sig) in &sigs {
         assert!(verify_legacy(&kp, message, sig), "{label}: legacy reject");
-        assert!(
-            kp.public.verify_via(VerifyRoute::MultiExp, message, sig),
-            "{label}: cold route reject"
-        );
-        assert!(
-            kp.public.verify_via(VerifyRoute::FixedBase, message, sig),
-            "{label}: hot route reject"
-        );
+        assert!(kp.public.verify(message, sig), "{label}: verify reject");
     }
 
     let per = |total: f64| total / sigs.len() as f64;
@@ -317,14 +299,9 @@ fn run_verify_case(label: &'static str, group: &'static Group, iters: usize) -> 
             std::hint::black_box(verify_legacy(&kp, message, sig));
         }
     }));
-    let cold = per(time_path(iters, || {
+    let verify = per(time_path(iters, || {
         for (message, sig) in &sigs {
-            std::hint::black_box(kp.public.verify_via(VerifyRoute::MultiExp, message, sig));
-        }
-    }));
-    let hot = per(time_path(iters, || {
-        for (message, sig) in &sigs {
-            std::hint::black_box(kp.public.verify_via(VerifyRoute::FixedBase, message, sig));
+            std::hint::black_box(kp.public.verify(message, sig));
         }
     }));
 
@@ -335,59 +312,16 @@ fn run_verify_case(label: &'static str, group: &'static Group, iters: usize) -> 
         iters,
         paths: vec![
             PathTiming { name: "legacy_two_pows", nanos_per_op: legacy },
-            PathTiming { name: "cold_multiexp", nanos_per_op: cold },
-            PathTiming { name: "hot_fixed_base", nanos_per_op: hot },
+            PathTiming { name: "verify", nanos_per_op: verify },
         ],
     }
 }
 
-/// Best-of-`iters` wall time for a fused 1k-domain sweep under `policy`.
-/// Returns the wall time and the sweep's cache stats (route counters
-/// included). Summaries are captured so the caller can assert policy
-/// independence.
-fn run_pipeline_under_policy(
-    corpus: &ccc_testgen::Corpus,
-    policy: TablePolicy,
-    iters: usize,
-) -> (Duration, PipelineStats, (CorpusSummary, DifferentialSummary, LintSummary)) {
-    set_verify_table_policy(policy);
-    let mut best = Duration::MAX;
-    let mut best_stats = None;
-    let mut summaries = None;
-    for _ in 0..iters {
-        let checker = IssuanceChecker::new();
-        let start = Instant::now();
-        let ((fc, fd, fl), stats) = Pipeline::from_env().run(
-            corpus,
-            &checker,
-            (CompliancePass::new(), DifferentialPass::new(), LintPass::new()),
-        );
-        let elapsed = start.elapsed();
-        if elapsed < best {
-            best = elapsed;
-            best_stats = Some(stats);
-        }
-        summaries = Some((fc.summary, fd.summary, fl.summary));
-    }
-    (best, best_stats.expect("iters > 0"), summaries.expect("iters > 0"))
-}
-
-fn write_verify_snapshot(out_path: &str, iters: usize, pipeline_iters: usize) {
+fn write_verify_snapshot(out_path: &str, iters: usize) {
     let results = [
         run_verify_case("sim256", Group::simulation_256(), iters * 8),
         run_verify_case("rfc3526_1536", Group::rfc3526_1536(), iters),
     ];
-
-    // 1k-domain fused sweep, all-cold vs all-hot. Verdict (and therefore
-    // summary) equality across policies is asserted, not assumed.
-    let corpus = ccc_bench::scan_corpus(PIPELINE_DOMAINS);
-    let (cold_wall, cold_stats, cold_summaries) =
-        run_pipeline_under_policy(&corpus, TablePolicy::Never, pipeline_iters);
-    let (hot_wall, hot_stats, hot_summaries) =
-        run_pipeline_under_policy(&corpus, TablePolicy::Always, pipeline_iters);
-    set_verify_table_policy(TablePolicy::Auto);
-    assert_eq!(cold_summaries, hot_summaries, "route policy changed analysis results");
-    let pipeline_speedup = cold_wall.as_secs_f64() / hot_wall.as_secs_f64();
 
     let mut json = String::new();
     json.push_str("{\n  \"benchmark\": \"verify\",\n  \"unit\": \"ns_per_op\",\n  \"cases\": [\n");
@@ -409,23 +343,7 @@ fn write_verify_snapshot(out_path: &str, iters: usize, pipeline_iters: usize) {
         json.push_str("      }\n    }");
         json.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"pipeline_1k\": {{\n    \"domains\": {},\n    \"iters\": {},\n    \"threads\": {},\n    \"all_cold_s\": {:.4},\n    \"all_hot_s\": {:.4},\n    \"speedup\": {:.2},\n    \"hot_routes\": {{ \"fixed_base_hits\": {}, \"cold_multiexps\": {}, \"tables_built\": {} }},\n    \"cold_routes\": {{ \"fixed_base_hits\": {}, \"cold_multiexps\": {}, \"tables_built\": {} }}\n  }}\n",
-        PIPELINE_DOMAINS,
-        pipeline_iters,
-        hot_stats.threads,
-        cold_wall.as_secs_f64(),
-        hot_wall.as_secs_f64(),
-        pipeline_speedup,
-        hot_stats.cache.fixed_base_hits,
-        hot_stats.cache.cold_multiexps,
-        hot_stats.cache.tables_built,
-        cold_stats.cache.fixed_base_hits,
-        cold_stats.cache.cold_multiexps,
-        cold_stats.cache.tables_built,
-    ));
-    json.push_str("}\n");
+    json.push_str("  ]\n}\n");
     std::fs::write(out_path, &json).expect("write verify snapshot");
 
     for r in &results {
@@ -443,232 +361,6 @@ fn write_verify_snapshot(out_path: &str, iters: usize, pipeline_iters: usize) {
             );
         }
     }
-    println!(
-        "pipeline ({PIPELINE_DOMAINS} domains, 3 passes): all-cold {:.3}s, all-hot {:.3}s, {pipeline_speedup:.2}x",
-        cold_wall.as_secs_f64(),
-        hot_wall.as_secs_f64()
-    );
-    println!("wrote {out_path}");
-}
-
-/// Batch sizes swept by the batch snapshot.
-const BATCH_SIZES: [usize; 5] = [1, 4, 16, 64, 256];
-
-struct BatchCase {
-    label: &'static str,
-    modulus_bits: usize,
-    exponent_bits: usize,
-    iters: usize,
-    cold_ns: f64,
-    hot_ns: f64,
-    /// (batch size, ns per signature) per swept size.
-    sizes: Vec<(usize, f64)>,
-}
-
-/// ns/sig for `verify_batch` across [`BATCH_SIZES`] plus fresh hot/cold
-/// per-signature reference timings, over one CA-style key on `group`.
-/// Batch verdicts are cross-checked against sequential `verify` before
-/// anything is timed.
-fn run_batch_case(label: &'static str, group: &'static Group, iters: usize) -> BatchCase {
-    let kp = KeyPair::from_seed(group, b"bench-batch-ca-key");
-    let mut drbg = Drbg::from_u64(0x0ba7_c4ed);
-    let max = *BATCH_SIZES.iter().max().expect("non-empty");
-    let sigs: Vec<(Vec<u8>, Signature)> = (0..max)
-        .map(|_| {
-            let message = drbg.bytes(48);
-            let sig = kp.private.sign(&message);
-            (message, sig)
-        })
-        .collect();
-    let items: Vec<BatchItem<'_>> = sigs
-        .iter()
-        .map(|(m, s)| (&kp.public, m.as_slice(), s))
-        .collect();
-
-    // Correctness gate: batch verdicts equal sequential verdicts on every
-    // input (this also promotes the key and builds the shared tables, so
-    // the timed regions below are steady-state).
-    let out = verify_batch(&items);
-    for (i, (message, sig)) in sigs.iter().enumerate() {
-        let scalar = kp.public.verify(message, sig);
-        assert!(scalar, "{label}: sequential reject at {i}");
-        assert_eq!(out.verdicts[i], scalar, "{label}: batch/sequential split at {i}");
-    }
-    assert!(out.healed.is_empty(), "{label}: aggregate drift outside fault tests");
-
-    // Interleaved best-of-rounds: every round measures the baselines AND
-    // every batch size, and each quantity keeps its fastest round. A load
-    // spike then degrades one round of everything alike instead of
-    // skewing whichever quantity it happened to land on, so the
-    // *ratios* the committed snapshot reports stay reproducible on a
-    // shared host.
-    const ROUNDS: usize = 8;
-    let per = |total: f64, n: usize| total / n as f64;
-    let probe = &sigs[..4];
-    let mut cold_ns = f64::INFINITY;
-    let mut hot_ns = f64::INFINITY;
-    let mut size_ns = vec![f64::INFINITY; BATCH_SIZES.len()];
-    let baseline_reps = (iters / ROUNDS).max(1);
-    for _ in 0..ROUNDS {
-        cold_ns = cold_ns.min(per(
-            time_path(baseline_reps, || {
-                for (message, sig) in probe {
-                    std::hint::black_box(kp.public.verify_via(
-                        VerifyRoute::MultiExp,
-                        message,
-                        sig,
-                    ));
-                }
-            }),
-            probe.len(),
-        ));
-        hot_ns = hot_ns.min(per(
-            time_path(baseline_reps, || {
-                for (message, sig) in probe {
-                    std::hint::black_box(kp.public.verify_via(
-                        VerifyRoute::FixedBase,
-                        message,
-                        sig,
-                    ));
-                }
-            }),
-            probe.len(),
-        ));
-        for (slot, &size) in size_ns.iter_mut().zip(BATCH_SIZES.iter()) {
-            // Bound total work per size: big batches need fewer repeats
-            // for the same statistical weight.
-            let reps = (iters / size / ROUNDS).max(2);
-            *slot = slot.min(per(
-                time_path(reps, || {
-                    std::hint::black_box(verify_batch(&items[..size]));
-                }),
-                size,
-            ));
-        }
-    }
-    let sizes = BATCH_SIZES.iter().copied().zip(size_ns).collect();
-
-    BatchCase {
-        label,
-        modulus_bits: group.p.bit_len(),
-        exponent_bits: group.q.bit_len(),
-        iters,
-        cold_ns,
-        hot_ns,
-        sizes,
-    }
-}
-
-/// One fused 1k-domain sweep under the given batch policy (the table
-/// policy stays `Auto`). Returns wall time, pipeline stats, and the
-/// summaries so the caller can assert policy independence.
-fn run_pipeline_once_under_batch_policy(
-    corpus: &ccc_testgen::Corpus,
-    policy: BatchPolicy,
-) -> (Duration, PipelineStats, (CorpusSummary, DifferentialSummary, LintSummary)) {
-    set_verify_batch_policy(policy);
-    let checker = IssuanceChecker::new();
-    let start = Instant::now();
-    let ((fc, fd, fl), stats) = Pipeline::from_env().run(
-        corpus,
-        &checker,
-        (CompliancePass::new(), DifferentialPass::new(), LintPass::new()),
-    );
-    (start.elapsed(), stats, (fc.summary, fd.summary, fl.summary))
-}
-
-fn write_batch_snapshot(out_path: &str, iters: usize, pipeline_iters: usize) {
-    let results = [
-        run_batch_case("sim256", Group::simulation_256(), iters * 8),
-        run_batch_case("rfc3526_1536", Group::rfc3526_1536(), iters),
-    ];
-
-    // 1k-domain fused sweep, deferred batching off vs on, the two
-    // policies interleaved each round so slow host drift hits both
-    // sides alike. Summary equality across the policies is asserted,
-    // not assumed.
-    let corpus = ccc_bench::scan_corpus(PIPELINE_DOMAINS);
-    let mut off_wall = Duration::MAX;
-    let mut on_wall = Duration::MAX;
-    let mut off_stats = None;
-    let mut on_stats = None;
-    for _ in 0..pipeline_iters {
-        let (off, stats, off_summaries) =
-            run_pipeline_once_under_batch_policy(&corpus, BatchPolicy::Off);
-        if off < off_wall {
-            off_stats = Some(stats);
-        }
-        let (on, stats, on_summaries) =
-            run_pipeline_once_under_batch_policy(&corpus, BatchPolicy::Auto);
-        assert_eq!(off_summaries, on_summaries, "batch policy changed analysis results");
-        off_wall = off_wall.min(off);
-        if on < on_wall {
-            on_wall = on;
-            on_stats = Some(stats);
-        }
-    }
-    set_verify_batch_policy(BatchPolicy::Auto);
-    let off_stats = off_stats.expect("pipeline_iters > 0");
-    let on_stats = on_stats.expect("pipeline_iters > 0");
-    let pipeline_speedup = off_wall.as_secs_f64() / on_wall.as_secs_f64();
-
-    let mut json = String::new();
-    json.push_str("{\n  \"benchmark\": \"batch\",\n  \"unit\": \"ns_per_sig\",\n  \"cases\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\n      \"label\": \"{}\",\n      \"modulus_bits\": {},\n      \"exponent_bits\": {},\n      \"iters\": {},\n      \"routes\": {{\n        \"cold_multiexp\": {{ \"ns_per_op\": {:.0} }},\n        \"hot_fixed_base\": {{ \"ns_per_op\": {:.0} }}\n      }},\n      \"batch_sizes\": {{\n",
-            r.label, r.modulus_bits, r.exponent_bits, r.iters, r.cold_ns, r.hot_ns
-        ));
-        for (j, (size, ns)) in r.sizes.iter().enumerate() {
-            json.push_str(&format!(
-                "        \"{}\": {{ \"ns_per_sig\": {:.0}, \"speedup_vs_cold\": {:.2}, \"speedup_vs_hot\": {:.2} }}{}\n",
-                size,
-                ns,
-                r.cold_ns / ns,
-                r.hot_ns / ns,
-                if j + 1 < r.sizes.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("      }\n    }");
-        json.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"pipeline_1k\": {{\n    \"domains\": {},\n    \"iters\": {},\n    \"threads\": {},\n    \"batch_off_s\": {:.4},\n    \"batch_on_s\": {:.4},\n    \"speedup\": {:.2},\n    \"off_cache\": {{ \"verifications\": {} }},\n    \"on_cache\": {{ \"verifications\": {}, \"batched_verifies\": {}, \"batch_flushes\": {} }}\n  }}\n",
-        PIPELINE_DOMAINS,
-        pipeline_iters,
-        on_stats.threads,
-        off_wall.as_secs_f64(),
-        on_wall.as_secs_f64(),
-        pipeline_speedup,
-        off_stats.cache.verifications,
-        on_stats.cache.verifications,
-        on_stats.cache.batched_verifies,
-        on_stats.cache.batch_flushes,
-    ));
-    json.push_str("}\n");
-    std::fs::write(out_path, &json).expect("write batch snapshot");
-
-    for r in &results {
-        println!(
-            "{} ({}-bit modulus, {}-bit exponent): cold {:.0} ns/sig, hot {:.0} ns/sig",
-            r.label, r.modulus_bits, r.exponent_bits, r.cold_ns, r.hot_ns
-        );
-        for (size, ns) in &r.sizes {
-            println!(
-                "  batch k={size:<4} {ns:>12.0} ns/sig   {:>5.2}x vs cold  {:>5.2}x vs hot",
-                r.cold_ns / ns,
-                r.hot_ns / ns
-            );
-        }
-    }
-    println!(
-        "pipeline ({PIPELINE_DOMAINS} domains, 3 passes): batch-off {:.3}s, batch-on {:.3}s, {pipeline_speedup:.2}x ({} checks in {} flushes)",
-        off_wall.as_secs_f64(),
-        on_wall.as_secs_f64(),
-        on_stats.cache.batched_verifies,
-        on_stats.cache.batch_flushes,
-    );
     println!("wrote {out_path}");
 }
 
@@ -689,15 +381,10 @@ fn main() {
             let out = args.get(1).map(String::as_str).unwrap_or("BENCH_pipeline.json");
             write_pipeline_snapshot(out, pipeline_iters);
         }
-        // Verify routes only: `perf_snapshot --verify [path]`.
+        // Verification only: `perf_snapshot --verify [path]`.
         Some("--verify") => {
             let out = args.get(1).map(String::as_str).unwrap_or("BENCH_verify.json");
-            write_verify_snapshot(out, iters, pipeline_iters);
-        }
-        // Batched verification only: `perf_snapshot --batch [path]`.
-        Some("--batch") => {
-            let out = args.get(1).map(String::as_str).unwrap_or("BENCH_batch.json");
-            write_batch_snapshot(out, iters, pipeline_iters);
+            write_verify_snapshot(out, iters);
         }
         // Modexp only, to an explicit path (CI compat).
         Some(path) => write_modexp_snapshot(path, iters),
@@ -705,8 +392,7 @@ fn main() {
         None => {
             write_modexp_snapshot("BENCH_modexp.json", iters);
             write_pipeline_snapshot("BENCH_pipeline.json", pipeline_iters);
-            write_verify_snapshot("BENCH_verify.json", iters, pipeline_iters);
-            write_batch_snapshot("BENCH_batch.json", iters, pipeline_iters);
+            write_verify_snapshot("BENCH_verify.json", iters);
         }
     }
 }

@@ -22,15 +22,8 @@
 //! machines. Results are bit-identical for every thread count (partial
 //! summaries merge associatively).
 //!
-//! Batched verification control: `CCC_VERIFY_BATCH=on|off|auto` (default
-//! `auto`) mirrors `CCC_VERIFY_TABLES`. Under `auto`/`on` each pipeline
-//! worker warms the shared signature cache one observation ahead through
-//! a single `verify_batch` flush (Pippenger multi-exponentiation over the
-//! observation's issuance pairs, see DESIGN.md §16); `off` restores the
-//! one-verification-per-miss behavior verbatim. Like the table policy it
-//! is pure performance: verdicts — and therefore every summary and table —
-//! are bit-identical in all three modes (pinned by
-//! `tests/pipeline_equivalence.rs`).
+//! Signature verification has no knobs: every miss in the shared
+//! signature cache runs one `PublicKey::verify` (see DESIGN.md §14).
 
 use ccc_core::clients::ClientKind;
 use ccc_core::{

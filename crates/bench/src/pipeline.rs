@@ -408,12 +408,6 @@ fn run_chunk<'c, P: AnalysisPass<'c>>(
         let gen_start = Instant::now();
         let obs = ctx.corpus.observation(rank);
         let visit_start = Instant::now();
-        // Deferred verification: warm the shared cache through one
-        // `verify_batch` flush over this observation's issuance pairs
-        // before the passes sweep it (a no-op under CCC_VERIFY_BATCH=off).
-        // Timed as analysis — it replaces verifications the passes would
-        // otherwise do one at a time.
-        ctx.checker.prefetch_served(&obs.served);
         let memo = ObservationMemo::default();
         worker.visit(&obs, &memo);
         generation += visit_start.duration_since(gen_start);

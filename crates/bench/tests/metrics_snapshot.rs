@@ -6,7 +6,7 @@
 //! scan corpus, so the *stable* series (builder, netsim, pipeline
 //! totals, span call counts, simulated-clock milliseconds) are exact
 //! across machines and worker counts; volatile series (wall durations,
-//! cache/verify-route splits) are excluded via `Snapshot::stable_only`.
+//! cache/verification splits) are excluded via `Snapshot::stable_only`.
 //!
 //! To regenerate after an intentional metric change:
 //!
@@ -76,7 +76,7 @@ fn stable_metrics_are_golden_and_thread_invariant() {
     touch_pipeline_metrics();
     ccc_core::builder::touch_build_metrics();
     ccc_netsim::touch_fetch_metrics();
-    let _ = ccc_crypto::verify_route_stats();
+    let _ = ccc_crypto::verify_stats();
 
     let delta_1 = run_workload(1).stable_only();
     let prom_1 = render_prometheus(&delta_1);

@@ -17,7 +17,6 @@ use ccc_bench::{
     Pipeline,
 };
 use ccc_core::IssuanceChecker;
-use ccc_crypto::{set_verify_batch_policy, set_verify_table_policy, BatchPolicy, TablePolicy};
 use ccc_lint::LintSummary;
 use ccc_testgen::{Corpus, CorpusSpec};
 use proptest::prelude::*;
@@ -88,70 +87,6 @@ fn fused_pipeline_matches_standalone_at_matching_thread_counts() {
         assert_eq!(fd, ref_d, "differential diverged (threads={threads})");
         assert_eq!(fl, ref_l, "lint diverged (threads={threads})");
     }
-}
-
-#[test]
-fn verify_table_policy_never_changes_results() {
-    // The verify hot/cold routing (per-key fixed-base tables vs Straus
-    // multi-exp) is pure performance: forcing every verification down one
-    // route must leave every summary bit-identical, fused and standalone,
-    // at 1 and 8 workers. This is the in-process version of the CI job
-    // that re-runs this binary under CCC_VERIFY_TABLES=always|never.
-    //
-    // Safe against the other tests in this binary: the policy only picks
-    // routes, and every assertion here and elsewhere is verdict-level.
-    let corpus = scan_corpus(272);
-    set_verify_table_policy(TablePolicy::Auto);
-    let reference = standalone(&corpus, 1);
-    for policy in [TablePolicy::Never, TablePolicy::Always, TablePolicy::Auto] {
-        set_verify_table_policy(policy);
-        for threads in [1usize, 8] {
-            assert_eq!(
-                standalone(&corpus, threads),
-                reference,
-                "standalone summaries drifted under {policy:?} (threads={threads})"
-            );
-            assert_eq!(
-                fused(&corpus, threads),
-                reference,
-                "fused summaries drifted under {policy:?} (threads={threads})"
-            );
-        }
-    }
-    set_verify_table_policy(TablePolicy::Auto);
-}
-
-#[test]
-fn verify_batch_policy_never_changes_results() {
-    // Deferred batched verification (the pipeline's prefetch flush plus
-    // the Pippenger aggregate self-check) is pure performance, like the
-    // table policy above: forcing it on or off must leave every summary
-    // bit-identical, fused and standalone, at 1, 3, and 8 workers. This
-    // is the in-process version of the CI job that re-runs this binary
-    // under CCC_VERIFY_BATCH=off.
-    //
-    // Safe against the other tests in this binary for the same reason as
-    // the table-policy test: the policy only decides *how* verdicts are
-    // computed, and every assertion anywhere here is verdict-level.
-    let corpus = scan_corpus(272);
-    set_verify_batch_policy(BatchPolicy::Auto);
-    let reference = standalone(&corpus, 1);
-    for policy in [BatchPolicy::Off, BatchPolicy::On, BatchPolicy::Auto] {
-        set_verify_batch_policy(policy);
-        for threads in THREAD_COUNTS {
-            assert_eq!(
-                standalone(&corpus, threads),
-                reference,
-                "standalone summaries drifted under {policy:?} (threads={threads})"
-            );
-            assert_eq!(
-                fused(&corpus, threads),
-                reference,
-                "fused summaries drifted under {policy:?} (threads={threads})"
-            );
-        }
-    }
-    set_verify_batch_policy(BatchPolicy::Auto);
 }
 
 // Seed-independence: whatever corpus the generator produces, fused and

@@ -6,26 +6,19 @@
 //! a real discrete-log signature scheme for the synthetic Web PKI used by
 //! chain-chaos. It stays dependency-free, but the hot path is engineered:
 //! [`modpow`] dispatches odd moduli to CIOS Montgomery multiplication with
-//! 4-bit fixed-window exponentiation, [`FixedBaseTable`] provides Brauer
-//! fixed-base windowing for bases that are exponentiated millions of times
-//! per corpus pass (see `montgomery`), [`multiexp`] provides Straus
-//! interleaved joint exponentiation (`a^x · b^y` on one shared squaring
-//! chain) for verification-shaped products, and [`pippenger`] provides
-//! bucket-method multi-scalar exponentiation (`Π bᵢ^{eᵢ}` over a whole
-//! batch) for batched signature verification.
+//! 4-bit fixed-window exponentiation, and [`FixedBaseTable`] provides
+//! Brauer fixed-base windowing, at any window width, for bases that are
+//! exponentiated millions of times per corpus pass (see `montgomery`).
+//! Those two primitives are the whole exponentiation surface: signature
+//! verification in `ccc-crypto` is one fixed-base `g^s` times one
+//! `y^(q−e)`, the latter from `pow_mont` or a per-key table.
 
 mod modular;
 mod montgomery;
-pub mod multiexp;
-pub mod pippenger;
 mod prime;
 mod uint;
 
 pub use modular::{modinv, modpow, modpow_naive};
 pub use montgomery::{FixedBaseTable, MontElem, MontgomeryCtx};
-pub use multiexp::{
-    digit_powers, joint_modpow, joint_pow_mont, joint_pow_with_powers, window_powers,
-};
-pub use pippenger::{multi_modpow, multi_pow_mont, optimal_window};
 pub use prime::is_probable_prime;
 pub use uint::Uint;

@@ -19,10 +19,13 @@
 //!   arbitrary bases (15 precomputed odd powers, then 4 squarings + at most
 //!   one multiplication per window);
 //! - [`FixedBaseTable`]: Brauer-style fixed-base windowing for bases that
-//!   are exponentiated millions of times (the group generator `g`): all
-//!   `base^(d·2^(4i))` are precomputed, so `base^e` costs only one
-//!   Montgomery multiplication per non-zero 4-bit digit of `e` — no
-//!   squarings at all.
+//!   are exponentiated millions of times (the group generator `g`, and CA
+//!   keys past their promotion threshold): all `base^(d·2^(w·i))` are
+//!   precomputed, so `base^e` costs only one Montgomery multiplication per
+//!   non-zero `w`-bit digit of `e` — no squarings at all.
+//!
+//! Both build their digit tables with the one shared [`digit_powers`]
+//! helper.
 //!
 //! Everything here is exact integer arithmetic: results are bit-identical
 //! to the schoolbook `mul` + `div_rem` path, which the proptest equivalence
@@ -30,10 +33,10 @@
 
 use crate::uint::Uint;
 
-/// Exponentiation window width in bits (tables hold `2^W - 1` entries).
-/// Shared with the Straus joint-exponentiation module (`multiexp`), whose
-/// digit tables must agree with the fixed-base rows to be interchangeable.
-pub(crate) const WINDOW: usize = 4;
+/// Default exponentiation window width in bits (tables hold `2^W - 1`
+/// entries): [`MontgomeryCtx::pow_mont`] and [`FixedBaseTable::from_mont`]
+/// use it.
+const WINDOW: usize = 4;
 
 /// A residue in Montgomery form with respect to some [`MontgomeryCtx`].
 ///
@@ -219,7 +222,7 @@ impl MontgomeryCtx {
             return self.one();
         }
         // table[d-1] = base^d for d in 1..16.
-        let table = crate::multiexp::digit_powers(self, base, WINDOW);
+        let table = digit_powers(self, base, WINDOW);
         let windows = bits.div_ceil(WINDOW);
         let mut result: Option<MontElem> = None;
         for w in (0..windows).rev() {
@@ -242,6 +245,24 @@ impl MontgomeryCtx {
         }
         result.unwrap_or_else(|| self.one())
     }
+}
+
+/// The digit table for one base at window width `window`: `base^d` for
+/// `d ∈ [1, 2^window)`, in Montgomery form (`2^window - 1` entries; index
+/// `d - 1` holds `base^d`).
+///
+/// The one shared builder behind every digit table in the crate: the
+/// per-call table of [`MontgomeryCtx::pow_mont`] and each block row of a
+/// [`FixedBaseTable`].
+fn digit_powers(ctx: &MontgomeryCtx, base: &MontElem, window: usize) -> Vec<MontElem> {
+    debug_assert!(window >= 1);
+    let mut powers = Vec::with_capacity((1 << window) - 1);
+    powers.push(base.clone());
+    for d in 1..(1 << window) - 1 {
+        let next = ctx.mul(&powers[d - 1], base);
+        powers.push(next);
+    }
+    powers
 }
 
 /// `a < b` over equal-length little-endian limb slices.
@@ -270,14 +291,15 @@ fn limbs_sub_in_place(a: &mut [u64], b: &[u64]) {
 
 /// Precomputed powers of one base for Brauer fixed-base windowing.
 ///
-/// `table[i][d-1] = base^(d · 2^(WINDOW·i))` in Montgomery form, for window
-/// index `i` up to `max_exp_bits` and digit `d ∈ [1, 2^WINDOW)`. Evaluating
-/// `base^e` is then a product of one table entry per non-zero 4-bit digit
-/// of `e` — about `bits/4` Montgomery multiplications and zero squarings.
+/// `table[i][d-1] = base^(d · 2^(w·i))` in Montgomery form, for window
+/// index `i` up to `max_exp_bits` and digit `d ∈ [1, 2^w)`. Evaluating
+/// `base^e` is then a product of one table entry per non-zero `w`-bit digit
+/// of `e` — about `bits/w` Montgomery multiplications and zero squarings.
 ///
-/// Memory cost: `⌈bits/4⌉ · 15` residues (≈30 KiB for a 256-bit modulus,
-/// ≈1.1 MiB for 1536 bits) — paid once per process via the `OnceLock` on
-/// the owning group.
+/// Memory cost: `⌈bits/w⌉ · (2^w − 1)` residues. At the default `w = 4`
+/// that is ≈30 KiB for a 256-bit modulus and ≈1.1 MiB for 1536 bits; at
+/// `w = 8` (the `ccc-crypto` generator table) ≈260 KiB and ≈9.4 MiB.
+/// Either is paid once per base per process via the owner's `OnceLock`.
 #[derive(Clone, Debug)]
 pub struct FixedBaseTable {
     table: Vec<Vec<MontElem>>,
@@ -308,9 +330,9 @@ impl FixedBaseTable {
     ///
     /// Wider windows trade table size (and build time) for fewer
     /// multiplications per exponentiation: `⌈bits/w⌉` lookups instead of
-    /// `⌈bits/4⌉`. Batch verification uses an 8-bit generator table —
-    /// every batched check exponentiates `g`, so the bigger build
-    /// amortizes where a per-key table would not.
+    /// `⌈bits/4⌉`. The `ccc-crypto` generator table is 8 bits wide —
+    /// every keygen, signature and verification exponentiates `g`, so the
+    /// bigger build amortizes where a per-key table would not.
     pub fn from_mont_with_window(
         ctx: &MontgomeryCtx,
         base: &MontElem,
@@ -322,7 +344,7 @@ impl FixedBaseTable {
         let mut block_base = base.clone();
         let mut table = Vec::with_capacity(windows);
         for w in 0..windows {
-            let row = crate::multiexp::digit_powers(ctx, &block_base, window);
+            let row = digit_powers(ctx, &block_base, window);
             if w + 1 < windows {
                 // base for the next block: this block's base^(2^window).
                 block_base = ctx.square(&row[(1 << (window - 1)) - 1]);
@@ -340,18 +362,6 @@ impl FixedBaseTable {
     /// The window width this table was built at (bits per digit).
     pub fn window(&self) -> usize {
         self.window
-    }
-
-    /// The first window row: `base^d` for `d ∈ [1, 2^window)`.
-    ///
-    /// For the default 4-bit window this is exactly the digit table
-    /// [`multiexp::window_powers`](crate::multiexp::window_powers) would
-    /// build for the same base (both call the shared
-    /// [`digit_powers`](crate::multiexp::digit_powers) helper), so Straus
-    /// joint exponentiation can borrow it instead of recomputing (the
-    /// generator side of a Schnorr verification does this).
-    pub fn first_row(&self) -> &[MontElem] {
-        &self.table[0]
     }
 
     /// `base^exp` in Montgomery form.
@@ -479,8 +489,8 @@ mod tests {
 
     #[test]
     fn wide_window_table_matches_default_window() {
-        // The 8-bit batch-verification generator table must agree with
-        // the default 4-bit table (and the plain ctx pow) bit-for-bit.
+        // The 8-bit generator-table width must agree with the default
+        // 4-bit table (and the plain ctx pow) bit-for-bit.
         let n = u("edb9229e9df73cb4f4a416fb005f7dae9ccae82ad2ba6b58e7e1c47ebc596f0b");
         let ctx = MontgomeryCtx::new(&n).unwrap();
         let g = ctx.to_montgomery(&Uint::from_u64(4));
@@ -500,14 +510,22 @@ mod tests {
     }
 
     #[test]
-    fn first_row_is_the_shared_digit_table() {
-        // Pins the dedup: the first Brauer row and the Straus digit table
-        // come from the same helper and stay interchangeable.
-        let n = u("76dc914f4efb9e5a7a520b7d802fbed74e657415695d35ac73f0e23f5e2cb785");
+    fn digit_powers_are_consecutive_powers() {
+        // Every width yields base^1 .. base^(2^w − 1) in order.
+        let n = u("edb9229e9df73cb4f4a416fb005f7dae9ccae82ad2ba6b58e7e1c47ebc596f0b");
         let ctx = MontgomeryCtx::new(&n).unwrap();
-        let base = ctx.to_montgomery(&u("1eadbeef1eadbeef1eadbeef1eadbeef"));
-        let table = FixedBaseTable::from_mont(&ctx, &base, 256);
-        assert_eq!(table.first_row(), crate::multiexp::window_powers(&ctx, &base));
+        let base = ctx.to_montgomery(&u(
+            "ab3d485627ba6272e0f9c0a9ae435e247c91df81a1743c12a89eeaf8ef52878a",
+        ));
+        for window in [1usize, 2, 4, 5, 8] {
+            let powers = digit_powers(&ctx, &base, window);
+            assert_eq!(powers.len(), (1 << window) - 1);
+            let mut acc = base.clone();
+            for p in &powers {
+                assert_eq!(p, &acc);
+                acc = ctx.mul(&acc, &base);
+            }
+        }
     }
 
     #[test]

@@ -126,6 +126,31 @@ proptest! {
             modpow_naive(&base, &exp, &modulus).unwrap()
         );
     }
+
+    #[test]
+    fn generalized_fixed_base_table_equals_pow_mont(
+        base in proptest::collection::vec(any::<u8>(), 1..32),
+        exp in proptest::collection::vec(any::<u8>(), 0..20),
+        modulus in proptest::collection::vec(any::<u8>(), 2..32),
+        wide in any::<bool>(),
+    ) {
+        // FixedBaseTable::from_mont_with_window over an arbitrary residue
+        // (not a group generator) must agree with generic windowed
+        // exponentiation at both widths in use — 4 bits (per-key tables)
+        // and 8 bits (the generator table) — including the beyond-table-
+        // width fallback.
+        let window = if wide { 8 } else { 4 };
+        let modulus = odd_modulus(&modulus);
+        let (base, exp) = (uint(&base), uint(&exp));
+        let ctx = MontgomeryCtx::new(&modulus).unwrap();
+        let bm = ctx.to_montgomery(&base);
+        let table = FixedBaseTable::from_mont_with_window(&ctx, &bm, 96, window);
+        prop_assert_eq!(table.window(), window);
+        prop_assert_eq!(
+            ctx.from_montgomery(&table.pow_mont(&ctx, &exp)),
+            ctx.modpow(&base, &exp)
+        );
+    }
 }
 
 #[test]

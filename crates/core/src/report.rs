@@ -139,9 +139,9 @@ pub fn render_cache_stats(stats: &crate::topology::CacheStats) -> String {
             group_thousands(stats.coalesced_waits as usize)
         );
     }
-    // Verify-route breakdown, only when any verification was routed during
-    // the window (keeps zero-activity renders — and historical output —
-    // unchanged).
+    // Verification breakdown (per-key table vs plain pow_mont for y^(q−e)),
+    // only when any verification ran during the window (keeps zero-activity
+    // renders — and historical output — unchanged).
     if stats.fixed_base_hits > 0 || stats.cold_multiexps > 0 || stats.tables_built > 0 {
         let _ = write!(
             line,
@@ -149,17 +149,6 @@ pub fn render_cache_stats(stats: &crate::topology::CacheStats) -> String {
             group_thousands(stats.fixed_base_hits as usize),
             group_thousands(stats.cold_multiexps as usize),
             group_thousands(stats.tables_built as usize),
-        );
-    }
-    // Batched-verification breakdown, suffix-only for the same reason:
-    // renders with no batch activity (CCC_VERIFY_BATCH=off, or callers
-    // that never prefetch) stay byte-identical to historical output.
-    if stats.batched_verifies > 0 || stats.batch_flushes > 0 {
-        let _ = write!(
-            line,
-            "; batched: {} checks in {} flushes",
-            group_thousands(stats.batched_verifies as usize),
-            group_thousands(stats.batch_flushes as usize),
         );
     }
     line
@@ -306,38 +295,11 @@ mod tests {
             cold_multiexps: 8,
             tables_built: 2,
             entries: 60,
-            ..Default::default()
         };
         let line = render_cache_stats(&stats);
         assert!(
             line.ends_with("verify routes: 52 table hits, 8 cold multi-exps, 2 tables built"),
             "{line}"
         );
-    }
-
-    #[test]
-    fn cache_stats_line_with_batching() {
-        let stats = crate::topology::CacheStats {
-            lookups: 1200,
-            hits: 200,
-            misses: 1000,
-            verifications: 1000,
-            batched_verifies: 960,
-            batch_flushes: 40,
-            entries: 1000,
-            ..Default::default()
-        };
-        let line = render_cache_stats(&stats);
-        assert!(
-            line.ends_with("; batched: 960 checks in 40 flushes"),
-            "{line}"
-        );
-        // The suffix disappears entirely with zero batch activity.
-        let quiet = crate::topology::CacheStats {
-            batched_verifies: 0,
-            batch_flushes: 0,
-            ..stats
-        };
-        assert!(!render_cache_stats(&quiet).contains("batched"));
     }
 }

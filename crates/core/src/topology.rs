@@ -6,10 +6,7 @@
 //! issuer to subject. All paths are enumerated starting from the leaf
 //! (`C0`) and walking issuer-ward.
 
-use ccc_crypto::{
-    verify_batch, verify_batch_policy, verify_route_stats, BatchItem, BatchPolicy, Signature,
-    VerifyRouteStats,
-};
+use ccc_crypto::{verify_stats, VerifyStats};
 // Sync primitives come from ccc-mc: plain std re-exports in normal
 // builds, scheduler-instrumented shims under the `model-check` feature
 // (enforced by ci/check_raw_sync.sh).
@@ -68,25 +65,18 @@ pub struct CacheStats {
     /// thread instead of recomputing (the duplicate work the old
     /// double-lock design performed).
     pub coalesced_waits: u64,
-    /// Signature checks routed through a per-key fixed-base table (the
-    /// amortized hot path). Counted process-wide since this checker was
-    /// created; includes `verify` calls made outside the cache (e.g.
-    /// self-signed short-circuits), so it is not bounded by
-    /// `verifications`.
+    /// Signature checks whose `y^(q−e)` came from a per-key fixed-base
+    /// table (keys past the promotion threshold). Counted process-wide
+    /// since this checker was created; includes `verify` calls made
+    /// outside the cache (e.g. self-signed short-circuits), so it is not
+    /// bounded by `verifications`.
     pub fixed_base_hits: u64,
-    /// Signature checks routed through Straus joint multi-exponentiation
-    /// (the cold path for keys below the promotion threshold).
+    /// Signature checks whose `y^(q−e)` came from plain `pow_mont` (keys
+    /// below the promotion threshold; counted like `fixed_base_hits`).
     pub cold_multiexps: u64,
     /// Per-key fixed-base tables built (once per promoted key per
     /// process).
     pub tables_built: u64,
-    /// Signature checks that ran inside a `verify_batch` flush instead of
-    /// one-at-a-time (process-wide since this checker was created, like
-    /// the route counters).
-    pub batched_verifies: u64,
-    /// `verify_batch` flushes issued (each covers `batched_verifies /
-    /// batch_flushes` checks on average).
-    pub batch_flushes: u64,
     /// Memoized pairs currently resident.
     pub entries: usize,
 }
@@ -118,8 +108,6 @@ impl CacheStats {
             fixed_base_hits: self.fixed_base_hits.saturating_sub(earlier.fixed_base_hits),
             cold_multiexps: self.cold_multiexps.saturating_sub(earlier.cold_multiexps),
             tables_built: self.tables_built.saturating_sub(earlier.tables_built),
-            batched_verifies: self.batched_verifies.saturating_sub(earlier.batched_verifies),
-            batch_flushes: self.batch_flushes.saturating_sub(earlier.batch_flushes),
             entries: self.entries,
         }
     }
@@ -157,11 +145,11 @@ pub struct IssuanceChecker {
     hits: AtomicU64,
     verifications: AtomicU64,
     coalesced_waits: AtomicU64,
-    /// Process-wide verify-route counters at construction time, so the
-    /// route fields this checker reports cover only activity during its
+    /// Process-wide verification counters at construction time, so the
+    /// verify fields this checker reports cover only activity during its
     /// lifetime (the underlying counters are global to the process, like
     /// `keypair_derivations`).
-    route_baseline: VerifyRouteStats,
+    verify_baseline: VerifyStats,
 }
 
 impl Default for IssuanceChecker {
@@ -188,7 +176,7 @@ impl IssuanceChecker {
             hits: AtomicU64::new(0),
             verifications: AtomicU64::new(0),
             coalesced_waits: AtomicU64::new(0),
-            route_baseline: verify_route_stats(),
+            verify_baseline: verify_stats(),
         }
     }
 
@@ -278,147 +266,6 @@ impl IssuanceChecker {
         Self::identity_match(issuer, subject) && self.signature_verifies(issuer, subject)
     }
 
-    /// Warm the cache for one served list before the analysis passes
-    /// sweep it: enumerate the identity-matched certificate pairs the
-    /// topology build will query and verify every not-yet-cached pair
-    /// through a single [`verify_batch`] flush (one Pippenger aggregate
-    /// instead of per-pair exponentiations). A no-op under
-    /// `CCC_VERIFY_BATCH=off`.
-    ///
-    /// Accounting: prefetch behaves as an **eager lookup** per pair it
-    /// claims — the slot install counts one lookup (and therefore one
-    /// derived miss), and publishing the verdict runs through the same
-    /// computed-flag `get_or_init` as [`signature_verifies`]
-    /// (`IssuanceChecker::signature_verifies`), counting one verification
-    /// if prefetch's init wins or one coalesced wait if a racing analysis
-    /// thread's init won. Pairs already completed or in flight move **no**
-    /// counters here (their owner accounts for them), so the
-    /// [`CacheStats`] invariants hold exactly under every interleaving,
-    /// and `verifications` still equals unique pairs.
-    pub fn prefetch_served(&self, served: &[Certificate]) {
-        if verify_batch_policy() == BatchPolicy::Off || served.len() < 2 {
-            return;
-        }
-        // Unique certificates in first-appearance order, exactly as the
-        // topology build dedups them.
-        let mut unique: Vec<&Certificate> = Vec::new();
-        let mut seen: FingerprintMap<()> = FingerprintMap::default();
-        for cert in served {
-            if seen.insert(cert.fingerprint(), ()).is_none() {
-                unique.push(cert);
-            }
-        }
-        // Index prospective issuers by subject DN and SKID so pair
-        // discovery costs O(certs + matches) instead of the all-pairs
-        // DN comparisons that would otherwise dominate small
-        // observations (the analyses walk structured chains and never
-        // pay that quadratic scan; the prefetch must not either).
-        let mut by_subject_dn: HashMap<&ccc_x509::DistinguishedName, Vec<usize>> = HashMap::new();
-        let mut by_skid: HashMap<&[u8], Vec<usize>> = HashMap::new();
-        for (i, cert) in unique.iter().enumerate() {
-            by_subject_dn.entry(cert.subject()).or_default().push(i);
-            if let Some(skid) = cert.skid() {
-                by_skid.entry(skid).or_default().push(i);
-            }
-        }
-        // Claim a fresh slot for every identity-matched ordered pair
-        // nobody has touched yet (one shard-lock acquisition per pair,
-        // like the miss path of `signature_verifies`).
-        let mut claimed: Vec<(usize, usize, Arc<OnceLock<bool>>)> = Vec::new();
-        let mut candidates: Vec<usize> = Vec::new();
-        for (j, subject) in unique.iter().enumerate() {
-            candidates.clear();
-            if let Some(dn_hits) = by_subject_dn.get(subject.issuer()) {
-                candidates.extend_from_slice(dn_hits);
-            }
-            if let Some(kid_hits) = subject.akid_key_id().and_then(|akid| by_skid.get(akid)) {
-                for &i in kid_hits {
-                    if !candidates.contains(&i) {
-                        candidates.push(i);
-                    }
-                }
-            }
-            candidates.sort_unstable();
-            for &i in &candidates {
-                let issuer = &unique[i];
-                if i == j {
-                    continue;
-                }
-                debug_assert!(
-                    Self::identity_match(issuer, subject),
-                    "index candidates must satisfy identity_match"
-                );
-                let key = (issuer.fingerprint(), subject.fingerprint());
-                let shard = self.shard_for(&key);
-                {
-                    let mut map = shard.map.lock().expect("shard lock poisoned");
-                    if map.contains_key(&key) {
-                        // Completed or in flight: left entirely to its
-                        // owner, no counter movement.
-                        continue;
-                    }
-                    map.insert(key, {
-                        let slot = Arc::new(OnceLock::new());
-                        claimed.push((i, j, Arc::clone(&slot)));
-                        slot
-                    });
-                }
-                // ordering: Relaxed — pure event counter, exactly as in
-                // `signature_verifies` (the slot itself is published by
-                // the shard mutex).
-                self.lookups.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if claimed.is_empty() {
-            return;
-        }
-        // Parse the claimed pairs' signatures; unparseable ones are the
-        // scalar path's `verify_signature_with` early rejection (verdict
-        // false, no arithmetic, no promotion-ordinal movement).
-        let parsed: Vec<Option<Signature>> = claimed
-            .iter()
-            .map(|&(i, j, _)| {
-                Signature::from_bytes(
-                    unique[j].signature_bytes(),
-                    unique[i].public_key().group().scalar_len,
-                )
-            })
-            .collect();
-        let mut batch_of: Vec<usize> = Vec::new();
-        let mut items: Vec<BatchItem<'_>> = Vec::new();
-        for (c, sig) in parsed.iter().enumerate() {
-            if let Some(sig) = sig {
-                let (i, j, _) = claimed[c];
-                items.push((unique[i].public_key(), unique[j].tbs_der(), sig));
-                batch_of.push(c);
-            }
-        }
-        let outcome = verify_batch(&items);
-        let mut verdicts = vec![false; claimed.len()];
-        for (b, &c) in batch_of.iter().enumerate() {
-            verdicts[c] = outcome.verdicts[b];
-        }
-        // Publish through the standard computed-flag pattern: a racing
-        // analysis thread may have initialized our slot first (it then
-        // counted the verification; we count the coalesced wait — the
-        // verdict is identical either way, batch == scalar).
-        for ((_, _, slot), verdict) in claimed.iter().zip(&verdicts) {
-            let mut computed = false;
-            slot.get_or_init(|| {
-                computed = true;
-                // ordering: Relaxed — counts initializer executions, same
-                // as the `signature_verifies` miss path.
-                self.verifications.fetch_add(1, Ordering::Relaxed);
-                *verdict
-            });
-            if !computed {
-                // ordering: Relaxed — event counter for losers of the
-                // init race; carries no synchronization.
-                self.coalesced_waits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Number of memoized signature checks.
     pub fn cache_size(&self) -> usize {
         self.shards
@@ -437,18 +284,16 @@ impl IssuanceChecker {
         // nothing for a stronger load to synchronize with here.
         let lookups = self.lookups.load(Ordering::Relaxed);
         let hits = self.hits.load(Ordering::Relaxed);
-        let routes = verify_route_stats().since(&self.route_baseline);
+        let verify = verify_stats().since(&self.verify_baseline);
         CacheStats {
             lookups,
             hits,
             misses: lookups.saturating_sub(hits),
             verifications: self.verifications.load(Ordering::Relaxed),
             coalesced_waits: self.coalesced_waits.load(Ordering::Relaxed),
-            fixed_base_hits: routes.fixed_base_hits,
-            cold_multiexps: routes.cold_multiexps,
-            tables_built: routes.tables_built,
-            batched_verifies: routes.batched_verifies,
-            batch_flushes: routes.batch_flushes,
+            fixed_base_hits: verify.fixed_base_hits,
+            cold_multiexps: verify.cold_multiexps,
+            tables_built: verify.tables_built,
             entries: self.cache_size(),
         }
     }
@@ -845,8 +690,6 @@ mod tests {
         assert_eq!(wrong_order.verifications, 0);
         assert_eq!(wrong_order.coalesced_waits, 0);
         assert_eq!(wrong_order.tables_built, 0);
-        assert_eq!(wrong_order.batched_verifies, 0);
-        assert_eq!(wrong_order.batch_flushes, 0);
         // `entries` is the receiver's absolute value, i.e. `before`'s.
         assert_eq!(wrong_order.entries, before.entries);
     }
@@ -858,71 +701,6 @@ mod tests {
         let g = TopologyGraph::build(std::slice::from_ref(&f.root), &checker);
         assert!(g.issuers_of[0].is_empty());
         assert_eq!(g.leaf_paths(16), vec![vec![0]]);
-    }
-
-    #[test]
-    fn prefetch_served_preserves_invariants_graph_and_policy_gate() {
-        use ccc_crypto::{set_verify_batch_policy, BatchPolicy};
-        let f = fixture();
-        let served = vec![
-            f.leaf.clone(),
-            f.int1.clone(),
-            f.int1.clone(), // duplicate: prefetch must dedupe like the build
-            f.int2.clone(),
-            f.root.clone(),
-            f.unrelated.clone(),
-        ];
-
-        // Off: prefetch is a strict no-op (policy mutations stay inside
-        // this one sequential test; every other assertion in this module
-        // holds under any policy).
-        set_verify_batch_policy(BatchPolicy::Off);
-        let off_checker = IssuanceChecker::new();
-        off_checker.prefetch_served(&served);
-        assert_eq!(off_checker.cache_size(), 0);
-        assert_eq!(off_checker.snapshot_stats().lookups, 0);
-
-        set_verify_batch_policy(BatchPolicy::Auto);
-        let warm = IssuanceChecker::new();
-        warm.prefetch_served(&served);
-        let after_prefetch = warm.snapshot_stats();
-        // Every claimed pair was looked up, missed, and verified once.
-        assert!(after_prefetch.lookups > 0);
-        assert_eq!(after_prefetch.hits, 0);
-        assert_eq!(after_prefetch.verifications, after_prefetch.misses);
-        assert_eq!(after_prefetch.verifications as usize, after_prefetch.entries);
-        assert!(after_prefetch.batch_flushes >= 1);
-
-        // The graph built on the warmed cache is identical to a cold
-        // build, and its lookups are now all hits.
-        let warm_graph = TopologyGraph::build(&served, &warm);
-        let cold = IssuanceChecker::new();
-        let cold_graph = TopologyGraph::build(&served, &cold);
-        assert_eq!(warm_graph.issued_by_me, cold_graph.issued_by_me);
-        assert_eq!(warm_graph.issuers_of, cold_graph.issuers_of);
-        let warm_stats = warm.snapshot_stats();
-        let cold_stats = cold.snapshot_stats();
-        // Prefetch covered exactly the pairs the build queries: no new
-        // verifications, and the counter invariants still hold.
-        assert_eq!(warm_stats.verifications, after_prefetch.verifications);
-        assert_eq!(warm_stats.verifications, cold_stats.verifications);
-        assert_eq!(warm_stats.hits + warm_stats.misses, warm_stats.lookups);
-        assert_eq!(
-            warm_stats.verifications + warm_stats.coalesced_waits,
-            warm_stats.misses
-        );
-        assert_eq!(warm_stats.verifications as usize, warm_stats.entries);
-
-        // Re-prefetching a warmed cache moves nothing (all pairs are
-        // completed entries now). Compare per-checker counters only: the
-        // route fields are process-wide and other tests run concurrently.
-        warm.prefetch_served(&served);
-        let again = warm.snapshot_stats();
-        assert_eq!(again.lookups, warm_stats.lookups);
-        assert_eq!(again.hits, warm_stats.hits);
-        assert_eq!(again.verifications, warm_stats.verifications);
-        assert_eq!(again.coalesced_waits, warm_stats.coalesced_waits);
-        assert_eq!(again.entries, warm_stats.entries);
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     // so the registry OnceLocks are "done" during runs: in-run metric
     // updates then emit schedule-consistent ops instead of a one-time
     // init that diverges between the first execution and its replays.
-    let _ = ccc_crypto::verify_route_stats();
+    let _ = ccc_crypto::verify_stats();
     ccc_core::builder::touch_build_metrics();
     TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -39,9 +39,9 @@ struct Fixture {
 }
 
 /// Builds a root plus two leaves and drives the issuer key well past the
-/// promotion threshold, so every model execution takes the same (hot
-/// fixed-base) verify route with the table already built — the per-
-/// execution scheduling points are then exactly the cache's own ops.
+/// promotion threshold, so every model execution verifies the same way
+/// (through the key's already-built fixed-base table) — the per-execution
+/// scheduling points are then exactly the cache's own ops.
 fn warmed_fixture() -> Fixture {
     let g = Group::simulation_256();
     let root_kp = KeyPair::from_seed(g, b"mc-topo-root");

@@ -1,4 +1,4 @@
-//! Process-wide interned issuer keys and verify-route accounting.
+//! Process-wide interned issuer keys and verification accounting.
 //!
 //! A Web PKI corpus has *few* CA keys signing *many* certificates, so the
 //! issuer side of Schnorr verification (`y^(q-e)`) is the same handful of
@@ -15,23 +15,21 @@
 //! - [`InternedKey`]: the shared per-key state — the Montgomery residue,
 //!   a verification counter driving table promotion, the lazily-built
 //!   [`FixedBaseTable`], and the cached subgroup-membership verdict.
-//! - [`VerifyRouteStats`]: process-global counters for the hot
-//!   (fixed-base) and cold (Straus multi-exponentiation) verify routes,
-//!   surfaced through `CacheStats` in `ccc-core` and every stats
-//!   renderer downstream.
+//! - [`VerifyStats`]: process-global counters for how the `y^(q-e)` half
+//!   of each verification was computed (per-key table or plain
+//!   `pow_mont`), surfaced through `CacheStats` in `ccc-core` and every
+//!   stats renderer downstream.
 //!
-//! Promotion policy: the hot route needs a per-key table
-//! (`⌈q_bits/4⌉ · 15` residues ≈ 30 KiB at 256 bits, ≈ 1.1 MiB at 1536
-//! bits), so it is only built for keys observed verifying more than
-//! [`PROMOTION_THRESHOLD`] times ([`TablePolicy::Auto`]); the
-//! `CCC_VERIFY_TABLES` env var (`always` | `never` | `auto`) forces the
-//! choice for determinism experiments. The route never changes a verdict
-//! — both routes compute the same `g^s · y^(q-e)` residue exactly — and
-//! the route *split* is itself thread-invariant: the counter is a
-//! per-key `fetch_add`, so exactly `min(threshold, V)` of a key's `V`
-//! verifications go cold no matter how threads interleave.
+//! Promotion: a per-key table (`⌈q_bits/4⌉ · 15` residues ≈ 30 KiB at 256
+//! bits, ≈ 1.1 MiB at 1536 bits) is only built for keys observed
+//! verifying more than [`PROMOTION_THRESHOLD`] times; before that, `y` is
+//! exponentiated with plain `MontgomeryCtx::pow_mont`. Both compute the
+//! same residue exactly, so promotion never changes a verdict, and the
+//! split is thread-invariant: the counter is a per-key `fetch_add`, so
+//! exactly `min(threshold, V)` of a key's `V` verifications go untabled no
+//! matter how threads interleave.
 
-use crate::schnorr::{Group, GroupId, WIDE_WINDOW};
+use crate::schnorr::{Group, GroupId};
 use crate::sha256::Sha256;
 use ccc_bignum::{FixedBaseTable, MontElem, MontgomeryCtx};
 // Sync primitives come from the ccc-mc shim layer: plain std re-exports
@@ -40,262 +38,85 @@ use ccc_bignum::{FixedBaseTable, MontElem, MontgomeryCtx};
 // keeps raw std::sync out of this file.
 use ccc_mc::{AtomicU64, Mutex, OnceLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Auto-policy promotion threshold: a key's first `PROMOTION_THRESHOLD`
-/// verifications take the cold route; from the next one on, the per-key
-/// fixed-base table is built and every later verification under that key
-/// is two table lookups and a multiplication.
+/// Promotion threshold: a key's first `PROMOTION_THRESHOLD` verifications
+/// exponentiate `y` with plain `pow_mont`; from the next one on, the
+/// per-key fixed-base table is built and every later verification under
+/// that key is two table lookups and a multiplication.
 pub const PROMOTION_THRESHOLD: u64 = 3;
 
-/// Batched-verification promotion threshold: after this many *batched*
-/// checks under one key, `verify_batch` upgrades the key's `y^(q−e)`
-/// half from the 4-bit table to a wide 8-bit one ([`InternedKey::
-/// wide_table`]), halving its lookups the same way the shared wide
-/// generator table halves `g^s`. The wide build is ~16× the narrow one
-/// (~260 KiB at 256 bits, ~9.4 MiB at 1536), so only keys that batching
-/// hits persistently — CA keys in a corpus sweep — ever pay it.
-pub const WIDE_PROMOTION_THRESHOLD: u64 = 32;
-
-/// When to build per-key fixed-base tables for the verify hot path.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TablePolicy {
-    /// Promote a key after [`PROMOTION_THRESHOLD`] verifications (the
-    /// default).
-    Auto,
-    /// Build the table on a key's first verification (all-hot).
-    Always,
-    /// Never build tables (all-cold; every verification is a Straus
-    /// joint exponentiation).
-    Never,
-}
-
-const POLICY_AUTO: u8 = 0;
-const POLICY_ALWAYS: u8 = 1;
-const POLICY_NEVER: u8 = 2;
-const POLICY_UNSET: u8 = 3;
-
-/// Current policy, lazily initialized from `CCC_VERIFY_TABLES`.
-///
-/// Stays a raw `std` atomic (allowlisted in ci/raw_sync_allowlist.txt):
-/// `AtomicU8` has no ccc-mc shim, and the policy is configuration read
-/// before workloads start, not cache state worth model checking.
-static POLICY: AtomicU8 = AtomicU8::new(POLICY_UNSET);
-
-/// The active table policy: the last [`set_verify_table_policy`] value,
-/// else `CCC_VERIFY_TABLES` (`always` | `never` | anything-else = auto),
-/// else [`TablePolicy::Auto`].
-pub fn verify_table_policy() -> TablePolicy {
-    // ordering: Relaxed — POLICY is a standalone configuration byte; no
-    // other memory is published through it, so no acquire/release pairing
-    // is needed (the CAS below only arbitrates the first-write race).
-    let raw = match POLICY.load(Ordering::Relaxed) {
-        POLICY_UNSET => {
-            let parsed = match std::env::var("CCC_VERIFY_TABLES").as_deref() {
-                Ok("always") => POLICY_ALWAYS,
-                Ok("never") => POLICY_NEVER,
-                _ => POLICY_AUTO,
-            };
-            // A concurrent set_verify_table_policy wins over the env read.
-            // ordering: Relaxed/Relaxed — the CAS guards only this one
-            // byte; losing the race and re-reading is the intended path.
-            let _ = POLICY.compare_exchange(
-                POLICY_UNSET,
-                parsed,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-            POLICY.load(Ordering::Relaxed)
-        }
-        raw => raw,
-    };
-    match raw {
-        POLICY_ALWAYS => TablePolicy::Always,
-        POLICY_NEVER => TablePolicy::Never,
-        _ => TablePolicy::Auto,
-    }
-}
-
-/// Override the table policy for this process (benches and in-process
-/// A/B comparisons; normal callers configure `CCC_VERIFY_TABLES`).
-pub fn set_verify_table_policy(policy: TablePolicy) {
-    let raw = match policy {
-        TablePolicy::Auto => POLICY_AUTO,
-        TablePolicy::Always => POLICY_ALWAYS,
-        TablePolicy::Never => POLICY_NEVER,
-    };
-    // ordering: Relaxed — single-byte flag, no dependent data (see load).
-    POLICY.store(raw, Ordering::Relaxed);
-}
-
-/// When batched verification (`ccc_crypto::verify_batch`, and the
-/// deferred prefetch built on it in `ccc-core`) is active.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum BatchPolicy {
-    /// Batch whenever a caller hands over checks; batches below the
-    /// aggregate threshold skip the aggregate self-check, whose
-    /// Pippenger pass cannot amortize there (the default).
-    Auto,
-    /// Batch always, running the aggregate self-check even for
-    /// single-item batches (maximal exercise of the batch machinery).
-    On,
-    /// Never batch: `verify_batch` degenerates to a per-signature
-    /// `verify` loop and the deferred prefetch disables itself, so
-    /// batching can be bisected out of any regression.
-    Off,
-}
-
-const BATCH_AUTO: u8 = 0;
-const BATCH_ON: u8 = 1;
-const BATCH_OFF: u8 = 2;
-const BATCH_UNSET: u8 = 3;
-
-/// Current batch policy, lazily initialized from `CCC_VERIFY_BATCH`.
-///
-/// Same raw-`std` justification as [`POLICY`] above (the allowlist entry
-/// covers this file): configuration read once before workloads start.
-static BATCH_POLICY: AtomicU8 = AtomicU8::new(BATCH_UNSET);
-
-/// The active batch policy: the last [`set_verify_batch_policy`] value,
-/// else `CCC_VERIFY_BATCH` (`on` | `off` | anything-else = auto), else
-/// [`BatchPolicy::Auto`].
-pub fn verify_batch_policy() -> BatchPolicy {
-    // ordering: Relaxed — standalone configuration byte, exactly like
-    // POLICY above; the CAS only arbitrates the first-write race.
-    let raw = match BATCH_POLICY.load(Ordering::Relaxed) {
-        BATCH_UNSET => {
-            let parsed = match std::env::var("CCC_VERIFY_BATCH").as_deref() {
-                Ok("on") => BATCH_ON,
-                Ok("off") => BATCH_OFF,
-                _ => BATCH_AUTO,
-            };
-            // ordering: Relaxed/Relaxed — guards only this byte; losing
-            // the race and re-reading is the intended path.
-            let _ = BATCH_POLICY.compare_exchange(
-                BATCH_UNSET,
-                parsed,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-            BATCH_POLICY.load(Ordering::Relaxed)
-        }
-        raw => raw,
-    };
-    match raw {
-        BATCH_ON => BatchPolicy::On,
-        BATCH_OFF => BatchPolicy::Off,
-        _ => BatchPolicy::Auto,
-    }
-}
-
-/// Override the batch policy for this process (benches and in-process
-/// A/B comparisons; normal callers configure `CCC_VERIFY_BATCH`).
-pub fn set_verify_batch_policy(policy: BatchPolicy) {
-    let raw = match policy {
-        BatchPolicy::Auto => BATCH_AUTO,
-        BatchPolicy::On => BATCH_ON,
-        BatchPolicy::Off => BATCH_OFF,
-    };
-    // ordering: Relaxed — single-byte flag, no dependent data (see load).
-    BATCH_POLICY.store(raw, Ordering::Relaxed);
-}
-
-/// The `ccc-obs` registry cells behind the verify-route counters. The
-/// registry series *are* the counters (replacing the five bespoke statics
-/// earlier PRs kept here); [`verify_route_stats`] reads them back, so the
-/// `.since()` delta plumbing and every downstream stdout render are
-/// byte-identical. Registered volatile: the hot/cold split and batch
-/// flush timing depend on thread scheduling (promotion races), unlike the
-/// builder's per-build counts.
-struct RouteMetrics {
+/// The `ccc-obs` registry cells behind the verification counters. The
+/// registry series *are* the counters; [`verify_stats`] reads them back.
+/// Registered volatile: which verifications a key sees first depends on
+/// thread scheduling, unlike the builder's per-build counts.
+struct VerifyMetrics {
     fixed_base_hits: &'static ccc_obs::Counter,
     cold_multiexps: &'static ccc_obs::Counter,
     tables_built: &'static ccc_obs::Counter,
-    batched_verifies: &'static ccc_obs::Counter,
-    batch_flushes: &'static ccc_obs::Counter,
 }
 
-fn route_metrics() -> &'static RouteMetrics {
-    static METRICS: OnceLock<RouteMetrics> = OnceLock::new();
+fn verify_metrics() -> &'static VerifyMetrics {
+    static METRICS: OnceLock<VerifyMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let reg = ccc_obs::MetricsRegistry::global();
-        RouteMetrics {
+        VerifyMetrics {
             fixed_base_hits: reg.counter_volatile(
                 "ccc_verify_fixed_base_hits_total",
-                "Verifications routed through a per-key fixed-base table.",
+                "Verifications whose y^(q-e) came from the key's fixed-base table.",
             ),
             cold_multiexps: reg.counter_volatile(
                 "ccc_verify_cold_multiexps_total",
-                "Verifications routed through the cold Straus multi-exponentiation.",
+                "Verifications whose y^(q-e) came from plain pow_mont (unpromoted key).",
             ),
             tables_built: reg.counter_volatile(
                 "ccc_verify_tables_built_total",
-                "Per-key fixed-base tables built (narrow and wide alike).",
-            ),
-            batched_verifies: reg.counter_volatile(
-                "ccc_verify_batched_verifies_total",
-                "Signature checks performed inside verify_batch.",
-            ),
-            batch_flushes: reg.counter_volatile(
-                "ccc_verify_batch_flushes_total",
-                "verify_batch invocations that actually batched.",
+                "Per-key fixed-base tables built.",
             ),
         }
     })
 }
 
-/// Process-wide verify-route counters (monotonic; meaningful as deltas
+/// Process-wide verification counters (monotonic; meaningful as deltas
 /// around a workload, like `keypair_derivations`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VerifyRouteStats {
-    /// Verifications that took the hot route (per-key fixed-base table).
+pub struct VerifyStats {
+    /// Verifications whose `y^(q-e)` came from a per-key fixed-base table.
     pub fixed_base_hits: u64,
-    /// Verifications that took the cold route (Straus joint multi-exp).
+    /// Verifications whose `y^(q-e)` came from plain `pow_mont` (the key
+    /// had not yet passed [`PROMOTION_THRESHOLD`]). The name matches the
+    /// `ccc_verify_cold_multiexps_total` series, which benchmark ledgers
+    /// read by name.
     pub cold_multiexps: u64,
-    /// Per-key fixed-base tables built — narrow (hot route) and wide
-    /// (batched route) count alike; each kind at most once per key per
-    /// process.
+    /// Per-key fixed-base tables built (at most once per key per process).
     pub tables_built: u64,
-    /// Signature checks performed inside `verify_batch` (each also
-    /// recorded on its key's promotion counter, but routed through the
-    /// batch arithmetic rather than the per-signature hot/cold paths).
-    pub batched_verifies: u64,
-    /// `verify_batch` invocations that actually batched (non-empty, and
-    /// batching not forced off).
-    pub batch_flushes: u64,
 }
 
-impl VerifyRouteStats {
+impl VerifyStats {
     /// Counter delta (`self` at a later time minus `earlier`).
-    pub fn since(&self, earlier: &VerifyRouteStats) -> VerifyRouteStats {
-        VerifyRouteStats {
+    pub fn since(&self, earlier: &VerifyStats) -> VerifyStats {
+        VerifyStats {
             fixed_base_hits: self.fixed_base_hits.saturating_sub(earlier.fixed_base_hits),
             cold_multiexps: self.cold_multiexps.saturating_sub(earlier.cold_multiexps),
             tables_built: self.tables_built.saturating_sub(earlier.tables_built),
-            batched_verifies: self
-                .batched_verifies
-                .saturating_sub(earlier.batched_verifies),
-            batch_flushes: self.batch_flushes.saturating_sub(earlier.batch_flushes),
         }
     }
 }
 
-/// Snapshot of the process-wide verify-route counters (read back from
-/// the `ccc-obs` registry; also forces the route series to register, so
-/// an exposition dump covers them even before any verification ran).
-pub fn verify_route_stats() -> VerifyRouteStats {
+/// Snapshot of the process-wide verification counters (read back from
+/// the `ccc-obs` registry; also forces the series to register, so an
+/// exposition dump covers them even before any verification ran).
+pub fn verify_stats() -> VerifyStats {
     // Counter::get is a Relaxed load: monotonic counters read as
     // point-in-time deltas; callers tolerate (and tests account for)
     // concurrent increments, and no other memory is synchronized through
     // them.
-    let m = route_metrics();
-    VerifyRouteStats {
+    let m = verify_metrics();
+    VerifyStats {
         fixed_base_hits: m.fixed_base_hits.get(),
         cold_multiexps: m.cold_multiexps.get(),
         tables_built: m.tables_built.get(),
-        batched_verifies: m.batched_verifies.get(),
-        batch_flushes: m.batch_flushes.get(),
     }
 }
 
@@ -304,22 +125,12 @@ pub(crate) fn note_fixed_base_hit() {
     // RMW atomicity (never-lose-an-update) needs no ordering, and nothing
     // reads other state "after" observing the counter. Model-checked by
     // the route_counters_lose_no_updates property.
-    route_metrics().fixed_base_hits.inc();
+    verify_metrics().fixed_base_hits.inc();
 }
 
 pub(crate) fn note_cold_multiexp() {
     // Relaxed add — same monotonic-counter argument as above.
-    route_metrics().cold_multiexps.inc();
-}
-
-pub(crate) fn note_batched(n: u64) {
-    // Relaxed add — same monotonic-counter argument as above.
-    route_metrics().batched_verifies.add(n);
-}
-
-pub(crate) fn note_batch_flush() {
-    // Relaxed add — same monotonic-counter argument as above.
-    route_metrics().batch_flushes.inc();
+    verify_metrics().cold_multiexps.inc();
 }
 
 /// Shared per-`(group, y)` verification state, interned once per process.
@@ -328,16 +139,10 @@ pub struct InternedKey {
     group: GroupId,
     /// Montgomery residue of `y` under the group's context.
     y_mont: MontElem,
-    /// Verifications observed under this key (drives Auto promotion).
+    /// Verifications observed under this key (drives promotion).
     verifies: AtomicU64,
-    /// Batched verifications observed under this key (drives wide-table
-    /// promotion inside `verify_batch`).
-    batched: AtomicU64,
-    /// Brauer fixed-base table for `y`, built at most once (hot route).
+    /// Brauer fixed-base table for `y`, built at most once, on promotion.
     table: OnceLock<FixedBaseTable>,
-    /// Wide (8-bit-window) fixed-base table for `y`, built at most once
-    /// for keys past [`WIDE_PROMOTION_THRESHOLD`] batched checks.
-    wide_table: OnceLock<FixedBaseTable>,
     /// Cached order-`q` subgroup membership verdict (`y^q == 1 mod p`).
     subgroup_member: OnceLock<bool>,
 }
@@ -354,13 +159,13 @@ impl InternedKey {
     }
 
     /// Record one verification under this key; returns the 1-based
-    /// sequence number (unique per call, so the cold/hot split is
+    /// sequence number (unique per call, so the table/no-table split is
     /// interleaving-independent).
     pub fn record_verify(&self) -> u64 {
         // ordering: Relaxed — the returned ordinal needs only the RMW's
         // atomicity: each caller gets a unique 1-based sequence number,
-        // which is what makes Auto promotion routing a pure function of
-        // the per-key ordinal (model-checked by
+        // which is what makes promotion a pure function of the per-key
+        // ordinal (model-checked by
         // promotion_ordinals_are_unique_and_route_invariantly). No other
         // memory is published through the counter.
         self.verifies.fetch_add(1, Ordering::Relaxed) + 1
@@ -372,52 +177,22 @@ impl InternedKey {
         self.verifies.load(Ordering::Relaxed)
     }
 
-    /// Record one *batched* verification under this key; returns the
-    /// 1-based sequence number, which decides wide-table promotion the
-    /// same schedule-independent way [`record_verify`](Self::record_verify)
-    /// decides hot/cold routing.
-    pub fn record_batched(&self) -> u64 {
-        // ordering: Relaxed — same unique-ordinal argument as
-        // record_verify: only the RMW's atomicity matters, no other
-        // memory is published through the counter.
-        self.batched.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Whether the hot-route table has been built.
+    /// Whether the per-key table has been built.
     pub fn has_table(&self) -> bool {
         self.table.get().is_some()
     }
 
-    /// Whether the wide batched-route table has been built.
-    pub fn has_wide_table(&self) -> bool {
-        self.wide_table.get().is_some()
-    }
-
     /// The per-key fixed-base table, built on first use (counted in
-    /// [`VerifyRouteStats::tables_built`]; concurrent callers coalesce on
-    /// the `OnceLock`, so it is built at most once per process).
+    /// [`VerifyStats::tables_built`]; concurrent callers coalesce on the
+    /// `OnceLock`, so it is built at most once per process).
     pub fn table(&self, ctx: &MontgomeryCtx, max_exp_bits: usize) -> &FixedBaseTable {
         self.table.get_or_init(|| {
             // Relaxed add — counts initializer executions; the OnceLock's
             // own synchronization publishes the table itself
             // (exactly-once is model-checked by
             // table_promotion_builds_exactly_once).
-            route_metrics().tables_built.inc();
+            verify_metrics().tables_built.inc();
             FixedBaseTable::from_mont(ctx, &self.y_mont, max_exp_bits)
-        })
-    }
-
-    /// The wide (8-bit-window) per-key table for heavily-batched keys,
-    /// built on first use (also counted in
-    /// [`VerifyRouteStats::tables_built`]; concurrent callers coalesce
-    /// on the `OnceLock`). Callers gate on
-    /// [`WIDE_PROMOTION_THRESHOLD`]; this method itself always builds.
-    pub fn wide_table(&self, ctx: &MontgomeryCtx, max_exp_bits: usize) -> &FixedBaseTable {
-        self.wide_table.get_or_init(|| {
-            // Relaxed add — counts initializer executions, exactly like
-            // the narrow table() above.
-            route_metrics().tables_built.inc();
-            FixedBaseTable::from_mont_with_window(ctx, &self.y_mont, max_exp_bits, WIDE_WINDOW)
         })
     }
 
@@ -510,9 +285,7 @@ impl KeyRegistry {
                     .ctx
                     .to_montgomery(&ccc_bignum::Uint::from_bytes_be(y_bytes)),
                 verifies: AtomicU64::new(0),
-                batched: AtomicU64::new(0),
                 table: OnceLock::new(),
-                wide_table: OnceLock::new(),
                 subgroup_member: OnceLock::new(),
             })
         }))
@@ -595,7 +368,7 @@ mod tests {
         let registry = KeyRegistry::new();
         let entry = registry.intern(group, kp.public.as_bytes());
         assert!(!entry.has_table());
-        let before = verify_route_stats();
+        let before = verify_stats();
         let ops = group.ops();
         let t1 = entry.table(&ops.ctx, group.q.bit_len()) as *const FixedBaseTable;
         let t2 = entry.table(&ops.ctx, group.q.bit_len()) as *const FixedBaseTable;
@@ -604,63 +377,37 @@ mod tests {
         // Other unit tests may build tables concurrently (the counter is
         // process-global), so assert at-least; the exact once-per-key
         // accounting is pinned in tests/promotion_policy.rs.
-        let delta = verify_route_stats().since(&before);
+        let delta = verify_stats().since(&before);
         assert!(delta.tables_built >= 1);
     }
 
     #[test]
-    fn route_stats_since_saturates_on_fresher_baseline() {
+    fn verify_stats_since_saturates_on_fresher_baseline() {
         // Regression: diffing an *older* snapshot against a *fresher*
         // baseline (snapshot-ordering mistake in a caller) used to wrap
         // to ~u64::MAX per counter; deltas must clamp to zero instead.
-        let older = VerifyRouteStats {
+        let older = VerifyStats {
             fixed_base_hits: 3,
             cold_multiexps: 1,
             tables_built: 1,
-            batched_verifies: 8,
-            batch_flushes: 2,
         };
-        let fresher = VerifyRouteStats {
+        let fresher = VerifyStats {
             fixed_base_hits: 10,
             cold_multiexps: 4,
             tables_built: 2,
-            batched_verifies: 40,
-            batch_flushes: 5,
         };
-        assert_eq!(older.since(&fresher), VerifyRouteStats::default());
+        assert_eq!(older.since(&fresher), VerifyStats::default());
         // And the live path: a snapshot taken *before* work, diffed
         // against one taken after, is all zeros rather than wrapping.
-        let before = verify_route_stats();
+        let before = verify_stats();
         let group = Group::simulation_256();
         let kp = KeyPair::from_seed(group, b"since-ordering");
         let registry = KeyRegistry::new();
         let entry = registry.intern(group, kp.public.as_bytes());
         let ops = group.ops();
         let _ = entry.table(&ops.ctx, group.q.bit_len());
-        let after = verify_route_stats();
+        let after = verify_stats();
         let wrong_order = before.since(&after);
-        assert_eq!(wrong_order, VerifyRouteStats::default());
-    }
-
-    #[test]
-    fn policy_roundtrip() {
-        // Exercise the setter without disturbing other tests' routes more
-        // than transiently: end on the parsed-env/default state.
-        set_verify_table_policy(TablePolicy::Never);
-        assert_eq!(verify_table_policy(), TablePolicy::Never);
-        set_verify_table_policy(TablePolicy::Always);
-        assert_eq!(verify_table_policy(), TablePolicy::Always);
-        set_verify_table_policy(TablePolicy::Auto);
-        assert_eq!(verify_table_policy(), TablePolicy::Auto);
-    }
-
-    #[test]
-    fn batch_policy_roundtrip() {
-        set_verify_batch_policy(BatchPolicy::Off);
-        assert_eq!(verify_batch_policy(), BatchPolicy::Off);
-        set_verify_batch_policy(BatchPolicy::On);
-        assert_eq!(verify_batch_policy(), BatchPolicy::On);
-        set_verify_batch_policy(BatchPolicy::Auto);
-        assert_eq!(verify_batch_policy(), BatchPolicy::Auto);
+        assert_eq!(wrong_order, VerifyStats::default());
     }
 }

@@ -13,7 +13,6 @@
 //! - [`schnorr::Group::rfc3526_1536`]: the 1536-bit MODP group from RFC 3526
 //!   for interop-grade strength in examples.
 
-pub mod batch;
 pub mod drbg;
 pub mod hmac;
 pub mod intern;
@@ -21,16 +20,11 @@ pub mod schnorr;
 pub mod sha1;
 pub mod sha256;
 
-pub use batch::{verify_batch, BatchItem, BatchOutcome};
 pub use drbg::Drbg;
 pub use hmac::hmac_sha256;
-pub use intern::{
-    set_verify_batch_policy, set_verify_table_policy, verify_batch_policy, verify_route_stats,
-    verify_table_policy, BatchPolicy, InternedKey, KeyRegistry, TablePolicy, VerifyRouteStats,
-    PROMOTION_THRESHOLD,
-};
+pub use intern::{verify_stats, InternedKey, KeyRegistry, VerifyStats, PROMOTION_THRESHOLD};
 pub use schnorr::{
-    keypair_derivations, Group, GroupOps, KeyPair, PrivateKey, PublicKey, Signature, VerifyRoute,
+    keypair_derivations, Group, GroupOps, KeyPair, PrivateKey, PublicKey, Signature,
 };
 pub use sha1::sha1;
 pub use sha256::sha256;

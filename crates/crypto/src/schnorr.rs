@@ -13,13 +13,9 @@
 
 use crate::drbg::Drbg;
 use crate::hmac::hmac_sha256;
-use crate::intern::{
-    self, verify_table_policy, InternedKey, KeyRegistry, TablePolicy, PROMOTION_THRESHOLD,
-};
+use crate::intern::{self, InternedKey, KeyRegistry, PROMOTION_THRESHOLD};
 use crate::sha256::Sha256;
-use ccc_bignum::{
-    joint_pow_with_powers, window_powers, FixedBaseTable, MontElem, MontgomeryCtx, Uint,
-};
+use ccc_bignum::{FixedBaseTable, MontElem, MontgomeryCtx, Uint};
 // Sync primitives come from the ccc-mc shim layer (std re-exports in
 // normal builds, scheduler-instrumented under `model-check`); the group
 // statics and per-key interning slots are on model-checked paths.
@@ -72,7 +68,7 @@ pub struct Group {
     pub element_len: usize,
     /// Serialized length of scalars in bytes.
     pub scalar_len: usize,
-    /// Lazily-built Montgomery context + fixed-base generator tables
+    /// Lazily-built Montgomery context + fixed-base generator table
     /// (see [`Group::ops`]).
     ops: OnceLock<GroupOps>,
 }
@@ -80,7 +76,7 @@ pub struct Group {
 /// Per-group accelerated arithmetic, built once per process on first use.
 ///
 /// `ctx` is the Montgomery context for the group prime `p`; `g_table` holds
-/// the Brauer fixed-base windowing tables for the generator `g` covering
+/// the Brauer fixed-base windowing table for the generator `g` covering
 /// exponents up to `q.bit_len()` bits (every scalar in the scheme is
 /// `< q`). Together they make `g^k` a squaring-free table-lookup product,
 /// which is the dominant operation in keygen, signing, *and* the `g^s`
@@ -89,35 +85,15 @@ pub struct Group {
 pub struct GroupOps {
     /// Montgomery context for the group prime `p`.
     pub ctx: MontgomeryCtx,
-    /// Fixed-base tables for the generator `g`.
+    /// Fixed-base table for the generator `g`, 8 bits wide (`G_WINDOW`).
     pub g_table: FixedBaseTable,
-    /// Wide (8-bit window) generator table for batch verification, built
-    /// lazily on the first batched check in this group: every batched
-    /// item exponentiates `g`, so halving the per-exponentiation lookup
-    /// count is worth the one-time ~16× larger build that a per-key
-    /// table could not amortize (~260 KiB at 256 bits, ~9.4 MiB at 1536).
-    g_wide: OnceLock<FixedBaseTable>,
 }
 
-/// Window width of the batch-verification tables (the shared generator
-/// table here and the per-key wide tables in `intern`).
-pub(crate) const WIDE_WINDOW: usize = 8;
-
-impl GroupOps {
-    /// The wide generator table, built on first use and covering
-    /// exponents up to `max_exp_bits` bits (callers pass the group's
-    /// `q.bit_len()`; concurrent callers coalesce on the `OnceLock`).
-    pub fn g_wide_table(&self, max_exp_bits: usize) -> &FixedBaseTable {
-        self.g_wide.get_or_init(|| {
-            FixedBaseTable::from_mont_with_window(
-                &self.ctx,
-                &self.g_table.first_row()[0],
-                max_exp_bits,
-                WIDE_WINDOW,
-            )
-        })
-    }
-}
+/// Window width of the generator table. Every keygen, signature and
+/// verification exponentiates `g`, so the 8-bit table (half the lookups
+/// of a 4-bit one, ~16× its size: ~260 KiB at 256 bits, ~9.4 MiB at
+/// 1536) is built once per group and amortized across all of them.
+const G_WINDOW: usize = 8;
 
 impl Group {
     /// The 256-bit safe-prime simulation group.
@@ -185,22 +161,24 @@ impl Group {
     }
 
     /// The accelerated-arithmetic bundle for this group, built on first
-    /// use (~30 KiB of tables for the 256-bit group, ~1.1 MiB for the
-    /// 1536-bit group) and shared by every key in the group thereafter.
+    /// use (~260 KiB of generator table for the 256-bit group, ~9.4 MiB
+    /// for the 1536-bit group) and shared by every key in the group
+    /// thereafter.
     pub fn ops(&self) -> &GroupOps {
         self.ops.get_or_init(|| {
             let ctx = MontgomeryCtx::new(&self.p)
                 .expect("group prime is odd and > 1");
-            let g_table = FixedBaseTable::new(&ctx, &self.g, self.q.bit_len());
-            GroupOps {
-                ctx,
-                g_table,
-                g_wide: OnceLock::new(),
-            }
+            let g_table = FixedBaseTable::from_mont_with_window(
+                &ctx,
+                &ctx.to_montgomery(&self.g),
+                self.q.bit_len(),
+                G_WINDOW,
+            );
+            GroupOps { ctx, g_table }
         })
     }
 
-    /// `g^k mod p` via the fixed-base tables (normal form).
+    /// `g^k mod p` via the fixed-base table (normal form).
     pub fn pow_g(&self, k: &Uint) -> Uint {
         let ops = self.ops();
         ops.g_table.pow(&ops.ctx, k)
@@ -227,24 +205,6 @@ impl fmt::Debug for PrivateKey {
     }
 }
 
-/// Which implementation strategy one verification uses.
-///
-/// Both routes compute the identical `g^s · y^(q-e) mod p` residue — the
-/// choice is pure performance and never changes a verdict. [`PublicKey::
-/// verify`](PublicKey::verify) picks automatically (promotion threshold +
-/// [`TablePolicy`]); [`PublicKey::verify_via`] forces a route for benches
-/// and differential tests.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum VerifyRoute {
-    /// Hot path: the key's per-process Brauer table — two zero-squaring
-    /// fixed-base lookups (`g^s`, `y^(q-e)`) and one multiplication.
-    FixedBase,
-    /// Cold path: one Straus joint exponentiation sharing a single
-    /// squaring chain, reusing the generator's table row so only the
-    /// `y`-side digit table is built per call.
-    MultiExp,
-}
-
 /// A Schnorr public key, `y = g^x mod p`.
 #[derive(Clone)]
 pub struct PublicKey {
@@ -253,10 +213,10 @@ pub struct PublicKey {
     y_bytes: Vec<u8>,
     /// Interned per-process entry for `(group, y)`, resolved on first
     /// verification: the shared Montgomery residue, the promotion counter,
-    /// and (once hot) the fixed-base table — shared by *every* `PublicKey`
-    /// carrying these bytes, not just clones of this one (CA keys are
-    /// re-parsed from thousands of certificates per corpus pass). Excluded
-    /// from `Eq`/`Hash`: it is a pure cache of `y_bytes`.
+    /// and (once promoted) the fixed-base table — shared by *every*
+    /// `PublicKey` carrying these bytes, not just clones of this one (CA
+    /// keys are re-parsed from thousands of certificates per corpus pass).
+    /// Excluded from `Eq`/`Hash`: it is a pure cache of `y_bytes`.
     interned: OnceLock<Arc<InternedKey>>,
 }
 
@@ -451,9 +411,7 @@ impl PublicKey {
 
     /// The process-wide interned entry for this key: shared Montgomery
     /// residue, promotion counter, fixed-base table, subgroup verdict.
-    /// Crate-visible so the batch verifier shares the same entries (and
-    /// therefore the same promotion ordinals) as the scalar path.
-    pub(crate) fn interned(&self) -> &Arc<InternedKey> {
+    fn interned(&self) -> &Arc<InternedKey> {
         self.interned
             .get_or_init(|| KeyRegistry::global().intern(self.group(), &self.y_bytes))
     }
@@ -470,29 +428,16 @@ impl PublicKey {
 
     /// Verify `signature` over `message`.
     ///
-    /// Routing: each verification is recorded on the key's interned entry,
-    /// and under [`TablePolicy::Auto`] the key is promoted to the
-    /// [`VerifyRoute::FixedBase`] hot path once it has been verified
-    /// against more than [`PROMOTION_THRESHOLD`] times — amortizing the
-    /// per-key table build across the many verifications a CA key sees.
-    /// Colder keys take the [`VerifyRoute::MultiExp`] Straus path, which
-    /// needs no per-key precomputation. `CCC_VERIFY_TABLES=always|never`
-    /// forces one route for every key. Verdicts are identical either way.
+    /// Computes `r' = g^s · y^(q−e)`: `g^s` from the group's 8-bit
+    /// generator table, `y^(q−e)` from plain `pow_mont` for the key's first
+    /// [`PROMOTION_THRESHOLD`] verifications and from the key's interned
+    /// 4-bit fixed-base table after that, amortizing the table build across
+    /// the many verifications a CA key sees. Each verification is recorded
+    /// on the key's interned entry; both halves are exact, so the verdict
+    /// never depends on whether the key has been promoted.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
-        let n = self.interned().record_verify();
-        let route = match verify_table_policy() {
-            TablePolicy::Always => VerifyRoute::FixedBase,
-            TablePolicy::Never => VerifyRoute::MultiExp,
-            TablePolicy::Auto if n > PROMOTION_THRESHOLD => VerifyRoute::FixedBase,
-            TablePolicy::Auto => VerifyRoute::MultiExp,
-        };
-        self.verify_via(route, message, signature)
-    }
-
-    /// Verify `signature` over `message` on an explicitly chosen route,
-    /// bypassing promotion accounting (benches and differential tests;
-    /// normal callers use [`PublicKey::verify`]).
-    pub fn verify_via(&self, route: VerifyRoute, message: &[u8], signature: &Signature) -> bool {
+        let entry = self.interned();
+        let n = entry.record_verify();
         let group = self.group();
         if signature.s.len() != group.scalar_len {
             return false;
@@ -504,37 +449,19 @@ impl PublicKey {
         let e_scalar = Uint::from_bytes_be(&signature.e)
             .rem(&group.q)
             .expect("q is non-zero");
-        // r' = g^s * y^(q - e) mod p   (y has order q, so y^-e = y^(q-e)).
-        // Everything stays in Montgomery form until the single final
-        // conversion, on either route.
+        // y has order q, so y^-e = y^(q-e). Everything stays in Montgomery
+        // form until the single final conversion.
         let neg_e = group.q.checked_sub(&e_scalar).expect("e_scalar < q");
         let ops = group.ops();
-        let entry = self.interned();
-        let r_mont = match route {
-            VerifyRoute::FixedBase => {
-                // Hot: both halves are zero-squaring table lookups — g via
-                // the group table, y via the key's interned table (built on
-                // first hot use, then shared process-wide).
-                let y_table = entry.table(&ops.ctx, group.q.bit_len());
-                intern::note_fixed_base_hit();
-                let gs = group.pow_g_mont(&s);
-                ops.ctx.mul(&gs, &y_table.pow_mont(&ops.ctx, &neg_e))
-            }
-            VerifyRoute::MultiExp => {
-                // Cold: one Straus joint exponentiation — a single shared
-                // squaring chain instead of two. The generator side reuses
-                // the group table's first row as its digit table, so the
-                // only per-call setup is y's 15-entry window.
-                intern::note_cold_multiexp();
-                joint_pow_with_powers(
-                    &ops.ctx,
-                    ops.g_table.first_row(),
-                    &s,
-                    &window_powers(&ops.ctx, entry.y_mont()),
-                    &neg_e,
-                )
-            }
+        let ye = if n > PROMOTION_THRESHOLD {
+            let y_table = entry.table(&ops.ctx, group.q.bit_len());
+            intern::note_fixed_base_hit();
+            y_table.pow_mont(&ops.ctx, &neg_e)
+        } else {
+            intern::note_cold_multiexp();
+            ops.ctx.pow_mont(entry.y_mont(), &neg_e)
         };
+        let r_mont = ops.ctx.mul(&group.pow_g_mont(&s), &ye);
         let r = ops.ctx.from_montgomery(&r_mont);
         let r_bytes = match r.to_bytes_be_padded(group.element_len) {
             Some(b) => b,
@@ -692,39 +619,23 @@ mod tests {
     }
 
     #[test]
-    fn verify_routes_agree_on_verdicts() {
-        for group in [Group::simulation_256(), Group::rfc3526_1536()] {
-            let kp = KeyPair::from_seed(group, b"route-key");
-            let sig = kp.private.sign(b"routed message");
-            assert!(kp.public.verify_via(VerifyRoute::MultiExp, b"routed message", &sig));
-            assert!(kp.public.verify_via(VerifyRoute::FixedBase, b"routed message", &sig));
-            assert!(!kp.public.verify_via(VerifyRoute::MultiExp, b"other", &sig));
-            assert!(!kp.public.verify_via(VerifyRoute::FixedBase, b"other", &sig));
-            let mut forged = sig.clone();
-            forged.e[7] ^= 0x40;
-            assert!(!kp.public.verify_via(VerifyRoute::MultiExp, b"routed message", &forged));
-            assert!(!kp.public.verify_via(VerifyRoute::FixedBase, b"routed message", &forged));
-        }
-    }
-
-    #[test]
     fn auto_promotion_builds_table_after_threshold() {
         // A fresh key (unique seed → unique interned entry in the global
-        // registry) starts cold and flips hot after PROMOTION_THRESHOLD
-        // verifications. Policy may be overridden concurrently by the
-        // policy_roundtrip test, so only the table side effect — which any
-        // policy except Never eventually triggers — is asserted loosely;
-        // the strict split is pinned in the verify_routes integration
-        // tests, which own the policy in their own process.
+        // registry, touched by no other test) has no table through its
+        // first PROMOTION_THRESHOLD verifications and one right after the
+        // next: promotion depends only on the key's own ordinal.
         let group = Group::simulation_256();
         let kp = KeyPair::from_seed(group, b"promotion-key-schnorr-unit");
         let sig = kp.private.sign(b"promote me");
-        for _ in 0..(PROMOTION_THRESHOLD + 2) {
+        let entry = KeyRegistry::global().intern(group, kp.public.as_bytes());
+        for _ in 0..PROMOTION_THRESHOLD {
             assert!(kp.public.verify(b"promote me", &sig));
         }
-        // The interned counter saw every auto-routed verification.
-        let entry = KeyRegistry::global().intern(group, kp.public.as_bytes());
-        assert!(entry.verify_count() >= PROMOTION_THRESHOLD + 2);
+        assert_eq!(entry.verify_count(), PROMOTION_THRESHOLD);
+        assert!(!entry.has_table());
+        assert!(kp.public.verify(b"promote me", &sig));
+        assert_eq!(entry.verify_count(), PROMOTION_THRESHOLD + 1);
+        assert!(entry.has_table());
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     // registry OnceLocks already "done", in-run metric updates are
     // schedule-consistent atomic ops instead of a one-time init that
     // would make the first execution's op sequence diverge from replays.
-    let _ = ccc_crypto::verify_route_stats();
+    let _ = ccc_crypto::verify_stats();
     TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -38,10 +38,10 @@ fn warmed_key_bytes() -> Vec<u8> {
 }
 
 /// Invariant: `record_verify` ordinals are unique and contiguous, so the
-/// Auto-route split (`ordinal > PROMOTION_THRESHOLD` goes hot) is a pure
-/// function of the ordinal — the hot/cold partition cannot depend on the
-/// interleaving. Three concurrent verifiers starting two below the
-/// threshold must always produce exactly two hot routes.
+/// promotion split (`ordinal > PROMOTION_THRESHOLD` uses the key's table)
+/// is a pure function of the ordinal — which verifications use the table
+/// cannot depend on the interleaving. Three concurrent verifiers starting
+/// two below the threshold must always produce exactly two tabled ones.
 #[test]
 fn promotion_ordinals_are_unique_and_route_invariantly() {
     let _guard = test_guard();
@@ -75,8 +75,8 @@ fn promotion_ordinals_are_unique_and_route_invariantly() {
             ],
             "promotion ordinals must be unique and contiguous"
         );
-        let hot = ordinals.iter().filter(|&&n| n > PROMOTION_THRESHOLD).count();
-        assert_eq!(hot, 2, "route split must be interleaving-independent");
+        let tabled = ordinals.iter().filter(|&&n| n > PROMOTION_THRESHOLD).count();
+        assert_eq!(tabled, 2, "promotion split must be interleaving-independent");
         assert_eq!(entry.verify_count(), PROMOTION_THRESHOLD + 2);
     });
     assert!(exploration.failure.is_none(), "{:?}", exploration.failure);
@@ -136,7 +136,7 @@ fn table_promotion_builds_exactly_once() {
         let group = Group::simulation_256();
         let registry = KeyRegistry::new();
         let entry = registry.intern(group, &key_bytes);
-        let before = ccc_crypto::verify_route_stats();
+        let before = ccc_crypto::verify_stats();
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 let entry = Arc::clone(&entry);
@@ -153,7 +153,7 @@ fn table_promotion_builds_exactly_once() {
             .collect();
         assert_eq!(tables[0], tables[1], "both tasks must share one table");
         assert!(entry.has_table());
-        let delta = ccc_crypto::verify_route_stats().since(&before);
+        let delta = ccc_crypto::verify_stats().since(&before);
         assert_eq!(delta.tables_built, 1, "initializer must run exactly once");
     });
     assert!(exploration.failure.is_none(), "{:?}", exploration.failure);

@@ -1,63 +1,31 @@
-//! Exact promotion accounting for the verify hot/cold routing.
+//! Exact promotion accounting for `PublicKey::verify`.
 //!
-//! The route counters are process-global, so pinning *exact* splits
-//! requires a quiescent process: this file holds a single test and
+//! The verification counters are process-global, so pinning *exact*
+//! splits requires a quiescent process: this file holds a single test and
 //! therefore gets its own binary with nothing running concurrently.
-//! (Route *verdict* equivalence, which needs no such isolation, lives in
+//! (Verdict correctness, which needs no such isolation, lives in
 //! `verify_routes.rs`.)
 
-use ccc_crypto::{
-    set_verify_table_policy, verify_route_stats, Group, KeyPair, KeyRegistry, TablePolicy,
-    PROMOTION_THRESHOLD,
-};
+use ccc_crypto::{verify_stats, Group, KeyPair, KeyRegistry, PROMOTION_THRESHOLD};
 
 #[test]
-fn promotion_threshold_and_policies_route_as_documented() {
+fn promotion_threshold_splits_as_documented() {
+    // The first PROMOTION_THRESHOLD verifications exponentiate y with
+    // plain pow_mont, the rest use the key's table, and the flip builds
+    // exactly one table.
     let group = Group::simulation_256();
     let total = PROMOTION_THRESHOLD + 5;
-
-    // Auto: first PROMOTION_THRESHOLD verifications go cold, the rest hot,
-    // and the flip builds exactly one table.
-    set_verify_table_policy(TablePolicy::Auto);
     let kp = KeyPair::from_seed(group, b"promotion-threshold-auto");
     let sig = kp.private.sign(b"promote");
-    let before = verify_route_stats();
+    let before = verify_stats();
     for _ in 0..total {
         assert!(kp.public.verify(b"promote", &sig));
     }
-    let delta = verify_route_stats().since(&before);
-    assert_eq!(delta.cold_multiexps, PROMOTION_THRESHOLD);
+    let delta = verify_stats().since(&before);
+    assert_eq!(delta.cold_multiexps, PROMOTION_THRESHOLD.min(total));
     assert_eq!(delta.fixed_base_hits, total - PROMOTION_THRESHOLD);
     assert_eq!(delta.tables_built, 1);
     let entry = KeyRegistry::global().intern(group, kp.public.as_bytes());
     assert_eq!(entry.verify_count(), total);
     assert!(entry.has_table());
-
-    // Never: a fresh key stays cold forever; no table is built.
-    set_verify_table_policy(TablePolicy::Never);
-    let kp = KeyPair::from_seed(group, b"promotion-threshold-never");
-    let sig = kp.private.sign(b"stay cold");
-    let before = verify_route_stats();
-    for _ in 0..total {
-        assert!(kp.public.verify(b"stay cold", &sig));
-    }
-    let delta = verify_route_stats().since(&before);
-    assert_eq!(delta.cold_multiexps, total);
-    assert_eq!(delta.fixed_base_hits, 0);
-    assert_eq!(delta.tables_built, 0);
-
-    // Always: a fresh key is hot from its very first verification.
-    set_verify_table_policy(TablePolicy::Always);
-    let kp = KeyPair::from_seed(group, b"promotion-threshold-always");
-    let sig = kp.private.sign(b"start hot");
-    let before = verify_route_stats();
-    for _ in 0..total {
-        assert!(kp.public.verify(b"start hot", &sig));
-    }
-    let delta = verify_route_stats().since(&before);
-    assert_eq!(delta.cold_multiexps, 0);
-    assert_eq!(delta.fixed_base_hits, total);
-    assert_eq!(delta.tables_built, 1);
-
-    set_verify_table_policy(TablePolicy::Auto);
 }

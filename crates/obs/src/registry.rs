@@ -409,7 +409,7 @@ impl Snapshot {
     /// All subtraction saturates: diffing against a *fresher* baseline
     /// (snapshots taken out of order, or a series reset between them)
     /// clamps to zero instead of wrapping — the same contract as
-    /// `CacheStats::since` / `VerifyRouteStats::since`. Gauges keep the
+    /// `CacheStats::since` / `VerifyStats::since`. Gauges keep the
     /// later value (a delta of an instantaneous reading is meaningless);
     /// series absent from `earlier` are passed through whole.
     pub fn since(&self, earlier: &Snapshot) -> Snapshot {

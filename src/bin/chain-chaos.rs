@@ -469,7 +469,7 @@ fn touch_all_metrics() {
     chain_chaos::netsim::touch_fetch_metrics();
     chain_chaos::bench::touch_pipeline_metrics();
     // Reading the route stats registers the verify-route family.
-    let _ = chain_chaos::crypto::verify_route_stats();
+    let _ = chain_chaos::crypto::verify_stats();
 }
 
 /// `chain-chaos metrics`: register every family and dump the (all-zero)
