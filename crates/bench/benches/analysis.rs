@@ -2,45 +2,43 @@
 //! order analysis, completeness, and corpus generation throughput.
 
 use ccc_core::{analyze_order, CompletenessAnalyzer, IssuanceChecker, TopologyGraph};
-use ccc_testgen::{Corpus, CorpusSpec, ObservationStore};
+use ccc_testgen::{Corpus, CorpusSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 const ANALYSIS_CHAINS: usize = 64;
 
 fn bench_analysis(c: &mut Criterion) {
     let corpus = Corpus::new(CorpusSpec::calibrated(55, ANALYSIS_CHAINS));
-    // Bounded reuse buffer instead of an eager `collect()`: generation
-    // runs once (all later `get`s hit the ring), and memory stays
-    // O(capacity) — the same discipline the fused pipeline uses.
-    let mut store = ObservationStore::new(&corpus, ANALYSIS_CHAINS);
+    // Generated once up front, so the timed loops measure analysis only.
+    let observations = corpus.collect();
     let checker = IssuanceChecker::new();
     let analyzer =
         CompletenessAnalyzer::new(&checker, corpus.programs.unified(), Some(&corpus.aia));
     // Warm the signature cache so the benches measure analysis logic.
-    for rank in 0..ANALYSIS_CHAINS {
-        let _ = analyzer.analyze(&store.get(rank).served);
+    for obs in &observations {
+        let _ = analyzer.analyze(&obs.served);
     }
 
     let mut group = c.benchmark_group("analysis");
     group.throughput(Throughput::Elements(ANALYSIS_CHAINS as u64));
     group.bench_function("topology_build_64_chains", |b| {
         b.iter(|| {
-            for rank in 0..ANALYSIS_CHAINS {
-                std::hint::black_box(TopologyGraph::build(&store.get(rank).served, &checker));
+            for obs in &observations {
+                std::hint::black_box(TopologyGraph::build(&obs.served, &checker));
             }
         })
     });
     group.bench_function("order_analysis_64_chains", |b| {
         b.iter(|| {
-            for rank in 0..ANALYSIS_CHAINS {
-                std::hint::black_box(analyze_order(&store.get(rank).served, &checker));
+            for obs in &observations {
+                std::hint::black_box(analyze_order(&obs.served, &checker));
             }
         })
     });
     group.bench_function("completeness_64_chains", |b| {
         b.iter(|| {
-            for rank in 0..ANALYSIS_CHAINS {
-                std::hint::black_box(analyzer.analyze(&store.get(rank).served));
+            for obs in &observations {
+                std::hint::black_box(analyzer.analyze(&obs.served));
             }
         })
     });
@@ -53,9 +51,8 @@ fn bench_analysis(c: &mut Criterion) {
 /// sharded default should beat it clearly on multi-core hosts.
 fn bench_shared_cache_contention(c: &mut Criterion) {
     let corpus = Corpus::new(CorpusSpec::calibrated(57, 512));
-    // Eager materialization is deliberate here: every worker thread reads
-    // the SAME observation slice concurrently, which a mutable ring
-    // buffer cannot serve. O(corpus) is fine at 512 chains.
+    // Every worker thread reads the SAME observation slice concurrently;
+    // O(corpus) is fine at 512 chains.
     let observations = corpus.collect();
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -1,6 +1,6 @@
 //! Criterion benchmark for the fused analysis pipeline: one
 //! single-generation sweep fanning to three passes vs. three sequential
-//! standalone sweeps, each regenerating the corpus and verifying leaf
+//! single-pass sweeps, each regenerating the corpus and verifying leaf
 //! signatures from a cold cache.
 //!
 //! This is the microbenchmark counterpart of the committed
@@ -8,11 +8,8 @@
 //! smaller corpus so `cargo bench --bench pipeline -- --test` stays
 //! cheap in CI.
 
-use ccc_bench::{
-    CompliancePass, CorpusSummary, DifferentialPass, DifferentialSummary, LintPass, Pipeline,
-};
+use ccc_bench::{CompliancePass, DifferentialPass, LintPass, Pipeline};
 use ccc_core::IssuanceChecker;
-use ccc_lint::LintSummary;
 use ccc_testgen::{Corpus, CorpusSpec};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -27,17 +24,17 @@ fn bench_fused_vs_sequential(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(DOMAINS as u64));
 
-    // Three standalone sweeps, each with a fresh checker: every pass pays
-    // full observation generation + leaf signature verification.
+    // Three single-pass sweeps, each with a fresh checker: every pass
+    // pays full observation generation + leaf signature verification.
     group.bench_function("sequential_3_passes", |b| {
         b.iter(|| {
+            let pipeline = Pipeline::from_env();
             let c1 = IssuanceChecker::new();
-            let compliance = CorpusSummary::compute_with_checker(&corpus, &c1);
+            std::hint::black_box(pipeline.run(&corpus, &c1, CompliancePass::new()));
             let c2 = IssuanceChecker::new();
-            let differential = DifferentialSummary::compute_with_checker(&corpus, &c2);
+            std::hint::black_box(pipeline.run(&corpus, &c2, DifferentialPass::new()));
             let c3 = IssuanceChecker::new();
-            let lint = LintSummary::compute_with_checker(&corpus, &c3);
-            std::hint::black_box((compliance, differential, lint))
+            std::hint::black_box(pipeline.run(&corpus, &c3, LintPass::new()));
         })
     });
 

@@ -8,7 +8,7 @@
 //!   both group presets → `BENCH_modexp.json`.
 //! - **pipeline**: times the fused single-generation 3-analysis sweep
 //!   (compliance + differential + lint, one shared checker) against
-//!   three sequential standalone sweeps, each with a fresh checker, on a
+//!   three sequential single-pass sweeps, each with a fresh checker, on a
 //!   1k-domain corpus → `BENCH_pipeline.json`. The run first asserts the
 //!   fused summaries are identical to the sequential ones.
 //! - **verify**: times steady-state `PublicKey::verify` (a promoted CA
@@ -39,6 +39,7 @@ use ccc_bignum::{modpow_naive, MontgomeryCtx, Uint};
 use ccc_core::IssuanceChecker;
 use ccc_crypto::{sha256, Drbg, Group, KeyPair, Signature};
 use ccc_lint::LintSummary;
+use ccc_testgen::Corpus;
 use std::time::{Duration, Instant};
 
 struct PathTiming {
@@ -117,20 +118,32 @@ fn run_case(label: &'static str, group: &'static Group, iters: usize) -> CaseRes
 /// acceptance workload).
 const PIPELINE_DOMAINS: usize = 1_000;
 
+/// Three single-pass sweeps, each with a fresh checker: every sweep pays
+/// full observation generation and cold leaf-signature verification (the
+/// pre-fusion cost).
+fn sequential_passes(corpus: &Corpus) -> (CorpusSummary, DifferentialSummary, LintSummary) {
+    let c1 = IssuanceChecker::new();
+    let (compliance, _) = Pipeline::from_env().run(corpus, &c1, CompliancePass::new());
+    let c2 = IssuanceChecker::new();
+    let (differential, _) = Pipeline::from_env().run(corpus, &c2, DifferentialPass::new());
+    let c3 = IssuanceChecker::new();
+    let (lint, _) = Pipeline::from_env().run(corpus, &c3, LintPass::new());
+    (
+        compliance.into_summary(),
+        differential.into_summary(),
+        lint.into_summary(),
+    )
+}
+
 /// One fused-vs-sequential measurement on a 1k-domain corpus. Returns
 /// `(sequential_total, fused_total, fused_stats)` — best-of-`iters` wall
 /// times — after asserting the fused summaries are bit-identical to the
-/// standalone ones.
+/// single-pass ones.
 fn run_pipeline_case(iters: usize) -> (Duration, Duration, PipelineStats) {
     let corpus = ccc_bench::scan_corpus(PIPELINE_DOMAINS);
 
     // Correctness gate: fused output must equal the sequential outputs.
-    let c1 = IssuanceChecker::new();
-    let seq_compliance = CorpusSummary::compute_with_checker(&corpus, &c1);
-    let c2 = IssuanceChecker::new();
-    let seq_differential = DifferentialSummary::compute_with_checker(&corpus, &c2);
-    let c3 = IssuanceChecker::new();
-    let seq_lint = LintSummary::compute_with_checker(&corpus, &c3);
+    let (seq_compliance, seq_differential, seq_lint) = sequential_passes(&corpus);
     let fused_checker = IssuanceChecker::new();
     let ((fc, fd, fl), _) = Pipeline::from_env().run(
         &corpus,
@@ -146,12 +159,7 @@ fn run_pipeline_case(iters: usize) -> (Duration, Duration, PipelineStats) {
     let mut fused_stats = None;
     for _ in 0..iters {
         let start = Instant::now();
-        let c1 = IssuanceChecker::new();
-        std::hint::black_box(CorpusSummary::compute_with_checker(&corpus, &c1));
-        let c2 = IssuanceChecker::new();
-        std::hint::black_box(DifferentialSummary::compute_with_checker(&corpus, &c2));
-        let c3 = IssuanceChecker::new();
-        std::hint::black_box(LintSummary::compute_with_checker(&corpus, &c3));
+        std::hint::black_box(sequential_passes(&corpus));
         best_seq = best_seq.min(start.elapsed());
 
         let start = Instant::now();

@@ -4,8 +4,8 @@
 //!
 //! `cargo run --release --bin section52 [domains]`
 
-use ccc_bench::{domains_from_env, scan_corpus, DifferentialSummary};
-use ccc_core::report::{count_pct, render_cache_stats, TextTable};
+use ccc_bench::{domains_from_env, scan_corpus, DifferentialPass, Pipeline};
+use ccc_core::report::{count_pct, TextTable};
 use ccc_core::IssuanceChecker;
 
 fn main() {
@@ -13,7 +13,8 @@ fn main() {
     eprintln!("generating {domains} domains and running all 8 clients on each…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
-    let d = DifferentialSummary::compute_with_checker(&corpus, &checker);
+    let (pass, stats) = Pipeline::from_env().run(&corpus, &checker, DifferentialPass::new());
+    let d = pass.into_summary();
     let r = &d.report;
 
     let mut table = TextTable::new(
@@ -91,5 +92,5 @@ fn main() {
             println!("  {:<26} {domain}", cause.label());
         }
     }
-    eprintln!("{}", render_cache_stats(&checker.snapshot_stats()));
+    eprintln!("{}", stats.render());
 }

@@ -3,9 +3,9 @@
 //!
 //! `cargo run --release --bin table10 [domains]`
 
-use ccc_bench::{domains_from_env, scan_corpus, server_columns, CorpusSummary};
+use ccc_bench::{domains_from_env, scan_corpus, server_columns, CompliancePass, Pipeline};
+use ccc_core::report::{count_pct, TextTable};
 use ccc_core::IssuanceChecker;
-use ccc_core::report::{TextTable, count_pct, render_cache_stats};
 
 /// A defect-count projection used for table rows.
 type CountFn<'a> = &'a dyn Fn(&ccc_bench::DefectCounts) -> usize;
@@ -15,7 +15,8 @@ fn main() {
     eprintln!("scanning {domains} synthetic domains…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
-    let s = CorpusSummary::compute_with_checker(&corpus, &checker);
+    let (pass, stats) = Pipeline::from_env().run(&corpus, &checker, CompliancePass::new());
+    let s = pass.into_summary();
 
     let columns = server_columns();
     let mut header = vec!["Non-compliant Type"];
@@ -56,5 +57,5 @@ fn main() {
          duplicate leaves) thanks to its two-file layout; Azure shows ~0 duplicate\n\
          leaves (upload check); Nginx leads reversed sequences."
     );
-    eprintln!("{}", render_cache_stats(&checker.snapshot_stats()));
+    eprintln!("{}", stats.render());
 }

@@ -2,9 +2,9 @@
 //!
 //! `cargo run --release --bin table11 [domains]`
 
-use ccc_bench::{domains_from_env, scan_corpus, CorpusSummary};
+use ccc_bench::{domains_from_env, scan_corpus, CompliancePass, Pipeline};
+use ccc_core::report::{count_pct, group_thousands, TextTable};
 use ccc_core::IssuanceChecker;
-use ccc_core::report::{TextTable, count_pct, group_thousands, render_cache_stats};
 
 const CA_ORDER: [&str; 9] = [
     "Let's Encrypt",
@@ -26,7 +26,8 @@ fn main() {
     eprintln!("scanning {domains} synthetic domains…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
-    let s = CorpusSummary::compute_with_checker(&corpus, &checker);
+    let (pass, stats) = Pipeline::from_env().run(&corpus, &checker, CompliancePass::new());
+    let s = pass.into_summary();
 
     let mut header = vec!["Type"];
     header.extend(CA_ORDER);
@@ -69,5 +70,5 @@ fn main() {
          reversed sequences dominate the three reversed-bundle resellers; TAIWAN-CA's\n\
          non-compliance is mostly incomplete chains (41.9%)."
     );
-    eprintln!("{}", render_cache_stats(&checker.snapshot_stats()));
+    eprintln!("{}", stats.render());
 }

@@ -2,9 +2,9 @@
 //!
 //! `cargo run --release --bin table3 [domains]`
 
-use ccc_bench::{domains_from_env, scan_corpus, CorpusSummary};
+use ccc_bench::{domains_from_env, scan_corpus, CompliancePass, Pipeline};
+use ccc_core::report::{count_pct, TextTable};
 use ccc_core::IssuanceChecker;
-use ccc_core::report::{TextTable, count_pct, render_cache_stats};
 use ccc_core::LeafPlacement;
 
 fn main() {
@@ -12,7 +12,8 @@ fn main() {
     eprintln!("scanning {domains} synthetic domains…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
-    let s = CorpusSummary::compute_with_checker(&corpus, &checker);
+    let (pass, stats) = Pipeline::from_env().run(&corpus, &checker, CompliancePass::new());
+    let s = pass.into_summary();
 
     let paper: &[(&str, &str)] = &[
         ("Correctly Placed and Matched", "838,354 (92.5%)"),
@@ -44,5 +45,5 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
-    eprintln!("{}", render_cache_stats(&checker.snapshot_stats()));
+    eprintln!("{}", stats.render());
 }

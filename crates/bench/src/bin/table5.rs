@@ -3,16 +3,17 @@
 //!
 //! `cargo run --release --bin table5 [domains]`
 
-use ccc_bench::{domains_from_env, scan_corpus, CorpusSummary};
+use ccc_bench::{domains_from_env, scan_corpus, CompliancePass, Pipeline};
+use ccc_core::report::{count_pct, group_thousands, TextTable};
 use ccc_core::IssuanceChecker;
-use ccc_core::report::{TextTable, count_pct, group_thousands, render_cache_stats};
 
 fn main() {
     let domains = domains_from_env();
     eprintln!("scanning {domains} synthetic domains…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
-    let s = CorpusSummary::compute_with_checker(&corpus, &checker);
+    let (pass, stats) = Pipeline::from_env().run(&corpus, &checker, CompliancePass::new());
+    let s = pass.into_summary();
 
     let mut table = TextTable::new(
         "Table 5 — Chains with non-compliant issuance order",
@@ -63,5 +64,5 @@ fn main() {
         group_thousands(s.all_paths_reversed_chains),
         s.longest_list
     );
-    eprintln!("{}", render_cache_stats(&checker.snapshot_stats()));
+    eprintln!("{}", stats.render());
 }

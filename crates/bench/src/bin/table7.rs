@@ -3,17 +3,18 @@
 //!
 //! `cargo run --release --bin table7 [domains]`
 
-use ccc_bench::{domains_from_env, scan_corpus, CorpusSummary};
-use ccc_core::IssuanceChecker;
-use ccc_core::report::{TextTable, count_pct, group_thousands, render_cache_stats};
+use ccc_bench::{domains_from_env, scan_corpus, CompliancePass, Pipeline};
+use ccc_core::report::{count_pct, group_thousands, TextTable};
 use ccc_core::Completeness;
+use ccc_core::IssuanceChecker;
 
 fn main() {
     let domains = domains_from_env();
     eprintln!("scanning {domains} synthetic domains…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
-    let s = CorpusSummary::compute_with_checker(&corpus, &checker);
+    let (pass, stats) = Pipeline::from_env().run(&corpus, &checker, CompliancePass::new());
+    let s = pass.into_summary();
 
     let mut table = TextTable::new(
         "Table 7 — Completeness of certificate chain",
@@ -72,5 +73,5 @@ fn main() {
          store SKID match: {}",
         group_thousands(s.root_via_aia)
     );
-    eprintln!("{}", render_cache_stats(&checker.snapshot_stats()));
+    eprintln!("{}", stats.render());
 }

@@ -6,9 +6,9 @@
 //!
 //! `cargo run --release --bin table8 [domains]`
 
-use ccc_bench::{domains_from_env, scan_corpus, CorpusSummary};
+use ccc_bench::{domains_from_env, scan_corpus, CompliancePass, Pipeline};
+use ccc_core::report::{group_thousands, TextTable};
 use ccc_core::IssuanceChecker;
-use ccc_core::report::{TextTable, group_thousands, render_cache_stats};
 use ccc_rootstore::RootProgram;
 
 fn main() {
@@ -16,7 +16,8 @@ fn main() {
     eprintln!("scanning {domains} synthetic domains…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
-    let s = CorpusSummary::compute_with_checker(&corpus, &checker);
+    let (pass, stats) = Pipeline::from_env().run(&corpus, &checker, CompliancePass::new());
+    let s = pass.into_summary();
 
     let baseline = s.unified_incomplete_with_aia;
     let mut table = TextTable::new(
@@ -47,5 +48,5 @@ fn main() {
         group_thousands(baseline),
         group_thousands(s.total),
     );
-    eprintln!("{}", render_cache_stats(&checker.snapshot_stats()));
+    eprintln!("{}", stats.render());
 }

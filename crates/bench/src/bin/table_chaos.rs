@@ -13,7 +13,6 @@
 
 use ccc_bench::{scan_corpus, FaultPass, FaultScenario, Pipeline};
 use ccc_core::IssuanceChecker;
-use ccc_netsim::FaultPlan;
 use std::process::ExitCode;
 
 /// Default corpus size for the chaos table (each domain costs scenarios ×
@@ -33,7 +32,7 @@ fn parse_args() -> Result<Args, String> {
             .and_then(|v| v.parse().ok())
             .unwrap_or(DEFAULT_DOMAINS),
         fault_seed: None,
-        rates: vec![0.0, 0.1, 0.3],
+        rates: FaultScenario::STANDARD_RATES.to_vec(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -45,13 +44,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--rates" => {
                 let v = it.next().ok_or("--rates needs a comma-separated list")?;
-                args.rates = v
-                    .split(',')
-                    .map(|r| r.trim().parse::<f64>().map_err(|_| format!("bad rate '{r}'")))
-                    .collect::<Result<Vec<f64>, String>>()?;
-                if args.rates.is_empty() {
-                    return Err("--rates needs at least one rate".to_string());
-                }
+                args.rates = FaultScenario::parse_rates(&v)?;
             }
             other => match other.parse::<usize>() {
                 Ok(n) => args.domains = n,
@@ -77,47 +70,14 @@ fn main() -> ExitCode {
         args.rates.len()
     );
     let corpus = scan_corpus(args.domains);
-    let scenarios: Vec<FaultScenario> = args
-        .rates
-        .iter()
-        .map(|&rate| match args.fault_seed {
-            // Explicit fault seed: decouple the fault draw from the
-            // corpus seed (sweeping plans over one fixed corpus).
-            Some(seed) => {
-                let mut sc = FaultScenario::for_corpus(&corpus, rate);
-                sc.plan = if rate <= 0.0 {
-                    FaultPlan::zero(seed)
-                } else {
-                    FaultPlan::with_fault_rate(seed, rate)
-                };
-                sc
-            }
-            None => FaultScenario::for_corpus(&corpus, rate),
-        })
-        .collect();
+    let scenarios = FaultScenario::sweep(&corpus, &args.rates, args.fault_seed);
 
     let checker = IssuanceChecker::new();
     let (pass, stats) = Pipeline::from_env().run(&corpus, &checker, FaultPass::new(scenarios));
     let summary = pass.into_summary();
 
     println!("{}", summary.render_table());
-    for scenario in &summary.scenarios {
-        let recovered: usize = scenario.per_client.values().map(|c| c.recovered).sum();
-        let retries: usize = scenario.per_client.values().map(|c| c.aia_retries).sum();
-        let exhausted: usize = scenario
-            .per_client
-            .values()
-            .map(|c| c.budget_exhausted)
-            .sum();
-        println!(
-            "{}: {} retr{}, {} chain(s) recovered by retrying clients, {} budget exhaustion(s)",
-            scenario.label,
-            retries,
-            if retries == 1 { "y" } else { "ies" },
-            recovered,
-            exhausted
-        );
-    }
+    print!("{}", summary.render_totals());
     // Timings to stderr: stdout stays deterministic for output diffing.
     eprintln!("{}", stats.render());
     ExitCode::SUCCESS

@@ -1,34 +1,36 @@
 //! Experiment harness shared by the table/figure regeneration binaries.
 //!
-//! Every `table*`/`figure*`/`section52` binary drives a single streaming
-//! pass over a calibrated corpus ([`CorpusSummary::compute`]) and prints
-//! its slice of the accumulated statistics next to the paper's published
-//! values, so "shape" comparisons are one `cargo run` away.
+//! Every corpus-backed `table*`/`section52` binary runs one
+//! [`Pipeline::run`] over a calibrated corpus with the pass it needs
+//! ([`CompliancePass`] for [`CorpusSummary`], [`DifferentialPass`] for
+//! [`DifferentialSummary`]) and prints its slice of the accumulated
+//! statistics next to the paper's published values, so "shape"
+//! comparisons are one `cargo run` away.
 //!
-//! All corpus sweeps run on the fused [`pipeline`]: observations are
-//! generated exactly once per sweep and fanned to every registered
-//! [`AnalysisPass`], so running the structural, differential, and lint
-//! analyses together costs one generation pass, not three (see
-//! DESIGN.md §12 and `benches/pipeline.rs`).
+//! [`Pipeline::run`] is the only driver that sweeps a corpus into
+//! summaries: observations are generated exactly once per sweep and
+//! fanned to every registered [`AnalysisPass`], so running the
+//! structural, differential, and lint analyses together costs one
+//! generation pass, not three (see DESIGN.md §12 and
+//! `benches/pipeline.rs`).
 //!
 //! Scale control: binaries default to 100,000 domains; set `CCC_DOMAINS`
 //! (or pass the count as the first CLI argument) to change it. The paper's
 //! absolute counts are for 906,336 chains; percentages are the comparable
 //! quantity.
 //!
-//! Thread control: worker count defaults to `available_parallelism`
-//! (capped at 16); set `CCC_THREADS` to pin it — e.g. `CCC_THREADS=1` for
-//! a deterministic single-threaded profile run, or a higher value on wide
-//! machines. Results are bit-identical for every thread count (partial
-//! summaries merge associatively).
+//! Thread control: [`Pipeline::from_env`] takes its worker count from
+//! [`threads_from_env`], the one reader of `CCC_THREADS`. It defaults to
+//! `available_parallelism` (capped at 16); set `CCC_THREADS` to pin it —
+//! e.g. `CCC_THREADS=1` for a deterministic single-threaded profile run,
+//! or a higher value on wide machines. Results are bit-identical for
+//! every thread count (partial summaries merge associatively).
 //!
 //! Signature verification has no knobs: every miss in the shared
 //! signature cache runs one `PublicKey::verify` (see DESIGN.md §14).
 
 use ccc_core::clients::ClientKind;
-use ccc_core::{
-    Completeness, DifferentialReport, DiscrepancyCause, IssuanceChecker, LeafPlacement,
-};
+use ccc_core::{Completeness, DifferentialReport, DiscrepancyCause, LeafPlacement};
 use ccc_netsim::httpserver::HttpServerKind;
 use ccc_rootstore::RootProgram;
 use ccc_testgen::{Corpus, CorpusSpec};
@@ -164,44 +166,33 @@ pub struct CorpusSummary {
     pub longest_list: usize,
 }
 
+impl StoreCompleteness {
+    /// Fold another tally into this one.
+    pub(crate) fn merge(&mut self, other: StoreCompleteness) {
+        self.incomplete_with_aia += other.incomplete_with_aia;
+        self.incomplete_without_aia += other.incomplete_without_aia;
+    }
+}
+
+impl DefectCounts {
+    /// Fold another bucket into this one.
+    pub(crate) fn merge(&mut self, other: DefectCounts) {
+        self.any += other.any;
+        self.duplicates += other.duplicates;
+        self.duplicate_leaf += other.duplicate_leaf;
+        self.irrelevant += other.irrelevant;
+        self.multipath += other.multipath;
+        self.reversed += other.reversed;
+        self.incomplete += other.incomplete;
+        self.total += other.total;
+    }
+}
+
 impl CorpusSummary {
-    /// One pass over `corpus`, parallelized across available cores (the
-    /// corpus is rank-independent by construction; partial summaries are
-    /// merged). All workers share one sharded [`IssuanceChecker`], so each
-    /// (issuer, subject) signature is verified at most once per pass.
-    pub fn compute(corpus: &Corpus) -> CorpusSummary {
-        let checker = IssuanceChecker::new();
-        Self::compute_with_checker(corpus, &checker)
-    }
-
-    /// [`compute`](Self::compute) against a caller-supplied shared checker
-    /// (lets binaries reuse one cache across multiple passes and then read
-    /// [`IssuanceChecker::snapshot_stats`]). Worker count comes from
-    /// [`threads_from_env`] (`CCC_THREADS` override, else detected cores).
-    pub fn compute_with_checker(corpus: &Corpus, checker: &IssuanceChecker) -> CorpusSummary {
-        Self::compute_with_threads(corpus, checker, threads_from_env())
-    }
-
-    /// [`compute`](Self::compute) with an explicit worker count (testing
-    /// hook: the result must be identical for every `threads` value).
-    ///
-    /// Thin wrapper over the fused pipeline with a single
-    /// [`CompliancePass`] registered — callers that also need the
-    /// differential or lint summaries should register those passes in the
-    /// same [`Pipeline::run`] instead of paying a second generation sweep.
-    pub fn compute_with_threads(
-        corpus: &Corpus,
-        checker: &IssuanceChecker,
-        threads: usize,
-    ) -> CorpusSummary {
-        let (pass, _stats) = Pipeline::new(threads).run(corpus, checker, CompliancePass::new());
-        pass.into_summary()
-    }
-
-    /// Fold a worker partial into this summary. `total` is intentionally
-    /// NOT accumulated here (the pipeline pass tracks it per-visit);
-    /// callers outside the pipeline must handle it themselves.
+    /// Fold a worker partial (the summary of a later rank range) into
+    /// this summary, `total` included.
     pub(crate) fn merge(&mut self, other: CorpusSummary) {
+        self.total += other.total;
         for (k, v) in other.placement {
             *self.placement.entry(k).or_insert(0) += v;
         }
@@ -225,46 +216,17 @@ impl CorpusSummary {
         self.root_via_aia += other.root_via_aia;
         self.noncompliant += other.noncompliant;
         for (k, v) in other.store_completeness {
-            let e = self.store_completeness.entry(k).or_default();
-            e.incomplete_with_aia += v.incomplete_with_aia;
-            e.incomplete_without_aia += v.incomplete_without_aia;
+            self.store_completeness.entry(k).or_default().merge(v);
         }
         self.unified_incomplete_with_aia += other.unified_incomplete_with_aia;
         self.unified_incomplete_without_aia += other.unified_incomplete_without_aia;
         for (k, v) in other.by_server {
-            let e = self.by_server.entry(k).or_default();
-            e.any += v.any;
-            e.duplicates += v.duplicates;
-            e.duplicate_leaf += v.duplicate_leaf;
-            e.irrelevant += v.irrelevant;
-            e.multipath += v.multipath;
-            e.reversed += v.reversed;
-            e.incomplete += v.incomplete;
-            e.total += v.total;
+            self.by_server.entry(k).or_default().merge(v);
         }
         for (k, v) in other.by_ca {
-            let e = self.by_ca.entry(k).or_default();
-            e.any += v.any;
-            e.duplicates += v.duplicates;
-            e.duplicate_leaf += v.duplicate_leaf;
-            e.irrelevant += v.irrelevant;
-            e.multipath += v.multipath;
-            e.reversed += v.reversed;
-            e.incomplete += v.incomplete;
-            e.total += v.total;
+            self.by_ca.entry(k).or_default().merge(v);
         }
         self.longest_list = self.longest_list.max(other.longest_list);
-    }
-
-    /// Sequential pass over a rank range against a shared checker (thin
-    /// wrapper over [`pipeline::run_range`] with a [`CompliancePass`]).
-    pub fn compute_range(
-        corpus: &Corpus,
-        checker: &IssuanceChecker,
-        start: usize,
-        end: usize,
-    ) -> CorpusSummary {
-        pipeline::run_range(corpus, checker, start, end, CompliancePass::new()).into_summary()
     }
 }
 
@@ -285,41 +247,9 @@ pub struct DifferentialSummary {
 }
 
 impl DifferentialSummary {
-    /// Run the differential harness over the corpus (parallel over rank
-    /// ranges, partials merged). Workers share one sharded
-    /// [`IssuanceChecker`].
-    pub fn compute(corpus: &Corpus) -> DifferentialSummary {
-        let checker = IssuanceChecker::new();
-        Self::compute_with_checker(corpus, &checker)
-    }
-
-    /// [`compute`](Self::compute) against a caller-supplied shared checker.
-    /// Worker count comes from [`threads_from_env`] (`CCC_THREADS`
-    /// override, else detected cores).
-    pub fn compute_with_checker(
-        corpus: &Corpus,
-        checker: &IssuanceChecker,
-    ) -> DifferentialSummary {
-        Self::compute_with_threads(corpus, checker, threads_from_env())
-    }
-
-    /// [`compute`](Self::compute) with an explicit worker count.
-    ///
-    /// Thin wrapper over the fused pipeline with a single
-    /// [`DifferentialPass`]; fuse with [`CompliancePass`]/[`LintPass`]
-    /// via [`Pipeline::run`] when more than one summary is needed.
-    pub fn compute_with_threads(
-        corpus: &Corpus,
-        checker: &IssuanceChecker,
-        threads: usize,
-    ) -> DifferentialSummary {
-        let (pass, _stats) = Pipeline::new(threads).run(corpus, checker, DifferentialPass::new());
-        pass.into_summary()
-    }
-
-    /// Fold a worker partial into this summary. `corpus_total` is
-    /// intentionally NOT accumulated here (the pipeline pass tracks it
-    /// per-visit).
+    /// Fold a worker partial (the summary of a later rank range) into
+    /// this summary, `corpus_total` included. First cause examples win,
+    /// so partials must arrive in rank order.
     pub(crate) fn merge(&mut self, other: DifferentialSummary) {
         let r = &mut self.report;
         let o = other.report;
@@ -338,20 +268,10 @@ impl DifferentialSummary {
         }
         self.corpus_library_failures += other.corpus_library_failures;
         self.corpus_browser_failures += other.corpus_browser_failures;
+        self.corpus_total += other.corpus_total;
         for (k, v) in other.cause_examples {
             self.cause_examples.entry(k).or_insert(v);
         }
-    }
-
-    /// Sequential pass over a rank range against a shared checker (thin
-    /// wrapper over [`pipeline::run_range`] with a [`DifferentialPass`]).
-    pub fn compute_range(
-        corpus: &Corpus,
-        checker: &IssuanceChecker,
-        start: usize,
-        end: usize,
-    ) -> DifferentialSummary {
-        pipeline::run_range(corpus, checker, start, end, DifferentialPass::new()).into_summary()
     }
 }
 
@@ -375,11 +295,18 @@ pub fn server_columns() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccc_core::IssuanceChecker;
+
+    fn compliance(corpus: &Corpus, threads: usize) -> CorpusSummary {
+        let checker = IssuanceChecker::new();
+        let (pass, _stats) = Pipeline::new(threads).run(corpus, &checker, CompliancePass::new());
+        pass.into_summary()
+    }
 
     #[test]
     fn summary_over_small_corpus_is_consistent() {
         let corpus = scan_corpus(500);
-        let s = CorpusSummary::compute(&corpus);
+        let s = compliance(&corpus, 2);
         assert_eq!(s.total, 500);
         let placed: usize = s.placement.values().sum();
         assert_eq!(placed, 500);
@@ -404,6 +331,7 @@ mod tests {
         // the crate reads CCC_THREADS).
         std::env::set_var("CCC_THREADS", "3");
         assert_eq!(threads_from_env(), 3);
+        assert_eq!(Pipeline::from_env().threads(), 3);
         std::env::set_var("CCC_THREADS", "0"); // 0 = unset semantics
         assert!(threads_from_env() >= 1);
         std::env::set_var("CCC_THREADS", "nope"); // unparsable = unset
@@ -413,16 +341,15 @@ mod tests {
 
         // The summary must be bit-identical across worker counts.
         let corpus = scan_corpus(600);
-        let checker = IssuanceChecker::new();
-        let one = CorpusSummary::compute_with_threads(&corpus, &checker, 1);
-        let four = CorpusSummary::compute_with_threads(&corpus, &checker, 4);
-        assert_eq!(one, four);
+        assert_eq!(compliance(&corpus, 1), compliance(&corpus, 4));
     }
 
     #[test]
     fn differential_over_small_corpus() {
         let corpus = scan_corpus(400);
-        let d = DifferentialSummary::compute(&corpus);
+        let checker = IssuanceChecker::new();
+        let (pass, _stats) = Pipeline::new(2).run(&corpus, &checker, DifferentialPass::new());
+        let d = pass.into_summary();
         assert_eq!(d.corpus_total, 400);
         assert!(d.corpus_library_failures >= d.report.library_failures);
         // Browsers fail no more often than libraries.

@@ -160,10 +160,7 @@ fn per_build_cells<'c>(
 #[test]
 fn faulty_scenarios_match_plain_per_build_processes() {
     let corpus = scan_corpus(300);
-    let scenarios: Vec<FaultScenario> = [0.1, 0.3, 1.0]
-        .iter()
-        .map(|&rate| FaultScenario::for_corpus(&corpus, rate))
-        .collect();
+    let scenarios = FaultScenario::sweep(&corpus, &[0.1, 0.3, 1.0], None);
     let (expected, transports) = per_build_cells(&corpus, &scenarios);
 
     // Rate 1.0 must really exercise the retry loop and the permanent
@@ -191,10 +188,7 @@ fn faulty_scenarios_match_plain_per_build_processes() {
 #[test]
 fn retrying_clients_recover_transient_chains() {
     let corpus = scan_corpus(400);
-    let scenarios = vec![
-        FaultScenario::for_corpus(&corpus, 0.0),
-        FaultScenario::for_corpus(&corpus, 1.0),
-    ];
+    let scenarios = FaultScenario::sweep(&corpus, &[0.0, 1.0], None);
     let summary = chaos(&corpus, scenarios, 2);
 
     let baseline = &summary.scenarios[0];

@@ -8,7 +8,8 @@
 //!    either a hit or a coalesced wait (the old double-lock design
 //!    recomputed in that window).
 
-use ccc_bench::{scan_corpus, CorpusSummary, DifferentialSummary};
+use ccc_bench::pipeline::run_range;
+use ccc_bench::{scan_corpus, CompliancePass, DifferentialPass, Pipeline};
 use ccc_core::IssuanceChecker;
 use ccc_x509::CertificateFingerprint;
 use std::collections::HashSet;
@@ -24,12 +25,14 @@ fn parallel_summary_is_bit_identical_to_sequential() {
     // counts take the sequential path); 272 is above it.
     for domains in [200usize, 272] {
         let corpus = scan_corpus(domains);
-        let reference_checker = IssuanceChecker::new();
-        let reference = CorpusSummary::compute_range(&corpus, &reference_checker, 0, domains);
+        let seq_checker = IssuanceChecker::new();
+        let pass = run_range(&corpus, &seq_checker, 0, domains, CompliancePass::new());
+        let reference = pass.into_summary();
         assert_eq!(reference.total, domains);
         for threads in THREAD_COUNTS {
             let checker = IssuanceChecker::new();
-            let summary = CorpusSummary::compute_with_threads(&corpus, &checker, threads);
+            let (pass, _) = Pipeline::new(threads).run(&corpus, &checker, CompliancePass::new());
+            let summary = pass.into_summary();
             assert_eq!(
                 summary, reference,
                 "parallel summary diverged (domains={domains}, threads={threads})"
@@ -47,22 +50,14 @@ fn parallel_summary_is_bit_identical_to_sequential() {
 fn parallel_differential_is_bit_identical_to_sequential() {
     let domains = 272; // above the parallelism threshold
     let corpus = scan_corpus(domains);
-    let reference_checker = IssuanceChecker::new();
-    let reference =
-        DifferentialSummary::compute_range(&corpus, &reference_checker, 0, domains);
+    let seq_checker = IssuanceChecker::new();
+    let pass = run_range(&corpus, &seq_checker, 0, domains, DifferentialPass::new());
+    let reference = pass.into_summary();
     for threads in THREAD_COUNTS {
         let checker = IssuanceChecker::new();
-        let summary = DifferentialSummary::compute_with_threads(&corpus, &checker, threads);
-        assert_eq!(summary.report, reference.report, "threads={threads}");
-        assert_eq!(
-            summary.corpus_library_failures,
-            reference.corpus_library_failures
-        );
-        assert_eq!(
-            summary.corpus_browser_failures,
-            reference.corpus_browser_failures
-        );
-        assert_eq!(summary.cause_examples, reference.cause_examples);
+        let (pass, _) = Pipeline::new(threads).run(&corpus, &checker, DifferentialPass::new());
+        let summary = pass.into_summary();
+        assert_eq!(summary, reference, "threads={threads}");
     }
 }
 

@@ -2,14 +2,15 @@
 //!
 //! 1. Running the three analysis passes **fused** — one generation sweep,
 //!    one shared checker, shared per-observation memo — is *bit-identical*
-//!    to running each standalone `compute_with_threads` entry point with
-//!    its own fresh checker, for every worker count.
+//!    to running each pass alone in its own `Pipeline::run` with a fresh
+//!    checker, and the lint pass to the plain per-chain loop of
+//!    `LintSummary::compute_range`, for every worker count.
 //! 2. The guarantee holds on both sides of the 256-domain parallelism
 //!    threshold and is seed-independent (property test).
 //!
-//! This is the contract that lets `chain-chaos matrix`/`lint`, the table
-//! binaries, and the committed `BENCH_pipeline.json` snapshot use the
-//! fused path while the golden outputs stay pinned to the standalone
+//! This is the contract that lets `chain-chaos matrix`/`lint`,
+//! `table_lint`, and the committed `BENCH_pipeline.json` snapshot fuse
+//! passes while the golden outputs stay pinned to the single-pass
 //! numbers.
 
 use ccc_bench::{
@@ -17,7 +18,7 @@ use ccc_bench::{
     Pipeline,
 };
 use ccc_core::IssuanceChecker;
-use ccc_lint::LintSummary;
+use ccc_lint::{Baseline, LintSummary};
 use ccc_testgen::{Corpus, CorpusSpec};
 use proptest::prelude::*;
 
@@ -25,19 +26,20 @@ use proptest::prelude::*;
 /// workers than this container has cores (8).
 const THREAD_COUNTS: [usize; 3] = [1, 3, 8];
 
-/// Standalone reference summaries, each computed exactly the way the
-/// one-pass `compute*` entry points do it: a fresh checker per analysis.
+/// Standalone reference summaries: one single-pass sweep per analysis,
+/// each with a fresh checker, and the sequential per-chain lint loop
+/// (no memo shared with any other analysis).
 fn standalone(
     corpus: &Corpus,
     threads: usize,
 ) -> (CorpusSummary, DifferentialSummary, LintSummary) {
     let c1 = IssuanceChecker::new();
-    let compliance = CorpusSummary::compute_with_threads(corpus, &c1, threads);
+    let (compliance, _) = Pipeline::new(threads).run(corpus, &c1, CompliancePass::new());
     let c2 = IssuanceChecker::new();
-    let differential = DifferentialSummary::compute_with_threads(corpus, &c2, threads);
+    let (differential, _) = Pipeline::new(threads).run(corpus, &c2, DifferentialPass::new());
     let c3 = IssuanceChecker::new();
-    let lint = LintSummary::compute_with_threads(corpus, &c3, threads);
-    (compliance, differential, lint)
+    let lint = LintSummary::compute_range(corpus, &c3, 0, corpus.spec.domains);
+    (compliance.into_summary(), differential.into_summary(), lint)
 }
 
 /// One fused sweep with all three passes registered.
@@ -77,8 +79,7 @@ fn fused_pipeline_is_bit_identical_to_standalone_passes() {
 
 #[test]
 fn fused_pipeline_matches_standalone_at_matching_thread_counts() {
-    // Same comparison, but with the standalone side also parallel — the
-    // configuration the CI job re-runs under CCC_THREADS=8.
+    // Same comparison, but with the single-pass sweeps also parallel.
     let corpus = scan_corpus(272);
     for threads in THREAD_COUNTS {
         let (ref_c, ref_d, ref_l) = standalone(&corpus, threads);
@@ -103,4 +104,23 @@ proptest! {
         prop_assert_eq!(fd, ref_d);
         prop_assert_eq!(fl, ref_l);
     }
+}
+
+/// Fingerprints are content-derived: two independent lint sweeps over the
+/// same corpus at different worker counts produce identical error-finding
+/// fingerprints, so a baseline written by one run suppresses the other.
+#[test]
+fn baselines_transfer_between_runs() {
+    let corpus = scan_corpus(1000);
+    let lint = |threads: usize| {
+        let checker = IssuanceChecker::new();
+        let (pass, _) = Pipeline::new(threads).run(&corpus, &checker, LintPass::new());
+        pass.into_summary()
+    };
+    let first = lint(2);
+    let second = lint(5);
+    assert!(!first.error_findings.is_empty());
+    let baseline = Baseline::from_findings(first.error_findings.iter());
+    let remaining = baseline.filter(second.error_findings);
+    assert!(remaining.is_empty(), "{} unsuppressed", remaining.len());
 }

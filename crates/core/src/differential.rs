@@ -279,19 +279,6 @@ impl<'a> DifferentialHarness<'a> {
             })
             .collect()
     }
-
-    /// Run a whole corpus and aggregate.
-    pub fn run_corpus<'s>(
-        &self,
-        corpus: impl IntoIterator<Item = &'s [Certificate]>,
-    ) -> DifferentialReport {
-        let mut report = DifferentialReport::default();
-        for served in corpus {
-            let result = self.run(served);
-            report.absorb(&result);
-        }
-        report
-    }
 }
 
 /// Infer discrepancy causes from the verdict pattern.
@@ -817,8 +804,10 @@ mod tests {
         let int = &e.universe.roots[0].intermediates[0];
         let good = vec![leaf(&e, 0, 0, "agg1.sim"), int.cert.clone()];
         let bad = vec![leaf(&e, 1, 0, "agg2.sim")];
-        let corpus: Vec<&[Certificate]> = vec![&good, &bad];
-        let report = harness.run_corpus(corpus);
+        let mut report = DifferentialReport::default();
+        for served in [&good, &bad] {
+            report.absorb(&harness.run(served));
+        }
         assert_eq!(report.total, 2);
         assert_eq!(report.all_browsers_pass, 1);
         assert_eq!(report.library_failures, 1);

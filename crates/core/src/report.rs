@@ -139,18 +139,6 @@ pub fn render_cache_stats(stats: &crate::topology::CacheStats) -> String {
             group_thousands(stats.coalesced_waits as usize)
         );
     }
-    // Verification breakdown (per-key table vs plain pow_mont for y^(q−e)),
-    // only when any verification ran during the window (keeps zero-activity
-    // renders — and historical output — unchanged).
-    if stats.fixed_base_hits > 0 || stats.cold_multiexps > 0 || stats.tables_built > 0 {
-        let _ = write!(
-            line,
-            "; verify routes: {} table hits, {} cold multi-exps, {} tables built",
-            group_thousands(stats.fixed_base_hits as usize),
-            group_thousands(stats.cold_multiexps as usize),
-            group_thousands(stats.tables_built as usize),
-        );
-    }
     line
 }
 
@@ -268,7 +256,6 @@ mod tests {
             verifications: 64,
             coalesced_waits: 0,
             entries: 64,
-            ..Default::default()
         };
         let line = render_cache_stats(&stats);
         assert_eq!(
@@ -281,25 +268,5 @@ mod tests {
             ..stats
         };
         assert!(render_cache_stats(&contended).ends_with("(3 coalesced)"));
-    }
-
-    #[test]
-    fn cache_stats_line_with_verify_routes() {
-        let stats = crate::topology::CacheStats {
-            lookups: 100,
-            hits: 40,
-            misses: 60,
-            verifications: 60,
-            coalesced_waits: 0,
-            fixed_base_hits: 52,
-            cold_multiexps: 8,
-            tables_built: 2,
-            entries: 60,
-        };
-        let line = render_cache_stats(&stats);
-        assert!(
-            line.ends_with("verify routes: 52 table hits, 8 cold multi-exps, 2 tables built"),
-            "{line}"
-        );
     }
 }

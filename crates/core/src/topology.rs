@@ -6,7 +6,6 @@
 //! issuer to subject. All paths are enumerated starting from the leaf
 //! (`C0`) and walking issuer-ward.
 
-use ccc_crypto::{verify_stats, VerifyStats};
 // Sync primitives come from ccc-mc: plain std re-exports in normal
 // builds, scheduler-instrumented shims under the `model-check` feature
 // (enforced by ci/check_raw_sync.sh).
@@ -45,7 +44,10 @@ impl Shard {
 }
 
 /// Point-in-time counters from an [`IssuanceChecker`]
-/// (see [`IssuanceChecker::snapshot_stats`]).
+/// (see [`IssuanceChecker::snapshot_stats`]). They count this checker's
+/// own cache activity only; how verifications split between per-key
+/// tables and plain `pow_mont` is process-global and read from the
+/// `ccc-obs` registry via `ccc_crypto::verify_stats`.
 ///
 /// Invariants (exact once all worker threads have been joined):
 /// - `hits + misses == lookups`
@@ -65,18 +67,6 @@ pub struct CacheStats {
     /// thread instead of recomputing (the duplicate work the old
     /// double-lock design performed).
     pub coalesced_waits: u64,
-    /// Signature checks whose `y^(q−e)` came from a per-key fixed-base
-    /// table (keys past the promotion threshold). Counted process-wide
-    /// since this checker was created; includes `verify` calls made
-    /// outside the cache (e.g. self-signed short-circuits), so it is not
-    /// bounded by `verifications`.
-    pub fixed_base_hits: u64,
-    /// Signature checks whose `y^(q−e)` came from plain `pow_mont` (keys
-    /// below the promotion threshold; counted like `fixed_base_hits`).
-    pub cold_multiexps: u64,
-    /// Per-key fixed-base tables built (once per promoted key per
-    /// process).
-    pub tables_built: u64,
     /// Memoized pairs currently resident.
     pub entries: usize,
 }
@@ -105,9 +95,6 @@ impl CacheStats {
             misses: self.misses.saturating_sub(earlier.misses),
             verifications: self.verifications.saturating_sub(earlier.verifications),
             coalesced_waits: self.coalesced_waits.saturating_sub(earlier.coalesced_waits),
-            fixed_base_hits: self.fixed_base_hits.saturating_sub(earlier.fixed_base_hits),
-            cold_multiexps: self.cold_multiexps.saturating_sub(earlier.cold_multiexps),
-            tables_built: self.tables_built.saturating_sub(earlier.tables_built),
             entries: self.entries,
         }
     }
@@ -145,11 +132,6 @@ pub struct IssuanceChecker {
     hits: AtomicU64,
     verifications: AtomicU64,
     coalesced_waits: AtomicU64,
-    /// Process-wide verification counters at construction time, so the
-    /// verify fields this checker reports cover only activity during its
-    /// lifetime (the underlying counters are global to the process, like
-    /// `keypair_derivations`).
-    verify_baseline: VerifyStats,
 }
 
 impl Default for IssuanceChecker {
@@ -176,7 +158,6 @@ impl IssuanceChecker {
             hits: AtomicU64::new(0),
             verifications: AtomicU64::new(0),
             coalesced_waits: AtomicU64::new(0),
-            verify_baseline: verify_stats(),
         }
     }
 
@@ -284,16 +265,12 @@ impl IssuanceChecker {
         // nothing for a stronger load to synchronize with here.
         let lookups = self.lookups.load(Ordering::Relaxed);
         let hits = self.hits.load(Ordering::Relaxed);
-        let verify = verify_stats().since(&self.verify_baseline);
         CacheStats {
             lookups,
             hits,
             misses: lookups.saturating_sub(hits),
             verifications: self.verifications.load(Ordering::Relaxed),
             coalesced_waits: self.coalesced_waits.load(Ordering::Relaxed),
-            fixed_base_hits: verify.fixed_base_hits,
-            cold_multiexps: verify.cold_multiexps,
-            tables_built: verify.tables_built,
             entries: self.cache_size(),
         }
     }
@@ -689,7 +666,6 @@ mod tests {
         assert_eq!(wrong_order.misses, 0);
         assert_eq!(wrong_order.verifications, 0);
         assert_eq!(wrong_order.coalesced_waits, 0);
-        assert_eq!(wrong_order.tables_built, 0);
         // `entries` is the receiver's absolute value, i.e. `before`'s.
         assert_eq!(wrong_order.entries, before.entries);
     }

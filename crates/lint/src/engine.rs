@@ -1,12 +1,14 @@
-//! The lint engine: per-chain evaluation and parallel corpus-wide passes.
+//! The lint engine: per-chain evaluation and corpus-wide lint summaries.
 //!
 //! [`LintEngine`] evaluates the full rule registry against one served
-//! chain. [`LintSummary`] runs the engine over a generated corpus across
-//! `CCC_THREADS` workers with bit-identical results for every thread count
-//! (rank-ordered chunks, partials merged in thread-index order), and
+//! chain. [`LintSummary`] accumulates whole-corpus statistics and
 //! cross-checks the severity contract on every chain: a chain is
-//! non-compliant per [`ccc_core::analyze_compliance`] **iff** linting it yields at
-//! least one `Error`-severity finding.
+//! non-compliant per [`ccc_core::analyze_compliance`] **iff** linting it
+//! yields at least one `Error`-severity finding. Parallel corpus sweeps
+//! run in `ccc-bench`'s fused pipeline (its `LintPass` folds chains with
+//! [`LintSummary::absorb_chain`] and partials with
+//! [`LintSummary::merge`]); [`LintSummary::compute_range`] is the plain
+//! sequential loop the pipeline is checked against.
 
 use crate::diag::{ChainContext, Finding, Severity};
 use crate::rules::registry;
@@ -36,23 +38,6 @@ pub fn rule_for_noncompliance(nc: NonCompliance) -> &'static str {
         NonCompliance::ReversedSequence => "e_chain_reversed_order",
         NonCompliance::IncompleteChain => "e_chain_incomplete",
     }
-}
-
-/// Worker-thread count for corpus lints: `CCC_THREADS` env override, else
-/// detected parallelism capped at 16 (mirrors the bench harness; results
-/// are bit-identical regardless).
-fn threads_from_env() -> usize {
-    if let Some(n) = std::env::var("CCC_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(16)
 }
 
 /// Evaluates the rule registry against served chains.
@@ -171,55 +156,11 @@ pub struct LintSummary {
 }
 
 impl LintSummary {
-    /// One lint pass over `corpus` with a fresh checker.
-    pub fn compute(corpus: &Corpus) -> LintSummary {
-        let checker = IssuanceChecker::new();
-        Self::compute_with_checker(corpus, &checker)
-    }
-
-    /// Lint pass against a caller-supplied shared checker (reuse the cache
-    /// across an analysis pass and a lint pass). Worker count comes from
-    /// `CCC_THREADS` (else detected cores, capped at 16).
-    pub fn compute_with_checker(corpus: &Corpus, checker: &IssuanceChecker) -> LintSummary {
-        Self::compute_with_threads(corpus, checker, threads_from_env())
-    }
-
-    /// Lint pass with an explicit worker count. The result is
-    /// **bit-identical** for every `threads` value: workers own
-    /// rank-ordered chunks and partials merge in thread-index order.
-    pub fn compute_with_threads(
-        corpus: &Corpus,
-        checker: &IssuanceChecker,
-        threads: usize,
-    ) -> LintSummary {
-        if threads <= 1 || corpus.spec.domains < 256 {
-            return Self::compute_range(corpus, checker, 0, corpus.spec.domains);
-        }
-        let chunk = corpus.spec.domains.div_ceil(threads);
-        // ccc_mc::scope is std::thread::scope in normal builds; the shim
-        // keeps ci/check_raw_sync.sh's raw-primitive ban satisfied for
-        // this wired crate.
-        let partials: Vec<LintSummary> = ccc_mc::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let start = t * chunk;
-                    let end = ((t + 1) * chunk).min(corpus.spec.domains);
-                    scope.spawn(move || Self::compute_range(corpus, checker, start, end))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("lint worker"))
-                .collect()
-        });
-        let mut total = LintSummary::default();
-        for p in partials {
-            total.merge(p);
-        }
-        total
-    }
-
-    /// Sequential lint over a rank range against a shared checker.
+    /// Sequential lint over a rank range against a shared checker: one
+    /// [`LintEngine::lint_chain_with_report`] and one
+    /// [`absorb_chain`](Self::absorb_chain) per rank, with no memo shared
+    /// across analyses (the reference the fused pipeline's `LintPass` is
+    /// checked against).
     pub fn compute_range(
         corpus: &Corpus,
         checker: &IssuanceChecker,
@@ -245,7 +186,8 @@ impl LintSummary {
     }
 
     /// Fold one linted chain into the summary, running the consistency
-    /// cross-check.
+    /// cross-check. `total` is left to the caller, which counts chains
+    /// itself.
     pub fn absorb_chain(
         &mut self,
         domain: &str,
@@ -291,10 +233,10 @@ impl LintSummary {
             .extend(findings.into_iter().filter(|f| f.severity == Severity::Error));
     }
 
-    /// Fold a worker partial into this summary (rank-chunk order matters
-    /// for `error_findings`/`consistency_violations`: merge partials in
-    /// ascending rank order to keep results thread-count invariant).
-    /// Public so `ccc-bench`'s fused pipeline `LintPass` can reuse it.
+    /// Fold a worker partial into this summary, `total` included
+    /// (rank-chunk order matters for `error_findings` and
+    /// `consistency_violations`: merge partials in ascending rank order to
+    /// keep results thread-count invariant).
     pub fn merge(&mut self, other: LintSummary) {
         self.total += other.total;
         self.findings_total += other.findings_total;
@@ -405,7 +347,7 @@ mod tests {
     #[test]
     fn corpus_lint_upholds_the_equivalence_contract() {
         let c = corpus(300);
-        let s = LintSummary::compute(&c);
+        let s = LintSummary::compute_range(&c, &IssuanceChecker::new(), 0, 300);
         assert_eq!(s.total, 300);
         assert!(s.is_consistent(), "{:?}", s.consistency_violations);
         assert_eq!(s.noncompliant_chains, s.chains_with_error);
@@ -417,14 +359,5 @@ mod tests {
         // The corpus plants defects, so something fired.
         assert!(s.findings_total > 0);
         assert!(s.noncompliant_chains > 0);
-    }
-
-    #[test]
-    fn corpus_lint_is_thread_count_invariant() {
-        let c = corpus(600);
-        let checker = IssuanceChecker::new();
-        let one = LintSummary::compute_with_threads(&c, &checker, 1);
-        let four = LintSummary::compute_with_threads(&c, &checker, 4);
-        assert_eq!(one, four);
     }
 }

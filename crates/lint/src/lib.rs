@@ -14,9 +14,9 @@
 //! - a [`LintEngine`] that evaluates the registry against one served
 //!   chain, reusing the shared sharded
 //!   [`IssuanceChecker`](ccc_core::IssuanceChecker) so signature-dependent
-//!   rules never re-verify a (issuer, subject) pair, and
-//!   [`LintSummary`] which lints a whole generated corpus across
-//!   `CCC_THREADS` workers with bit-identical results per thread count;
+//!   rules never re-verify a (issuer, subject) pair, and a
+//!   [`LintSummary`] that folds linted chains into corpus-wide
+//!   histograms (parallel sweeps run on `ccc-bench`'s fused pipeline);
 //! - three renderers: human text ([`render::render_text`]), JSON lines
 //!   ([`render::render_jsonl`]), and SARIF 2.1.0
 //!   ([`render::render_sarif`]) — all hand-rolled, no serde;

@@ -1,24 +1,17 @@
-//! Property and invariance tests for corpus-wide linting.
+//! Property tests for corpus-wide linting.
 //!
 //! The two load-bearing properties:
 //! 1. **Equivalence**: a chain is non-compliant per `analyze_compliance`
 //!    iff linting yields ≥1 Error-severity finding — over arbitrary corpus
 //!    seeds, not just the scan seed.
-//! 2. **Thread invariance**: `LintSummary` is bit-identical for every
-//!    `CCC_THREADS` worker count.
+//! 2. **Composition**: rank-range summaries add up, the associativity the
+//!    fused pipeline's parallel merge relies on (its worker-count
+//!    invariance is tested in `ccc-bench`).
 
 use ccc_core::IssuanceChecker;
 use ccc_lint::{LintSummary, Severity};
 use ccc_testgen::{Corpus, CorpusSpec};
 use proptest::prelude::*;
-use ccc_mc::OnceLock;
-
-/// Shared 1000-domain scan corpus (seed 833, the bench harness seed);
-/// built once, reused by the heavier tests below.
-fn scan_corpus_1k() -> &'static Corpus {
-    static CORPUS: OnceLock<Corpus> = OnceLock::new();
-    CORPUS.get_or_init(|| Corpus::new(CorpusSpec::calibrated(833, 1000)))
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -37,38 +30,27 @@ proptest! {
     }
 
     // Partial-range lints compose: linting [0, n) equals merging the
-    // histograms of [0, k) and [k, n) — the associativity the threaded
-    // pass relies on.
+    // summaries of [0, k) and [k, n), every field including `total` — the
+    // associativity the parallel pipeline relies on.
     #[test]
     fn range_splits_compose(split in 1usize..63) {
         let corpus = Corpus::new(CorpusSpec::calibrated(97, 64));
         let checker = IssuanceChecker::new();
         let whole = LintSummary::compute_range(&corpus, &checker, 0, 64);
-        let left = LintSummary::compute_range(&corpus, &checker, 0, split);
-        let right = LintSummary::compute_range(&corpus, &checker, split, 64);
-        prop_assert_eq!(
-            whole.findings_total,
-            left.findings_total + right.findings_total
-        );
-        prop_assert_eq!(
-            whole.noncompliant_chains,
-            left.noncompliant_chains + right.noncompliant_chains
-        );
-        prop_assert_eq!(
-            whole.error_findings.len(),
-            left.error_findings.len() + right.error_findings.len()
-        );
+        let mut merged = LintSummary::compute_range(&corpus, &checker, 0, split);
+        merged.merge(LintSummary::compute_range(&corpus, &checker, split, 64));
+        prop_assert_eq!(whole, merged);
     }
 }
 
-/// The ISSUE's 1k-domain cross-check: the full scan corpus at 1000
-/// domains upholds the equivalence contract and produces a sane
-/// severity mix.
+/// The 1k-domain cross-check: the full scan corpus (seed 833, the bench
+/// harness seed) at 1000 domains upholds the equivalence contract and
+/// produces a sane severity mix.
 #[test]
 fn scan_corpus_1k_lint_is_consistent() {
-    let corpus = scan_corpus_1k();
+    let corpus = Corpus::new(CorpusSpec::calibrated(833, 1000));
     let checker = IssuanceChecker::new();
-    let s = LintSummary::compute_with_checker(corpus, &checker);
+    let s = LintSummary::compute_range(&corpus, &checker, 0, 1000);
     assert_eq!(s.total, 1000);
     assert!(s.is_consistent(), "{:?}", s.consistency_violations);
     assert_eq!(s.noncompliant_chains, s.chains_with_error);
@@ -76,30 +58,4 @@ fn scan_corpus_1k_lint_is_consistent() {
     // domains some errors and plenty of notices/warnings exist.
     assert!(s.severity_count(Severity::Error) > 0);
     assert!(s.findings_total > s.severity_count(Severity::Error));
-}
-
-/// Bit-identical results for CCC_THREADS ∈ {1, 3, 8}: same histograms,
-/// same retained error findings, same order.
-#[test]
-fn lint_summary_is_thread_count_invariant() {
-    let corpus = scan_corpus_1k();
-    let checker = IssuanceChecker::new();
-    let one = LintSummary::compute_with_threads(corpus, &checker, 1);
-    let three = LintSummary::compute_with_threads(corpus, &checker, 3);
-    let eight = LintSummary::compute_with_threads(corpus, &checker, 8);
-    assert_eq!(one, three);
-    assert_eq!(one, eight);
-}
-
-/// Fingerprints are content-derived: two independent passes over the
-/// same corpus produce identical error-finding fingerprints, so a
-/// baseline written by one run suppresses the other.
-#[test]
-fn baselines_transfer_between_runs() {
-    let corpus = scan_corpus_1k();
-    let first = LintSummary::compute_with_threads(corpus, &IssuanceChecker::new(), 2);
-    let second = LintSummary::compute_with_threads(corpus, &IssuanceChecker::new(), 5);
-    let baseline = ccc_lint::Baseline::from_findings(first.error_findings.iter());
-    let remaining = baseline.filter(second.error_findings);
-    assert!(remaining.is_empty(), "{} unsuppressed", remaining.len());
 }

@@ -836,69 +836,12 @@ impl Corpus {
     /// Collect all observations.
     ///
     /// **Only for small corpora**: memory is O(corpus), unlike
-    /// [`for_each`](Self::for_each) (O(1)) and [`ObservationStore`]
-    /// (O(capacity)). Prefer those for anything that scales with
-    /// `spec.domains`.
+    /// [`for_each`](Self::for_each) (O(1)) and the fused pipeline in
+    /// `ccc-bench` (one observation per worker). Use those for anything
+    /// that scales with `spec.domains`; `collect` suits fixtures and
+    /// benches that revisit a small fixed set of observations.
     pub fn collect(&self) -> Vec<DomainObservation> {
         (0..self.spec.domains).map(|r| self.observation(r)).collect()
-    }
-}
-
-/// Bounded per-worker observation reuse buffer.
-///
-/// [`Corpus::observation`] regenerates from the per-rank DRBG fork on
-/// every call — repeating the certificate building, DER encoding, and
-/// fingerprinting each time. An `ObservationStore` memoizes the most
-/// recently generated observations in a fixed ring (slot = `rank %
-/// capacity`), so consumers that revisit nearby ranks (benchmark sweeps
-/// that loop over a window) pay the generation cost **once** per rank
-/// while memory stays **O(capacity)** — never O(corpus), whatever
-/// `spec.domains` is.
-///
-/// A sweep that visits each rank exactly once (the fused pipeline) gains
-/// nothing from a store and calls [`Corpus::observation`] directly.
-#[derive(Debug)]
-pub struct ObservationStore<'c> {
-    corpus: &'c Corpus,
-    slots: Vec<Option<DomainObservation>>,
-    hits: usize,
-    misses: usize,
-}
-
-impl<'c> ObservationStore<'c> {
-    /// A store over `corpus` holding at most `capacity` observations
-    /// (`capacity == 0` is treated as 1).
-    pub fn new(corpus: &'c Corpus, capacity: usize) -> ObservationStore<'c> {
-        ObservationStore {
-            corpus,
-            slots: (0..capacity.max(1)).map(|_| None).collect(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Number of observations the store can hold.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The observation for `rank`, generated on first access and reused
-    /// from the ring until evicted by a colliding rank.
-    pub fn get(&mut self, rank: usize) -> &DomainObservation {
-        let slot = rank % self.slots.len();
-        match &self.slots[slot] {
-            Some(obs) if obs.rank == rank => self.hits += 1,
-            _ => {
-                self.misses += 1;
-                self.slots[slot] = Some(self.corpus.observation(rank));
-            }
-        }
-        self.slots[slot].as_ref().expect("slot populated above")
-    }
-
-    /// `(hits, misses)` — misses equal the number of generations paid.
-    pub fn stats(&self) -> (usize, usize) {
-        (self.hits, self.misses)
     }
 }
 
@@ -915,6 +858,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_rank() {
+        // Equal across two corpora built from one spec, and across two
+        // generations from one instance (regeneration keeps no state).
         let c1 = small_corpus();
         let c2 = small_corpus();
         for rank in [0usize, 7, 99, 399] {
@@ -922,6 +867,10 @@ mod tests {
             let b = c2.observation(rank);
             assert_eq!(a.served, b.served, "rank {rank}");
             assert_eq!(a.planned, b.planned);
+            let again = c1.observation(rank);
+            assert_eq!(again.rank, rank);
+            assert_eq!(again.served, a.served, "rank {rank} regenerated");
+            assert_eq!(again.planned, a.planned);
         }
     }
 
@@ -1032,44 +981,6 @@ mod tests {
         });
         let rate = absent as f64 / 1000.0;
         assert!((0.19..=0.31).contains(&rate), "rate {rate}");
-    }
-
-    #[test]
-    fn observation_store_reuses_within_capacity() {
-        let corpus = small_corpus();
-        let mut store = ObservationStore::new(&corpus, 8);
-        assert_eq!(store.capacity(), 8);
-        // First sweep over a window: all misses.
-        for rank in 0..8 {
-            let obs = store.get(rank);
-            assert_eq!(obs.rank, rank);
-        }
-        assert_eq!(store.stats(), (0, 8));
-        // Second sweep over the same window: all hits, observations match
-        // a fresh generation bit-for-bit.
-        for rank in 0..8 {
-            let fresh = corpus.observation(rank);
-            let cached = store.get(rank);
-            assert_eq!(cached.served, fresh.served, "rank {rank}");
-            assert_eq!(cached.planned, fresh.planned);
-        }
-        assert_eq!(store.stats(), (8, 8));
-        // A colliding rank evicts and regenerates correctly.
-        let obs = store.get(16); // slot 0
-        assert_eq!(obs.rank, 16);
-        assert_eq!(store.stats(), (8, 9));
-        assert_eq!(store.get(0).rank, 0); // regenerated after eviction
-        assert_eq!(store.stats(), (8, 10));
-    }
-
-    #[test]
-    fn observation_store_zero_capacity_degenerates_to_one() {
-        let corpus = small_corpus();
-        let mut store = ObservationStore::new(&corpus, 0);
-        assert_eq!(store.capacity(), 1);
-        assert_eq!(store.get(3).rank, 3);
-        assert_eq!(store.get(3).rank, 3);
-        assert_eq!(store.stats(), (1, 1));
     }
 
     #[test]

@@ -17,5 +17,5 @@ pub mod mutate;
 pub mod scenarios;
 
 pub use capability::{CapabilityRow, CapabilitySuite, KpClass, MaxLen, VpClass};
-pub use corpus::{Corpus, CorpusSpec, DomainObservation, ObservationStore, PlannedDefect};
+pub use corpus::{Corpus, CorpusSpec, DomainObservation, PlannedDefect};
 pub use mutate::{ChainMutation, Mutator};

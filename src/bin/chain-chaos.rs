@@ -393,7 +393,6 @@ fn cmd_lint(args: &Args) -> Result<ExitCode, String> {
 /// table. Output is byte-identical for any `CCC_THREADS` worker count.
 fn cmd_chaos(args: &Args) -> Result<(), String> {
     use chain_chaos::bench::{scan_corpus, FaultPass, FaultScenario, Pipeline};
-    use chain_chaos::netsim::FaultPlan;
 
     let domains: usize = match args.opt("domains") {
         Some(v) => v.parse().map_err(|_| format!("bad --domains '{v}'"))?,
@@ -403,60 +402,21 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         Some(v) => Some(v.parse().map_err(|_| format!("bad --fault-seed '{v}'"))?),
         None => None,
     };
-    let rates: Vec<f64> = match args.opt("rates") {
-        Some(v) => v
-            .split(',')
-            .map(|r| {
-                r.trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("bad rate '{r}'"))
-            })
-            .collect::<Result<Vec<f64>, String>>()?,
-        None => vec![0.0, 0.1, 0.3],
+    let rates = match args.opt("rates") {
+        Some(v) => FaultScenario::parse_rates(v)?,
+        None => FaultScenario::STANDARD_RATES.to_vec(),
     };
-    if rates.is_empty() {
-        return Err("--rates needs at least one rate".to_string());
-    }
 
     eprintln!("chaos-sweeping {domains} synthetic domains across {} fault scenario(s)…", rates.len());
     let corpus = scan_corpus(domains);
-    let scenarios: Vec<FaultScenario> = rates
-        .iter()
-        .map(|&rate| {
-            let mut sc = FaultScenario::for_corpus(&corpus, rate);
-            if let Some(seed) = fault_seed {
-                sc.plan = if rate <= 0.0 {
-                    FaultPlan::zero(seed)
-                } else {
-                    FaultPlan::with_fault_rate(seed, rate)
-                };
-            }
-            sc
-        })
-        .collect();
+    let scenarios = FaultScenario::sweep(&corpus, &rates, fault_seed);
 
     let checker = IssuanceChecker::new();
     let (pass, stats) = Pipeline::from_env().run(&corpus, &checker, FaultPass::new(scenarios));
     let summary = pass.into_summary();
 
     println!("{}", summary.render_table());
-    for scenario in &summary.scenarios {
-        let recovered: usize = scenario.per_client.values().map(|c| c.recovered).sum();
-        let retries: usize = scenario.per_client.values().map(|c| c.aia_retries).sum();
-        let exhausted: usize = scenario
-            .per_client
-            .values()
-            .map(|c| c.budget_exhausted)
-            .sum();
-        println!(
-            "{}: {} retr{}, {} chain(s) recovered by retrying clients, {} budget exhaustion(s)",
-            scenario.label,
-            retries,
-            if retries == 1 { "y" } else { "ies" },
-            recovered,
-            exhausted
-        );
-    }
+    print!("{}", summary.render_totals());
     eprintln!("{}", stats.render());
     Ok(())
 }
