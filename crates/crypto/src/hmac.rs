@@ -36,6 +36,28 @@ mod tests {
         d.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// A 32-byte key over 8- and 600-byte messages, the shapes of a DRBG
+    /// refill (key, counter) and a long nonce derivation, computed with
+    /// Python's `hmac` module. Key bytes are `0xa0, 0xa1, …`; message
+    /// bytes are `0, 1, …, 255, 0, 1, …`.
+    #[test]
+    fn drbg_and_nonce_shapes_known_answers() {
+        let key: Vec<u8> = (0xa0..0xc0).collect();
+        for (len, mac) in [
+            (
+                8,
+                "d5eb49db024264dd21ccf894011a416bd0d5937a549478091c8054986847385b",
+            ),
+            (
+                600,
+                "ad8f1452146390b55fb0ab58f5132ec4f5391a35f7c947e90ed691c1af2efe99",
+            ),
+        ] {
+            let message: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            assert_eq!(hex(&hmac_sha256(&key, &message)), mac, "len {len}");
+        }
+    }
+
     #[test]
     fn rfc4231_case1() {
         let key = [0x0bu8; 20];

@@ -5,6 +5,8 @@
 //! method (1) Subject Key Identifier is the SHA-1 hash of the public key bit
 //! string). chain-chaos uses it only for that purpose.
 
+use crate::sha256::md_pad;
+
 /// Streaming SHA-1 hasher.
 #[derive(Clone, Debug)]
 pub struct Sha1 {
@@ -60,14 +62,10 @@ impl Sha1 {
 
     /// Finish and return the 20-byte digest.
     pub fn finalize(mut self) -> [u8; 20] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
+        let (blocks, len) = md_pad(&self.buffer[..self.buffer_len], self.total_len);
+        for block in blocks[..len].chunks_exact(64) {
+            self.compress(block.try_into().expect("chunks_exact yields 64 bytes"));
         }
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
         let mut out = [0u8; 20];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -139,6 +137,25 @@ mod tests {
             hex(&sha1(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
             "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
         );
+    }
+
+    /// Digests of the messages `0, 1, …, 255, 0, 1, …` at the padding
+    /// boundaries, computed with coreutils `sha1sum`.
+    #[test]
+    fn padding_boundary_known_answers() {
+        for (len, digest) in [
+            (55, "8ae2d46729cfe68ff927af5eec9c7d1b66d65ac2"),
+            (56, "636e2ec698dac903498e648bd2f3af641d3c88cb"),
+            (63, "6d942da0c4392b123528f2905c713a3ce28364bd"),
+            (64, "c6138d514ffa2135bfce0ed0b8fac65669917ec7"),
+            (65, "69bd728ad6e13cd76ff19751fde427b00e395746"),
+            (119, "41c89d06001bab4ab78736b44efe7ce18ce6ae08"),
+            (120, "d3dbd653bd8597b7475321b60a36891278e6a04a"),
+            (1000, "af0b191c2de46fe13fe0908f5a6a4e90e0cafc46"),
+        ] {
+            let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            assert_eq!(hex(&sha1(&data)), digest, "len {len}");
+        }
     }
 
     #[test]

@@ -275,7 +275,7 @@ impl CertificateBuilder {
         if self.corrupt_signature {
             signature.e[0] ^= 0x01;
         }
-        Certificate::assemble(tbs, &signature)
+        Certificate::assemble(tbs, tbs_der, &signature)
     }
 }
 

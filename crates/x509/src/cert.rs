@@ -214,11 +214,15 @@ impl std::hash::Hash for Certificate {
 }
 
 impl Certificate {
-    /// Assemble a certificate from a TBS and its signature. Used by the
-    /// builder; `signature` is not checked here (deliberately: corrupt
+    /// Assemble a certificate from a TBS, its DER encoding `tbs_der` (the
+    /// bytes the builder signed, so the TBS is encoded once) and its
+    /// signature. `signature` is not checked here (deliberately: corrupt
     /// signatures are a required test input).
-    pub fn assemble(tbs: TbsCertificate, signature: &Signature) -> Certificate {
-        let tbs_der = tbs.to_der();
+    pub(crate) fn assemble(
+        tbs: TbsCertificate,
+        tbs_der: Vec<u8>,
+        signature: &Signature,
+    ) -> Certificate {
         let sig_bytes = signature.to_bytes();
         let mut enc = Encoder::new();
         enc.sequence(|cert| {
