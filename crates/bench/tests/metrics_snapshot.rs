@@ -52,8 +52,11 @@ fn check_golden(name: &str, rendered: &str) {
     );
 }
 
-/// One fixed workload: a fused (compliance, lint) sweep plus a
-/// one-scenario 10% fault sweep over the same seeded corpus.
+/// One fixed workload: a fused (compliance, lint) sweep plus the
+/// standard three-scenario fault sweep over the same seeded corpus. With
+/// three transports per observation, the builder series must count one
+/// build per (transport, client) pair, however the harness obtains each
+/// outcome.
 fn run_workload(threads: usize) -> Snapshot {
     let baseline = MetricsRegistry::global().snapshot();
     let corpus = scan_corpus(DOMAINS);
@@ -64,8 +67,8 @@ fn run_workload(threads: usize) -> Snapshot {
         (CompliancePass::new(), LintPass::new()),
     );
     let chaos_checker = IssuanceChecker::new();
-    let scenario = FaultScenario::for_corpus(&corpus, 0.1);
-    let _ = Pipeline::new(threads).run(&corpus, &chaos_checker, FaultPass::new(vec![scenario]));
+    let scenarios = FaultScenario::standard_sweep(&corpus);
+    let _ = Pipeline::new(threads).run(&corpus, &chaos_checker, FaultPass::new(scenarios));
     MetricsRegistry::global().snapshot().since(&baseline)
 }
 
