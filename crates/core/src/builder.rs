@@ -365,11 +365,14 @@ fn build_metrics() -> &'static BuildMetrics {
 
 /// Publish one finished build's counters to the process-global registry.
 /// Relaxed adds only; per-build values are deterministic, so the sums are
-/// worker-count invariant.
-fn record_build_metrics(stats: &BuildStats, accepted: bool) {
+/// worker-count invariant. Called once per outcome a caller hands out:
+/// [`ChainEngine::process`] for its own build, the differential harness
+/// for every (transport, client) outcome, built or reused.
+pub(crate) fn record_build_metrics(outcome: &BuildOutcome) {
+    let stats = &outcome.stats;
     let m = build_metrics();
     m.builds.inc();
-    if accepted {
+    if outcome.accepted() {
         m.accepted.inc();
     }
     m.candidates.add(stats.candidates_considered as u64);
@@ -566,7 +569,10 @@ impl ChainEngine {
             CachePool::default()
         };
         let seed = PoolSeed::build(served, ctx);
-        self.process_with_seed(served, ctx, &seed, &cache_pool, &RunScratch::default())
+        let (outcome, _) =
+            self.process_with_seed(served, ctx, &seed, &cache_pool, &RunScratch::default());
+        record_build_metrics(&outcome);
+        outcome
     }
 
     /// [`process`](Self::process) with a base pool and scratch shared
@@ -577,6 +583,12 @@ impl ChainEngine {
     /// determined by certificates, store, clock and checker; the per-build
     /// work that remains is the policy- and transport-dependent search
     /// itself.
+    ///
+    /// The flag is true when the search reached the AIA step
+    /// (`Search::try_aia`), even with no transport to fetch through. A
+    /// build that never reached it read nothing of `ctx.aia`, so its
+    /// outcome holds under any transport. The outcome is not recorded in
+    /// the builder metrics; the caller records each outcome it hands out.
     pub(crate) fn process_with_seed(
         &self,
         served: &[Certificate],
@@ -584,18 +596,20 @@ impl ChainEngine {
         seed: &PoolSeed,
         cache_pool: &CachePool,
         scratch: &RunScratch,
-    ) -> BuildOutcome {
+    ) -> (BuildOutcome, bool) {
         let mut stats = BuildStats::default();
-        let (path, verdict) = self.construct(served, ctx, &mut stats, seed, cache_pool, scratch);
-        record_build_metrics(&stats, verdict.is_ok());
-        BuildOutcome {
+        let (path, verdict, reached_aia) =
+            self.construct(served, ctx, &mut stats, seed, cache_pool, scratch);
+        let outcome = BuildOutcome {
             path,
             verdict,
             stats,
-        }
+        };
+        (outcome, reached_aia)
     }
 
-    /// Construct and validate one path, counting work into `stats`.
+    /// Construct and validate one path, counting work into `stats`. The
+    /// flag reports whether the search reached the AIA step.
     fn construct(
         &self,
         served: &[Certificate],
@@ -604,21 +618,21 @@ impl ChainEngine {
         seed: &PoolSeed,
         cache_pool: &CachePool,
         scratch: &RunScratch,
-    ) -> (Vec<Certificate>, Result<(), ClientError>) {
+    ) -> (Vec<Certificate>, Result<(), ClientError>, bool) {
         let p = &self.policy;
 
         if served.is_empty() {
-            return (Vec::new(), Err(ClientError::EmptyList));
+            return (Vec::new(), Err(ClientError::EmptyList), false);
         }
         if let Some(limit) = p.max_list_len {
             if served.len() > limit {
-                return (Vec::new(), Err(ClientError::TooManyCertificates));
+                return (Vec::new(), Err(ClientError::TooManyCertificates), false);
             }
         }
         let leaf = served[0].clone();
         if !p.allow_self_signed_leaf && leaf.is_self_issued() && ctx.checker.signature_verifies(&leaf, &leaf)
         {
-            return (vec![leaf], Err(ClientError::SelfSignedLeaf));
+            return (vec![leaf], Err(ClientError::SelfSignedLeaf), false);
         }
 
         // Candidate pool: the deduplicated served list is the borrowed
@@ -651,19 +665,21 @@ impl ChainEngine {
             first_error: None,
             expansions: 0,
             aia_memo: HashMap::new(),
+            reached_aia: false,
         };
         let mut on_path = FingerprintSet::default();
         on_path.insert(leaf.fingerprint());
         let mut path = vec![leaf];
         let result = search.dfs(&mut path, &mut on_path);
         let deepest = std::mem::take(&mut search.deepest);
-        let first_error = search.first_error;
+        let (first_error, reached_aia) = (search.first_error, search.reached_aia);
 
         match result {
-            Some(success_path) => (success_path, Ok(())),
+            Some(success_path) => (success_path, Ok(()), reached_aia),
             None => (
                 deepest,
                 Err(first_error.unwrap_or(ClientError::NoIssuerFound)),
+                reached_aia,
             ),
         }
     }
@@ -705,6 +721,10 @@ struct Search<'e, 'c, 's> {
     /// revisits during backtracking must not re-fetch dead or
     /// wrong-certificate URIs.
     aia_memo: HashMap<String, Option<Candidate>>,
+    /// Set on entry to [`Self::try_aia`], before it looks at the
+    /// transport: everything the search did up to that call is
+    /// transport-independent.
+    reached_aia: bool,
 }
 
 impl Search<'_, '_, '_> {
@@ -1085,6 +1105,7 @@ impl Search<'_, '_, '_> {
     /// revisits during backtracking never re-fetch a dead or
     /// wrong-certificate URI.
     fn try_aia(&mut self, current: &Certificate) -> Option<Candidate> {
+        self.reached_aia = true;
         let transport = self.ctx.aia?;
         let uri = current.aia_ca_issuers_uri()?;
         if let Some(memoized) = self.aia_memo.get(uri) {
@@ -1203,8 +1224,9 @@ struct CandidateKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clients::{client_profiles, ClientKind};
     use ccc_crypto::{Group, KeyPair};
-    use ccc_netsim::{AiaFailure, AiaRepository, FetchResponse};
+    use ccc_netsim::{AiaFailure, AiaRepository, FaultPlan, FaultyTransport, FetchResponse};
     use ccc_x509::{CertificateBuilder, DistinguishedName};
 
     struct Pki {
@@ -1699,5 +1721,61 @@ mod tests {
         assert_eq!(outcome.stats.aia_retries, 0);
         assert_eq!(outcome.stats.sim_latency_ms, 0);
         assert!(!outcome.stats.aia_budget_exhausted);
+    }
+
+    /// The flag `process_with_seed` returns for one build session of one.
+    fn reached_aia(engine: &ChainEngine, served: &[Certificate], ctx: &BuildContext<'_>) -> bool {
+        let seed = PoolSeed::build(served, ctx);
+        let scratch = RunScratch::default();
+        engine
+            .process_with_seed(served, ctx, &seed, &CachePool::default(), &scratch)
+            .1
+    }
+
+    /// The record the differential harness reuses outcomes on: clients
+    /// without AIA never reach the AIA step, and AIA clients reach it only
+    /// when their candidate search comes up empty. A missing transport
+    /// counts as reached, since the search asked for a fetch.
+    #[test]
+    fn only_aia_clients_missing_an_issuer_reach_the_aia_step() {
+        let p = pki();
+        let uri = "http://aia.sim/reach-int.crt";
+        let leaf = aia_leaf("reach.sim", uri);
+        let mut repo = AiaRepository::empty();
+        repo.publish(uri, p.int.clone());
+        let faulty = FaultyTransport::new(&repo, FaultPlan::with_fault_rate(7, 1.0));
+        let transports: [Option<&dyn AiaTransport>; 3] = [None, Some(&repo), Some(&faulty)];
+        let complete = vec![leaf.clone(), p.int.clone()];
+        let lone = vec![leaf];
+        let aia_clients = [
+            ClientKind::CryptoApi,
+            ClientKind::Chrome,
+            ClientKind::Edge,
+            ClientKind::Safari,
+        ];
+        let checker = IssuanceChecker::new();
+        for (kind, engine) in client_profiles() {
+            for aia in transports {
+                let ctx = BuildContext {
+                    aia,
+                    ..ctx(&p, &checker)
+                };
+                let name = kind.name();
+                assert!(
+                    !reached_aia(&engine, &complete, &ctx),
+                    "{name}: complete list"
+                );
+                let on_lone_leaf = reached_aia(&engine, &lone, &ctx);
+                assert_eq!(
+                    on_lone_leaf,
+                    aia_clients.contains(&kind),
+                    "{name}: lone leaf"
+                );
+            }
+        }
+        assert!(
+            faulty.costs().attempts > 0,
+            "the faulty transport was reached"
+        );
     }
 }

@@ -6,7 +6,8 @@
 //! backtracking, I-4 missing AIA completion.
 
 use crate::builder::{
-    BuildContext, BuildOutcome, CachePool, ClientError, PoolSeed, RunScratch, SearchScope,
+    record_build_metrics, BuildContext, BuildOutcome, CachePool, ClientError, PoolSeed, RunScratch,
+    SearchScope,
 };
 use crate::clients::{client_profiles, ClientKind};
 use crate::topology::IssuanceChecker;
@@ -231,8 +232,8 @@ impl<'a> DifferentialHarness<'a> {
     }
 
     /// Run all clients on one served list once per AIA transport. Row `t`
-    /// of the result holds the eight outcomes (Table 9 order) of the
-    /// builds that fetched through the `t`-th transport; the harness's own
+    /// of the result holds the eight outcomes (Table 9 order) of builds
+    /// that fetch through the `t`-th transport; the harness's own
     /// transport is not used.
     ///
     /// Every (transport, client) build shares one base candidate pool
@@ -243,6 +244,14 @@ impl<'a> DifferentialHarness<'a> {
     /// are computed once per served list. The AIA memo, simulated clock,
     /// retry counters and pool extensions stay per build, so every outcome
     /// is bit-identical to a plain [`ChainEngine::process`] call.
+    ///
+    /// Each client is built under the first transport first. A search
+    /// reads the transport only from its AIA step on, and everything else
+    /// it reads is fixed here, so when that build never reached the step
+    /// no other transport's build can: its outcome is handed to the
+    /// remaining transports as is. A build that did reach the step runs
+    /// once per transport. Every outcome returned, built or reused, is
+    /// recorded once in the builder metrics.
     ///
     /// [`ChainEngine::process`]: crate::builder::ChainEngine::process
     pub fn run_under<'t>(
@@ -259,25 +268,33 @@ impl<'a> DifferentialHarness<'a> {
         };
         let seed = PoolSeed::build(served, &base);
         let scratch = RunScratch::default();
-        transports
-            .into_iter()
-            .map(|aia| {
+        let transports: Vec<_> = transports.into_iter().collect();
+        let mut rows: Vec<Vec<(ClientKind, BuildOutcome)>> = transports
+            .iter()
+            .map(|_| Vec::with_capacity(self.clients.len()))
+            .collect();
+        let Some((&first, rest)) = transports.split_first() else {
+            return rows;
+        };
+        for (kind, engine) in &self.clients {
+            let build = |aia| {
                 let ctx = BuildContext { aia, ..base };
-                self.clients
-                    .iter()
-                    .map(|(kind, engine)| {
-                        let outcome = engine.process_with_seed(
-                            served,
-                            &ctx,
-                            &seed,
-                            &self.cache_pool,
-                            &scratch,
-                        );
-                        (*kind, outcome)
-                    })
-                    .collect()
-            })
-            .collect()
+                engine.process_with_seed(served, &ctx, &seed, &self.cache_pool, &scratch)
+            };
+            let (outcome, reached_aia) = build(first);
+            for (row, &aia) in rows[1..].iter_mut().zip(rest) {
+                let other = if reached_aia {
+                    build(aia).0
+                } else {
+                    outcome.clone()
+                };
+                record_build_metrics(&other);
+                row.push((*kind, other));
+            }
+            record_build_metrics(&outcome);
+            rows[0].push((*kind, outcome));
+        }
+        rows
     }
 }
 
