@@ -118,11 +118,17 @@ impl fmt::Display for Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a run of `[` overflows the stack
+/// and aborts the process. In-tree documents nest at most 9 deep (the
+/// lock-order SARIF); baselines and metrics dumps nest 3 deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document. Errors carry the byte offset.
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -145,14 +151,19 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parse one value nested inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return Err("unexpected end of input".to_string());
     };
     match b {
-        b'{' => parse_object(bytes, pos),
-        b'[' => parse_array(bytes, pos),
+        b'{' | b'[' if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        b'{' => parse_object(bytes, pos, depth + 1),
+        b'[' => parse_array(bytes, pos, depth + 1),
         b'"' => Ok(Value::Str(parse_string(bytes, pos)?)),
         b't' => parse_keyword(bytes, pos, "true", Value::Bool(true)),
         b'f' => parse_keyword(bytes, pos, "false", Value::Bool(false)),
@@ -215,6 +226,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         let hex = bytes
                             .get(*pos..*pos + 4)
                             .ok_or_else(|| "truncated \\u escape".to_string())?;
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a sign ("\u+041").
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err(format!("bad \\u escape at byte {}", *pos));
+                        }
                         let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
                         let code =
                             u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
@@ -251,7 +267,8 @@ fn utf8_len(b: u8) -> usize {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parse an array that is the `depth`-th level of nesting.
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -260,7 +277,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -275,7 +292,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parse an object that is the `depth`-th level of nesting.
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -288,7 +306,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -346,6 +364,27 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("123 456").is_err());
         assert!(parse("nul").is_err());
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u004g""#).is_err());
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}0{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        // The first bracket past the bound is named by its byte offset.
+        assert_eq!(
+            parse(&arrays(MAX_DEPTH + 1)),
+            Err("nesting deeper than 128 at byte 128".to_string())
+        );
+        assert_eq!(
+            parse(&objects(MAX_DEPTH + 1)),
+            Err("nesting deeper than 128 at byte 640".to_string())
+        );
+        // A megabyte of `[` is an error, not a stack overflow.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]
