@@ -9,9 +9,9 @@
 //!    threshold and is seed-independent (property test).
 //!
 //! This is the contract that lets `chain-chaos matrix`/`lint`,
-//! `table_lint`, and the committed `BENCH_pipeline.json` snapshot fuse
-//! passes while the golden outputs stay pinned to the single-pass
-//! numbers.
+//! `table_lint`, and the `pipeline/1k` case of the committed
+//! `BENCH_perf.json` snapshot fuse passes while the golden outputs stay
+//! pinned to the single-pass numbers.
 
 use ccc_bench::{
     scan_corpus, CompliancePass, CorpusSummary, DifferentialPass, DifferentialSummary, LintPass,

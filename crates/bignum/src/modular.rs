@@ -30,7 +30,7 @@ pub fn modpow(base: &Uint, exp: &Uint, modulus: &Uint) -> Option<Uint> {
 /// every step — the pre-Montgomery reference implementation.
 ///
 /// Kept public for even moduli, the equivalence test-suite, and the
-/// `benches/modexp.rs` naive-vs-Montgomery comparison.
+/// baseline of `perf_snapshot`'s modexp cases.
 pub fn modpow_naive(base: &Uint, exp: &Uint, modulus: &Uint) -> Option<Uint> {
     if modulus.is_zero() {
         return None;
