@@ -20,7 +20,7 @@
 //!   candidate) rolls back to try an alternative path (I-3).
 
 use crate::topology::IssuanceChecker;
-use crate::validate::{validate_path, ValidationOptions};
+use crate::validate::validate_path;
 use ccc_asn1::Time;
 use ccc_mc::OnceLock;
 use ccc_netsim::{AiaTransport, FetchOutcome};
@@ -683,17 +683,6 @@ impl ChainEngine {
             ),
         }
     }
-
-    /// Validation options implied by this policy.
-    fn validation_options(&self) -> ValidationOptions {
-        ValidationOptions {
-            enforce_key_usage: true,
-            enforce_basic_constraints: true,
-            enforce_path_len: true,
-            check_signatures: true,
-            check_validity: true,
-        }
-    }
 }
 
 /// DFS state for one `process` call.
@@ -810,11 +799,11 @@ impl Search<'_, '_, '_> {
 
     /// Terminal validation once a trusted anchor tops the path.
     ///
-    /// [`ChainEngine::validation_options`] is policy-independent (every
-    /// profile validates a finished path with all checks on), so the
-    /// verdict for a given certificate sequence is shared through the
-    /// scratch: engines converging on the same path — the common case in
-    /// a differential run — validate it once. A failed validation is a
+    /// [`validate_path`] takes no policy input (every profile validates a
+    /// finished path with all checks on), so the verdict for a given
+    /// certificate sequence is shared through the scratch: engines
+    /// converging on the same path — the common case in a differential
+    /// run — validate it once. A failed validation is a
     /// dead end; backtracking callers continue with siblings.
     fn finish(&mut self, path: &[Certificate]) -> Option<Vec<Certificate>> {
         let key: Vec<CertificateFingerprint> = path.iter().map(|c| c.fingerprint()).collect();
@@ -822,9 +811,7 @@ impl Search<'_, '_, '_> {
         let verdict = match memo_hit {
             Some(v) => v,
             None => {
-                let opts = self.engine.validation_options();
-                let v =
-                    validate_path(path, self.ctx.store, self.ctx.now, self.ctx.checker, &opts);
+                let v = validate_path(path, self.ctx.store, self.ctx.now, self.ctx.checker);
                 self.scratch.validations.borrow_mut().insert(key, v);
                 v
             }

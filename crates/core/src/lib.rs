@@ -42,4 +42,4 @@ pub use differential::{DifferentialHarness, DifferentialReport, DifferentialResu
 pub use leaf::{classify_leaf_placement, LeafPlacement};
 pub use order::{analyze_order, analyze_order_with_graph, OrderAnalysis};
 pub use topology::{CacheStats, IssuanceChecker, TopologyGraph};
-pub use validate::{validate_path, ValidationOptions};
+pub use validate::validate_path;

@@ -6,33 +6,6 @@ use ccc_asn1::Time;
 use ccc_rootstore::RootStore;
 use ccc_x509::Certificate;
 
-/// Which checks to run (policies/ablations can relax individual checks).
-#[derive(Clone, Copy, Debug)]
-pub struct ValidationOptions {
-    /// Require keyCertSign on issuers that carry KeyUsage.
-    pub enforce_key_usage: bool,
-    /// Require CA basic constraints on issuers.
-    pub enforce_basic_constraints: bool,
-    /// Enforce pathLenConstraint.
-    pub enforce_path_len: bool,
-    /// Verify every signature along the path.
-    pub check_signatures: bool,
-    /// Check validity windows against the context time.
-    pub check_validity: bool,
-}
-
-impl Default for ValidationOptions {
-    fn default() -> Self {
-        ValidationOptions {
-            enforce_key_usage: true,
-            enforce_basic_constraints: true,
-            enforce_path_len: true,
-            check_signatures: true,
-            check_validity: true,
-        }
-    }
-}
-
 /// Validate a constructed path (leaf first, trust anchor last).
 ///
 /// Checks, in the order a typical implementation reports them:
@@ -46,60 +19,48 @@ pub fn validate_path(
     store: &RootStore,
     now: Time,
     checker: &IssuanceChecker,
-    opts: &ValidationOptions,
 ) -> Result<(), ClientError> {
     if path.is_empty() {
         return Err(ClientError::EmptyList);
     }
-    if opts.check_validity {
-        for cert in path {
-            let v = cert.validity();
-            if now < v.not_before {
-                return Err(ClientError::NotYetValid);
-            }
-            if now > v.not_after {
-                return Err(ClientError::Expired);
-            }
+    for cert in path {
+        let v = cert.validity();
+        if now < v.not_before {
+            return Err(ClientError::NotYetValid);
+        }
+        if now > v.not_after {
+            return Err(ClientError::Expired);
         }
     }
     for (i, issuer) in path.iter().enumerate().skip(1) {
-        if opts.enforce_basic_constraints {
-            match issuer.basic_constraints() {
-                Some(bc) if bc.ca => {
-                    if opts.enforce_path_len {
-                        if let Some(max) = bc.path_len {
-                            // Number of intermediates strictly between this
-                            // issuer and the leaf.
-                            let below = i as i64 - 1;
-                            if below > max as i64 {
-                                return Err(ClientError::PathLenConstraintViolated);
-                            }
-                        }
+        match issuer.basic_constraints() {
+            Some(bc) if bc.ca => {
+                if let Some(max) = bc.path_len {
+                    // Number of intermediates strictly between this
+                    // issuer and the leaf.
+                    let below = i as i64 - 1;
+                    if below > max as i64 {
+                        return Err(ClientError::PathLenConstraintViolated);
                     }
                 }
-                _ => return Err(ClientError::NotACa),
             }
+            _ => return Err(ClientError::NotACa),
         }
-        if opts.enforce_key_usage {
-            if let Some(ku) = issuer.key_usage() {
-                if !ku.key_cert_sign {
-                    return Err(ClientError::BadKeyUsage);
-                }
+        if let Some(ku) = issuer.key_usage() {
+            if !ku.key_cert_sign {
+                return Err(ClientError::BadKeyUsage);
             }
         }
     }
-    if opts.check_signatures {
-        for w in path.windows(2) {
-            if !checker.signature_verifies(&w[1], &w[0]) {
-                return Err(ClientError::BadSignature);
-            }
-        }
-        let terminal = path.last().expect("non-empty");
-        if terminal.is_self_issued() && !checker.signature_verifies(terminal, terminal) {
+    for w in path.windows(2) {
+        if !checker.signature_verifies(&w[1], &w[0]) {
             return Err(ClientError::BadSignature);
         }
     }
     let terminal = path.last().expect("non-empty");
+    if terminal.is_self_issued() && !checker.signature_verifies(terminal, terminal) {
+        return Err(ClientError::BadSignature);
+    }
     if !store.contains(terminal) {
         return Err(ClientError::UntrustedRoot);
     }
@@ -155,10 +116,7 @@ mod tests {
         let p = pki();
         let checker = IssuanceChecker::new();
         let path = vec![p.leaf, p.int, p.root];
-        assert_eq!(
-            validate_path(&path, &p.store, now(), &checker, &ValidationOptions::default()),
-            Ok(())
-        );
+        assert_eq!(validate_path(&path, &p.store, now(), &checker), Ok(()));
     }
 
     #[test]
@@ -168,12 +126,12 @@ mod tests {
         let path = vec![p.leaf, p.int, p.root];
         let late = Time::from_ymd(2030, 1, 1).unwrap();
         assert_eq!(
-            validate_path(&path, &p.store, late, &checker, &ValidationOptions::default()),
+            validate_path(&path, &p.store, late, &checker),
             Err(ClientError::Expired)
         );
         let early = Time::from_ymd(2020, 1, 1).unwrap();
         assert_eq!(
-            validate_path(&path, &p.store, early, &checker, &ValidationOptions::default()),
+            validate_path(&path, &p.store, early, &checker),
             Err(ClientError::NotYetValid)
         );
     }
@@ -185,7 +143,7 @@ mod tests {
         let empty_store = RootStore::new("empty", vec![]);
         let path = vec![p.leaf, p.int, p.root];
         assert_eq!(
-            validate_path(&path, &empty_store, now(), &checker, &ValidationOptions::default()),
+            validate_path(&path, &empty_store, now(), &checker),
             Err(ClientError::UntrustedRoot)
         );
     }
@@ -209,7 +167,7 @@ mod tests {
         let store = RootStore::new("s", vec![fake_ca.clone()]);
         let checker = IssuanceChecker::new();
         assert_eq!(
-            validate_path(&[leaf, fake_ca], &store, now(), &checker, &ValidationOptions::default()),
+            validate_path(&[leaf, fake_ca], &store, now(), &checker),
             Err(ClientError::NotACa)
         );
     }
@@ -229,7 +187,7 @@ mod tests {
         let store = RootStore::new("s", vec![ca.clone()]);
         let checker = IssuanceChecker::new();
         assert_eq!(
-            validate_path(&[leaf, ca], &store, now(), &checker, &ValidationOptions::default()),
+            validate_path(&[leaf, ca], &store, now(), &checker),
             Err(ClientError::BadKeyUsage)
         );
     }
@@ -268,13 +226,7 @@ mod tests {
         let store = RootStore::new("s", vec![root.clone()]);
         let checker = IssuanceChecker::new();
         assert_eq!(
-            validate_path(
-                &[leaf, i1, i2, root],
-                &store,
-                now(),
-                &checker,
-                &ValidationOptions::default()
-            ),
+            validate_path(&[leaf, i1, i2, root], &store, now(), &checker),
             Err(ClientError::PathLenConstraintViolated)
         );
     }
@@ -294,28 +246,9 @@ mod tests {
         );
         let checker = IssuanceChecker::new();
         assert_eq!(
-            validate_path(
-                &[forged, p.int, p.root],
-                &p.store,
-                now(),
-                &checker,
-                &ValidationOptions::default()
-            ),
+            validate_path(&[forged, p.int, p.root], &p.store, now(), &checker),
             Err(ClientError::BadSignature)
         );
-    }
-
-    #[test]
-    fn options_relax_checks() {
-        let p = pki();
-        let checker = IssuanceChecker::new();
-        let path = vec![p.leaf, p.int, p.root];
-        let late = Time::from_ymd(2030, 1, 1).unwrap();
-        let opts = ValidationOptions {
-            check_validity: false,
-            ..Default::default()
-        };
-        assert_eq!(validate_path(&path, &p.store, late, &checker, &opts), Ok(()));
     }
 
     #[test]
@@ -323,7 +256,7 @@ mod tests {
         let p = pki();
         let checker = IssuanceChecker::new();
         assert_eq!(
-            validate_path(&[], &p.store, now(), &checker, &ValidationOptions::default()),
+            validate_path(&[], &p.store, now(), &checker),
             Err(ClientError::EmptyList)
         );
     }
