@@ -15,8 +15,7 @@
 //! ```
 
 use ccc_bench::{
-    scan_corpus, touch_pipeline_metrics, CompliancePass, FaultPass, FaultScenario, LintPass,
-    Pipeline,
+    scan_corpus, touch_all_metrics, CompliancePass, FaultPass, FaultScenario, LintPass, Pipeline,
 };
 use ccc_core::IssuanceChecker;
 use ccc_obs::{render_json, render_prometheus, MetricsRegistry, Snapshot};
@@ -76,10 +75,7 @@ fn run_workload(threads: usize) -> Snapshot {
 fn stable_metrics_are_golden_and_thread_invariant() {
     // Register every family first so the snapshot schema is complete
     // regardless of which paths the workload takes.
-    touch_pipeline_metrics();
-    ccc_core::builder::touch_build_metrics();
-    ccc_netsim::touch_fetch_metrics();
-    let _ = ccc_crypto::verify_stats();
+    touch_all_metrics();
 
     let delta_1 = run_workload(1).stable_only();
     let prom_1 = render_prometheus(&delta_1);

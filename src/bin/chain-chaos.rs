@@ -421,17 +421,6 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Force every metric family this binary can produce to register, so a
-/// dump enumerates them (at zero) even when the command exercised only a
-/// few. Keeps `--metrics` output shape independent of the workload.
-fn touch_all_metrics() {
-    chain_chaos::core::builder::touch_build_metrics();
-    chain_chaos::netsim::touch_fetch_metrics();
-    chain_chaos::bench::touch_pipeline_metrics();
-    // Reading the route stats registers the verify-route family.
-    let _ = chain_chaos::crypto::verify_stats();
-}
-
 /// `chain-chaos metrics`: register every family and dump the (all-zero)
 /// exposition — a schema preview and a smoke test for scrape tooling.
 fn cmd_metrics(args: &Args) -> Result<(), String> {
@@ -443,7 +432,8 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
 /// no-serde JSON object format when `path` ends in `.json`; `-` writes
 /// Prometheus to stdout, `-.json`/`.json` alone are not special-cased).
 fn dump_metrics(path: &str) -> Result<(), String> {
-    touch_all_metrics();
+    // Every family, so the dump's shape does not depend on the command.
+    chain_chaos::bench::touch_all_metrics();
     let snapshot = chain_chaos::obs::MetricsRegistry::global().snapshot();
     let rendered = if path.ends_with(".json") {
         chain_chaos::obs::render_json(&snapshot)
