@@ -125,8 +125,8 @@ impl<'c> AnalysisPass<'c> for NoncompliantSubset<'c> {
     }
 }
 
-fn main() {
-    let domains = domains_from_env();
+fn main() -> Result<(), String> {
+    let domains = domains_from_env()?;
     eprintln!("generating {domains} domains, ablating over the non-compliant subset…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
@@ -178,4 +178,5 @@ fn main() {
          backtracking, then order reorganization; the trusted-first preference\n\
          saves construction attempts without changing outcomes."
     );
+    Ok(())
 }

@@ -8,8 +8,8 @@ use ccc_bench::{domains_from_env, scan_corpus, DifferentialPass, Pipeline};
 use ccc_core::report::{count_pct, TextTable};
 use ccc_core::IssuanceChecker;
 
-fn main() {
-    let domains = domains_from_env();
+fn main() -> Result<(), String> {
+    let domains = domains_from_env()?;
     eprintln!("generating {domains} domains and running all 8 clients on each…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
@@ -93,4 +93,5 @@ fn main() {
         }
     }
     eprintln!("{}", stats.render());
+    Ok(())
 }

@@ -10,8 +10,8 @@ use ccc_core::IssuanceChecker;
 /// A defect-count projection used for table rows.
 type CountFn<'a> = &'a dyn Fn(&ccc_bench::DefectCounts) -> usize;
 
-fn main() {
-    let domains = domains_from_env();
+fn main() -> Result<(), String> {
+    let domains = domains_from_env()?;
     eprintln!("scanning {domains} synthetic domains…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
@@ -58,4 +58,5 @@ fn main() {
          leaves (upload check); Nginx leads reversed sequences."
     );
     eprintln!("{}", stats.render());
+    Ok(())
 }

@@ -21,8 +21,8 @@ const CA_ORDER: [&str; 9] = [
 /// A defect-count projection used for table rows.
 type CountFn<'a> = &'a dyn Fn(&ccc_bench::DefectCounts) -> usize;
 
-fn main() {
-    let domains = domains_from_env();
+fn main() -> Result<(), String> {
+    let domains = domains_from_env()?;
     eprintln!("scanning {domains} synthetic domains…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
@@ -71,4 +71,5 @@ fn main() {
          non-compliance is mostly incomplete chains (41.9%)."
     );
     eprintln!("{}", stats.render());
+    Ok(())
 }

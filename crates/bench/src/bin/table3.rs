@@ -7,8 +7,8 @@ use ccc_core::report::{count_pct, TextTable};
 use ccc_core::IssuanceChecker;
 use ccc_core::LeafPlacement;
 
-fn main() {
-    let domains = domains_from_env();
+fn main() -> Result<(), String> {
+    let domains = domains_from_env()?;
     eprintln!("scanning {domains} synthetic domains…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
@@ -46,4 +46,5 @@ fn main() {
     }
     println!("{}", table.render());
     eprintln!("{}", stats.render());
+    Ok(())
 }

@@ -7,8 +7,8 @@ use ccc_bench::{domains_from_env, scan_corpus, CompliancePass, Pipeline};
 use ccc_core::report::{count_pct, group_thousands, TextTable};
 use ccc_core::IssuanceChecker;
 
-fn main() {
-    let domains = domains_from_env();
+fn main() -> Result<(), String> {
+    let domains = domains_from_env()?;
     eprintln!("scanning {domains} synthetic domains…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
@@ -65,4 +65,5 @@ fn main() {
         s.longest_list
     );
     eprintln!("{}", stats.render());
+    Ok(())
 }

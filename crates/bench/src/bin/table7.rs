@@ -8,8 +8,8 @@ use ccc_core::report::{count_pct, group_thousands, TextTable};
 use ccc_core::Completeness;
 use ccc_core::IssuanceChecker;
 
-fn main() {
-    let domains = domains_from_env();
+fn main() -> Result<(), String> {
+    let domains = domains_from_env()?;
     eprintln!("scanning {domains} synthetic domains…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
@@ -74,4 +74,5 @@ fn main() {
         group_thousands(s.root_via_aia)
     );
     eprintln!("{}", stats.render());
+    Ok(())
 }

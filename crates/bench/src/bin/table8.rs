@@ -11,8 +11,8 @@ use ccc_core::report::{group_thousands, TextTable};
 use ccc_core::IssuanceChecker;
 use ccc_rootstore::RootProgram;
 
-fn main() {
-    let domains = domains_from_env();
+fn main() -> Result<(), String> {
+    let domains = domains_from_env()?;
     eprintln!("scanning {domains} synthetic domains…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
@@ -49,4 +49,5 @@ fn main() {
         group_thousands(s.total),
     );
     eprintln!("{}", stats.render());
+    Ok(())
 }

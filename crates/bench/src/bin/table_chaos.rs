@@ -11,7 +11,7 @@
 //! pure function of (fault seed, URI, attempt) and latency accrues on
 //! per-build simulated clocks. Timings go to stderr.
 
-use ccc_bench::{scan_corpus, FaultPass, FaultScenario, Pipeline};
+use ccc_bench::{parse_domains, scan_corpus, FaultPass, FaultScenario, Pipeline};
 use ccc_core::IssuanceChecker;
 use std::process::ExitCode;
 
@@ -27,10 +27,10 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        domains: std::env::var("CCC_DOMAINS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_DOMAINS),
+        domains: match std::env::var("CCC_DOMAINS") {
+            Ok(v) => parse_domains(&v)?,
+            Err(_) => DEFAULT_DOMAINS,
+        },
         fault_seed: None,
         rates: FaultScenario::STANDARD_RATES.to_vec(),
     };
@@ -46,10 +46,7 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--rates needs a comma-separated list")?;
                 args.rates = FaultScenario::parse_rates(&v)?;
             }
-            other => match other.parse::<usize>() {
-                Ok(n) => args.domains = n,
-                Err(_) => return Err(format!("unrecognized argument '{other}'")),
-            },
+            other => args.domains = parse_domains(other)?,
         }
     }
     Ok(args)

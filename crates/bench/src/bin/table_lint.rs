@@ -11,7 +11,7 @@
 //! committed `ci/lint-baseline.json`, so the job fails only on *new*
 //! errors.
 
-use ccc_bench::{scan_corpus, CompliancePass, LintPass, Pipeline};
+use ccc_bench::{parse_domains, scan_corpus, CompliancePass, LintPass, Pipeline};
 use ccc_core::report::{count_pct, group_thousands, TextTable};
 use ccc_core::IssuanceChecker;
 use ccc_lint::{registry, Baseline, Severity};
@@ -29,10 +29,10 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        domains: std::env::var("CCC_DOMAINS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_DOMAINS),
+        domains: match std::env::var("CCC_DOMAINS") {
+            Ok(v) => parse_domains(&v)?,
+            Err(_) => DEFAULT_DOMAINS,
+        },
         baseline: None,
         write_baseline: None,
     };
@@ -45,10 +45,7 @@ fn parse_args() -> Result<Args, String> {
             "--write-baseline" => {
                 args.write_baseline = Some(it.next().ok_or("--write-baseline needs a path")?);
             }
-            other => match other.parse::<usize>() {
-                Ok(n) => args.domains = n,
-                Err(_) => return Err(format!("unrecognized argument '{other}'")),
-            },
+            other => args.domains = parse_domains(other)?,
         }
     }
     Ok(args)

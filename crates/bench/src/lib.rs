@@ -15,7 +15,9 @@
 //! `pipeline/1k` case of `perf_snapshot`).
 //!
 //! Scale control: binaries default to 100,000 domains; set `CCC_DOMAINS`
-//! (or pass the count as the first CLI argument) to change it. The paper's
+//! (or pass the count as the first CLI argument) to change it. A count
+//! that is not a non-negative integer is an error ([`parse_domains`]),
+//! never a silent fall-back to the default. The paper's
 //! absolute counts are for 906,336 chains; percentages are the comparable
 //! quantity.
 //!
@@ -29,7 +31,6 @@
 //! Signature verification has no knobs: every miss in the shared
 //! signature cache runs one `PublicKey::verify` (see DESIGN.md §14).
 
-use ccc_core::clients::ClientKind;
 use ccc_core::{Completeness, DifferentialReport, DiscrepancyCause, LeafPlacement};
 use ccc_netsim::httpserver::HttpServerKind;
 use ccc_rootstore::RootProgram;
@@ -67,17 +68,25 @@ pub fn threads_from_env() -> usize {
         .min(16)
 }
 
-/// Resolve the corpus size: CLI arg > `CCC_DOMAINS` env > default.
-pub fn domains_from_env() -> usize {
-    if let Some(arg) = std::env::args().nth(1) {
-        if let Ok(n) = arg.parse() {
-            return n;
-        }
+/// Parse a corpus size given on the command line or in `CCC_DOMAINS`:
+/// a non-negative integer, or an error naming the value.
+pub fn parse_domains(value: &str) -> Result<usize, String> {
+    value
+        .parse()
+        .map_err(|_| format!("bad domain count '{value}' (expected a non-negative integer)"))
+}
+
+/// Resolve the corpus size: CLI arg > `CCC_DOMAINS` env > default. A
+/// value [`parse_domains`] rejects is an error, not a fall-back to the
+/// default.
+pub fn domains_from_env() -> Result<usize, String> {
+    match std::env::args().nth(1) {
+        Some(arg) => parse_domains(&arg),
+        None => match std::env::var("CCC_DOMAINS") {
+            Ok(v) => parse_domains(&v),
+            Err(_) => Ok(DEFAULT_DOMAINS),
+        },
     }
-    std::env::var("CCC_DOMAINS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_DOMAINS)
 }
 
 /// Build the standard scan corpus.
@@ -275,11 +284,6 @@ impl DifferentialSummary {
     }
 }
 
-/// All eight client names in Table 9 order (for table headers).
-pub fn client_names() -> Vec<&'static str> {
-    ClientKind::ALL.iter().map(|k| k.name()).collect()
-}
-
 /// The server buckets in Table 10 column order.
 pub fn server_columns() -> Vec<&'static str> {
     let mut seen = Vec::new();
@@ -301,6 +305,16 @@ mod tests {
         let checker = IssuanceChecker::new();
         let (pass, _stats) = Pipeline::new(threads).run(corpus, &checker, CompliancePass::new());
         pass.into_summary()
+    }
+
+    #[test]
+    fn parse_domains_accepts_only_non_negative_integers() {
+        assert_eq!(parse_domains("0"), Ok(0));
+        assert_eq!(parse_domains("1000"), Ok(1000));
+        for bad in ["10k", "-5", ""] {
+            let err = parse_domains(bad).unwrap_err();
+            assert!(err.contains(&format!("'{bad}'")), "{err}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! [`Pipeline::run`], with its sub-range kernel [`run_range`], is the
 //! only driver that sweeps a corpus into summaries: the table binaries,
-//! the CLI, the snapshots and the benches all call it, with one pass or
+//! the CLI, `perf_snapshot` and e2ebench all call it, with one pass or
 //! several fused.
 //!
 //! Contract (all three are load-bearing for the equivalence tests):

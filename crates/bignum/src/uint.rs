@@ -156,13 +156,6 @@ impl Uint {
         self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
     }
 
-    /// Lowest 64 bits of the value.
-    pub fn low_u64(&self) -> u64 {
-        let lo = *self.limbs.first().unwrap_or(&0) as u64;
-        let hi = *self.limbs.get(1).unwrap_or(&0) as u64;
-        lo | (hi << 32)
-    }
-
     fn normalize(mut limbs: Vec<u32>) -> Uint {
         while limbs.last() == Some(&0) {
             limbs.pop();

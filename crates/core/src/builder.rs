@@ -220,21 +220,6 @@ pub enum ClientError {
     HostnameMismatch,
 }
 
-impl ClientError {
-    /// Whether the error is a *construction* failure (vs a validation
-    /// failure on a constructed path).
-    pub fn is_construction_failure(&self) -> bool {
-        matches!(
-            self,
-            ClientError::EmptyList
-                | ClientError::TooManyCertificates
-                | ClientError::SelfSignedLeaf
-                | ClientError::PathLengthExceeded
-                | ClientError::NoIssuerFound
-        )
-    }
-}
-
 impl fmt::Display for ClientError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -1213,7 +1198,7 @@ mod tests {
     use super::*;
     use crate::clients::{client_profiles, ClientKind};
     use ccc_crypto::{Group, KeyPair};
-    use ccc_netsim::{AiaFailure, AiaRepository, FaultPlan, FaultyTransport, FetchResponse};
+    use ccc_netsim::{AiaRepository, FaultPlan, FaultyTransport, FetchResponse};
     use ccc_x509::{CertificateBuilder, DistinguishedName};
 
     struct Pki {
@@ -1448,8 +1433,8 @@ mod tests {
         );
 
         let store = RootStore::new("empty", vec![]);
-        let mut repo = AiaRepository::empty();
-        repo.inject_failure(uri, AiaFailure::DeadUri);
+        // Nothing is published, so the URI is dead.
+        let repo = AiaRepository::empty();
         let checker = IssuanceChecker::new();
         let engine = ChainEngine::new(BuilderPolicy::full_capability("memo"));
         let served = vec![leaf, int_a, int_b];
@@ -1482,8 +1467,7 @@ mod tests {
 
         // Dead URI: one attempt, zero successful fetches — but the
         // repository still saw the transfer attempt.
-        let mut dead = AiaRepository::empty();
-        dead.inject_failure(uri, AiaFailure::DeadUri);
+        let dead = AiaRepository::empty();
         let checker = IssuanceChecker::new();
         let outcome = engine.process(
             std::slice::from_ref(&leaf),

@@ -283,7 +283,6 @@ fn better(a: CompletenessAnalysis, b: CompletenessAnalysis) -> CompletenessAnaly
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccc_netsim::AiaFailure;
     use ccc_rootstore::{CaUniverse, RootPrograms};
 
     struct Env {
@@ -388,7 +387,7 @@ mod tests {
         let leaf = leaf_under(&e, 1, 1, "dead.sim");
         let mut aia = AiaRepository::new(e.universe.aia_publications());
         let int = &e.universe.roots[1].intermediates[1];
-        aia.inject_failure(int.aia_uri.clone(), AiaFailure::DeadUri);
+        aia.unpublish(&int.aia_uri);
         let served = vec![leaf];
         let analyzer = CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&aia));
         let a = analyzer.analyze(&served);
@@ -403,10 +402,7 @@ mod tests {
         let mut aia = AiaRepository::new(e.universe.aia_publications());
         let int = &e.universe.roots[1].intermediates[0];
         // The CAcert pattern: URI serves the certificate itself.
-        aia.inject_failure(
-            int.aia_uri.clone(),
-            AiaFailure::WrongCertificate(leaf.clone()),
-        );
+        aia.publish(int.aia_uri.clone(), leaf.clone());
         let served = vec![leaf];
         let analyzer = CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&aia));
         let a = analyzer.analyze(&served);

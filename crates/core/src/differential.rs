@@ -94,11 +94,6 @@ impl DifferentialResult {
         let (pass, total) = self.passes(|k| !k.is_browser());
         pass != 0 && pass != total
     }
-
-    /// Any client failed.
-    pub fn any_failure(&self) -> bool {
-        self.outcomes.iter().any(|(_, o)| !o.accepted())
-    }
 }
 
 /// Aggregate over a corpus (the §5.2 headline numbers).
@@ -237,7 +232,7 @@ impl<'a> DifferentialHarness<'a> {
     /// transport is not used.
     ///
     /// Every (transport, client) build shares one base candidate pool
-    /// (served-list dedup + trust-store probes) and one [`RunScratch`]:
+    /// (served-list dedup + trust-store probes) and one `RunScratch`:
     /// store candidates, base-pool issuer indices and `validate_path`
     /// verdicts depend only on certificate contents, the store, the clock
     /// and the checker — never on the policy or the transport — so they
@@ -390,7 +385,7 @@ fn attribute_causes(outcomes: &[(ClientKind, BuildOutcome)]) -> Vec<DiscrepancyC
 mod tests {
     use super::*;
     use crate::completeness::{CompletenessAnalyzer, IncompleteReason};
-    use ccc_netsim::{AiaFailure, AiaRepository, FaultPlan, FaultyTransport};
+    use ccc_netsim::{AiaRepository, FaultPlan, FaultyTransport};
     use ccc_rootstore::{CaUniverse, RootPrograms};
     use ccc_x509::CertificateBuilder;
 
@@ -570,10 +565,7 @@ mod tests {
         // The URI serves an unrelated trusted root instead of the issuer —
         // the CAcert-style misconfiguration the paper measured.
         let unrelated = e.universe.roots[0].cert.clone();
-        e.aia.inject_failure(
-            intermediate.aia_uri.clone(),
-            AiaFailure::WrongCertificate(unrelated),
-        );
+        e.aia.publish(intermediate.aia_uri.clone(), unrelated);
         let served = vec![leaf(&e, 1, 0, "wrongcert.sim")];
 
         let harness = DifferentialHarness::new(

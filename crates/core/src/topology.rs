@@ -120,9 +120,9 @@ const DEFAULT_SHARDS: usize = 64;
 /// not serialize on a single lock, and the miss path is
 /// **single-acquisition**: the shard lock is taken once to install an
 /// in-flight slot, the verification runs outside the lock, and concurrent
-/// misses on the same pair coalesce onto one verification (see [`Shard`]).
-/// Hit/miss/verification counters are exposed via [`snapshot_stats`]
-/// (`IssuanceChecker::snapshot_stats`).
+/// misses on the same pair coalesce onto one verification (see `Shard`).
+/// Hit/miss/verification counters are exposed via
+/// [`snapshot_stats`](IssuanceChecker::snapshot_stats).
 #[derive(Debug)]
 pub struct IssuanceChecker {
     shards: Vec<Shard>,
@@ -147,8 +147,8 @@ impl IssuanceChecker {
     }
 
     /// Fresh checker with `shards` lock stripes (rounded up to a power of
-    /// two, minimum 1). `with_shards(1)` is the single-mutex baseline the
-    /// benches compare against.
+    /// two, minimum 1). `with_shards(1)` is the single-mutex configuration
+    /// the model tests explore (`tests/model_concurrency.rs`).
     pub fn with_shards(shards: usize) -> IssuanceChecker {
         let count = shards.max(1).next_power_of_two();
         IssuanceChecker {
@@ -159,11 +159,6 @@ impl IssuanceChecker {
             verifications: AtomicU64::new(0),
             coalesced_waits: AtomicU64::new(0),
         }
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Identity-level match: subject/issuer DN equality, or SKID/AKID

@@ -74,13 +74,6 @@ impl Drbg {
         u64::from_be_bytes(b)
     }
 
-    /// Uniform `u32`.
-    pub fn next_u32(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.fill_bytes(&mut b);
-        u32::from_be_bytes(b)
-    }
-
     /// Uniform value in `[0, bound)` (rejection sampling; `bound` > 0).
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");

@@ -109,10 +109,10 @@ impl fmt::Display for Finding {
 }
 
 /// Everything a rule may inspect about one (domain, served list)
-/// observation. Built once per chain by the [`LintEngine`]
-/// (`crate::LintEngine`); rules are pure functions of this context, which
-/// is what makes corpus linting embarrassingly parallel and
-/// thread-count-invariant.
+/// observation. Built once per chain by the
+/// [`LintEngine`](crate::LintEngine); rules are pure functions of this
+/// context, which is what makes corpus linting embarrassingly parallel
+/// and thread-count-invariant.
 #[derive(Debug)]
 pub struct ChainContext<'a> {
     /// The queried domain.
@@ -229,11 +229,6 @@ impl<'a> ChainContext<'a> {
             f.byte_length = Some(len);
         }
         f
-    }
-
-    /// Served position of the first occurrence of graph node `n`.
-    pub fn node_position(&self, n: usize) -> usize {
-        self.graph.nodes[n].position
     }
 }
 

@@ -13,7 +13,7 @@
 //! equivalence on every corpus pass.
 
 use crate::diag::{ChainContext, Finding, Severity};
-use ccc_core::{IssuanceChecker, NonCompliance};
+use ccc_core::NonCompliance;
 
 /// What a rule inspects.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -903,16 +903,6 @@ pub fn rule_by_id(id: &str) -> Option<&'static dyn LintRule> {
     REGISTRY.iter().copied().find(|r| r.id() == id)
 }
 
-/// Convenience used by tests: evaluate the whole registry against a
-/// pre-built context.
-pub fn run_registry(ctx: &ChainContext<'_>) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for rule in REGISTRY {
-        rule.check(ctx, &mut out);
-    }
-    out
-}
-
 /// `true` when the rule's ID prefix agrees with its severity — enforced
 /// by a unit test so the naming convention cannot drift.
 #[cfg(test)]
@@ -924,17 +914,6 @@ fn id_prefix_matches(rule: &dyn LintRule) -> bool {
         Severity::Notice => "n_",
     };
     rule.id().starts_with(expected)
-}
-
-/// Internal consistency helper used by the engine: does this checker see
-/// the issuance relation for an (issuer, subject) pair? Re-exported so
-/// doc examples can exercise rules directly.
-pub fn issuance_holds(
-    checker: &IssuanceChecker,
-    issuer: &ccc_x509::Certificate,
-    subject: &ccc_x509::Certificate,
-) -> bool {
-    checker.issues(issuer, subject)
 }
 
 #[cfg(test)]

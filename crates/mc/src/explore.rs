@@ -49,6 +49,10 @@ pub struct Exploration {
     pub lock_order: LockOrderReport,
 }
 
+/// Safety cap on executions per exploration; hitting it sets
+/// `complete = false`.
+const MAX_SCHEDULES: u64 = 1_000_000;
+
 /// Enumerates interleavings of a closure. The closure runs once per
 /// schedule and must be deterministic apart from scheduling (no ambient
 /// time/randomness); shared structures under test are created fresh
@@ -56,7 +60,6 @@ pub struct Exploration {
 #[derive(Clone, Copy, Debug)]
 pub struct Explorer {
     preemption_bound: Option<usize>,
-    max_schedules: u64,
 }
 
 impl Default for Explorer {
@@ -70,7 +73,6 @@ impl Explorer {
     pub fn new() -> Explorer {
         Explorer {
             preemption_bound: None,
-            max_schedules: 1_000_000,
         }
     }
 
@@ -89,12 +91,6 @@ impl Explorer {
         self
     }
 
-    /// Safety cap on executions; hitting it sets `complete = false`.
-    pub fn with_max_schedules(mut self, cap: u64) -> Explorer {
-        self.max_schedules = cap;
-        self
-    }
-
     /// Run the DFS to fixpoint (or first failure / cap).
     pub fn explore<F>(&self, f: F) -> Exploration
     where
@@ -108,7 +104,7 @@ impl Explorer {
         let mut aggregator = ReportAggregator::default();
         let mut failure = None;
         let mut exhausted = false;
-        while schedules < self.max_schedules {
+        while schedules < MAX_SCHEDULES {
             let exec = {
                 let mut strategy = Strategy::Dfs {
                     stack: &mut stack,

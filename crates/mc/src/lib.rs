@@ -14,7 +14,7 @@
 //!   current thread tree*, and transparently delegate to `std` otherwise
 //!   (so ordinary tests keep working in a feature-unified build).
 //!
-//! The [`Explorer`] (model-check only) enumerates interleavings of a
+//! The `Explorer` (model-check only) enumerates interleavings of a
 //! closure by depth-first search over scheduling choices with
 //! configurable preemption bounding and sleep-set/last-access pruning,
 //! records every lock-acquisition edge into a [`LockOrderReport`], and on

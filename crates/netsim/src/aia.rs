@@ -12,20 +12,12 @@ use ccc_x509::Certificate;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Injected failure for a URI.
-#[derive(Clone, Debug)]
-pub enum AiaFailure {
-    /// The URI does not resolve (connection refused / 404).
-    DeadUri,
-    /// The URI serves this certificate instead of the real issuer.
-    WrongCertificate(Certificate),
-}
-
-/// In-memory AIA repository with failure injection and fetch accounting.
+/// In-memory AIA repository with fetch accounting. A URI with no
+/// publication is dead; a URI published with a certificate other than
+/// the real issuer serves the wrong certificate.
 #[derive(Debug, Default)]
 pub struct AiaRepository {
     entries: HashMap<String, Certificate>,
-    failures: HashMap<String, AiaFailure>,
     fetch_count: AtomicU64,
 }
 
@@ -39,19 +31,13 @@ impl AiaRepository {
     pub fn new(entries: HashMap<String, Certificate>) -> AiaRepository {
         AiaRepository {
             entries,
-            failures: HashMap::new(),
             fetch_count: AtomicU64::new(0),
         }
     }
 
-    /// Publish a certificate at a URI.
+    /// Publish a certificate at a URI, replacing any earlier publication.
     pub fn publish(&mut self, uri: impl Into<String>, cert: Certificate) {
         self.entries.insert(uri.into(), cert);
-    }
-
-    /// Inject a failure for a URI (overrides any publication).
-    pub fn inject_failure(&mut self, uri: impl Into<String>, failure: AiaFailure) {
-        self.failures.insert(uri.into(), failure);
     }
 
     /// Remove a publication (URI becomes dead).
@@ -59,19 +45,15 @@ impl AiaRepository {
         self.entries.remove(uri);
     }
 
-    /// Fetch the certificate at `uri`, honouring injected failures.
+    /// Fetch the certificate at `uri`.
     ///
-    /// Returns `None` for dead/unknown URIs. A `WrongCertificate` injection
-    /// returns the wrong certificate — the *caller* discovers the mismatch
-    /// when the fetched certificate fails to act as an issuer, exactly as a
+    /// Returns `None` for dead/unknown URIs. A URI that serves the wrong
+    /// certificate returns it — the *caller* discovers the mismatch when
+    /// the fetched certificate fails to act as an issuer, exactly as a
     /// real client would.
     pub fn fetch(&self, uri: &str) -> Option<Certificate> {
         self.fetch_count.fetch_add(1, Ordering::Relaxed);
-        match self.failures.get(uri) {
-            Some(AiaFailure::DeadUri) => None,
-            Some(AiaFailure::WrongCertificate(cert)) => Some(cert.clone()),
-            None => self.entries.get(uri).cloned(),
-        }
+        self.entries.get(uri).cloned()
     }
 
     /// Number of fetches performed so far (for efficiency experiments).
@@ -117,24 +99,12 @@ mod tests {
     }
 
     #[test]
-    fn dead_uri_injection() {
-        let mut repo = AiaRepository::empty();
-        let c = cert("A", b"aia-2");
-        repo.publish("http://aia.sim/a.crt", c);
-        repo.inject_failure("http://aia.sim/a.crt", AiaFailure::DeadUri);
-        assert_eq!(repo.fetch("http://aia.sim/a.crt"), None);
-    }
-
-    #[test]
-    fn wrong_certificate_injection() {
+    fn republish_serves_the_wrong_certificate() {
         let mut repo = AiaRepository::empty();
         let right = cert("Right", b"aia-3");
         let wrong = cert("Wrong", b"aia-4");
-        repo.publish("http://aia.sim/a.crt", right.clone());
-        repo.inject_failure(
-            "http://aia.sim/a.crt",
-            AiaFailure::WrongCertificate(wrong.clone()),
-        );
+        repo.publish("http://aia.sim/a.crt", right);
+        repo.publish("http://aia.sim/a.crt", wrong.clone());
         assert_eq!(repo.fetch("http://aia.sim/a.crt"), Some(wrong));
     }
 

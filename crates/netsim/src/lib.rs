@@ -29,7 +29,7 @@ pub mod httpserver;
 pub mod tlsmsg;
 
 pub use admin::{AdminBehavior, AdminError};
-pub use aia::{AiaFailure, AiaRepository};
+pub use aia::AiaRepository;
 pub use ca::{CaProfile, IssuedBundle};
 pub use fault::{
     touch_fetch_metrics, AiaTransport, FaultPlan, FaultyTransport, FetchOutcome, FetchResponse,

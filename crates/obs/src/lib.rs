@@ -11,8 +11,7 @@
 //!   shim atomic, so under `--features model-check` the model checker
 //!   explores metric updates together with the cache state they
 //!   instrument (and `ci/check_raw_sync.sh` enforces the shim use).
-//! - [`span!`]: scope guards that record nested wall durations (and, via
-//!   [`SpanGuard::record_sim_ms`], simulated-clock durations) into
+//! - [`span!`]: scope guards that record nested wall durations into
 //!   histograms named after the `parent/child` span path.
 //! - [`render_prometheus`] / [`render_json`]: two renderers over a
 //!   [`Snapshot`] — Prometheus text exposition and the same compact

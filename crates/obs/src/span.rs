@@ -2,15 +2,11 @@
 //!
 //! A span names a phase (`"cmd.matrix"`, `"pipeline.run"`); entering one
 //! pushes it onto a thread-local stack so nested spans record under their
-//! full `parent/child` path. Three series per path:
+//! full `parent/child` path. Two series per path:
 //!
 //! - `ccc_span_calls_total{span="<path>"}` — stable counter of entries;
 //! - `ccc_span_wall_us{span="<path>"}` — volatile histogram of wall
-//!   durations (microseconds);
-//! - `ccc_span_sim_ms_total{span="<path>"}` — stable counter of simulated
-//!   milliseconds charged via [`SpanGuard::record_sim_ms`] (the builder's
-//!   simulated clock is deterministic, so this side stays comparable
-//!   across runs while the wall side does not).
+//!   durations (microseconds).
 
 use crate::registry::MetricsRegistry;
 use std::cell::RefCell;
@@ -54,18 +50,6 @@ impl SpanGuard {
     pub fn path(&self) -> &str {
         &self.path
     }
-
-    /// Charge `ms` simulated milliseconds to this span path (deterministic
-    /// simulated-clock time, e.g. `BuildStats::sim_latency_ms`, as opposed
-    /// to the wall duration the guard records on drop).
-    pub fn record_sim_ms(&self, ms: u64) {
-        MetricsRegistry::global()
-            .counter(
-                &format!("ccc_span_sim_ms_total{{span=\"{}\"}}", self.path),
-                "Simulated milliseconds charged per span path.",
-            )
-            .add(ms);
-    }
 }
 
 impl Drop for SpanGuard {
@@ -95,7 +79,6 @@ mod tests {
             {
                 let inner = crate::span!("obs_test.inner");
                 assert_eq!(inner.path(), "obs_test.outer/obs_test.inner");
-                inner.record_sim_ms(7);
             }
         }
         let snap = MetricsRegistry::global().snapshot();
@@ -106,10 +89,6 @@ mod tests {
         assert_eq!(
             snap.counter("ccc_span_calls_total{span=\"obs_test.outer/obs_test.inner\"}"),
             1
-        );
-        assert_eq!(
-            snap.counter("ccc_span_sim_ms_total{span=\"obs_test.outer/obs_test.inner\"}"),
-            7
         );
         // The wall histogram exists and is volatile.
         let wall = snap

@@ -352,14 +352,6 @@ impl CaUniverse {
         }
         map
     }
-
-    /// Cross-signed pairs whose subject is the given intermediate.
-    pub fn cross_certs_for(&self, root_idx: usize, int_idx: usize) -> Vec<&CrossSignedPair> {
-        self.cross_signed
-            .iter()
-            .filter(|cs| cs.subject == (root_idx, int_idx))
-            .collect()
-    }
 }
 
 fn slugify(name: &str) -> String {

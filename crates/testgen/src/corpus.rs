@@ -153,10 +153,6 @@ pub struct CorpusSpec {
     /// Fraction of otherwise-compliant deployments that append the root
     /// certificate (Table 7: 8.7% of chains include the root).
     pub root_included_rate: f64,
-    /// Chaos mode: overall AIA fault rate for the corpus's
-    /// [`FaultPlan`](ccc_netsim::FaultPlan) (0.0 = the zero-fault plan,
-    /// which leaves every existing analysis byte-identical).
-    pub chaos_fault_rate: f64,
 }
 
 impl CorpusSpec {
@@ -174,15 +170,6 @@ impl CorpusSpec {
             test_cert_rate: 0.006,
             expired_leaf_rate: 0.005,
             root_included_rate: 0.066,
-            chaos_fault_rate: 0.0,
-        }
-    }
-
-    /// The calibrated spec with a non-zero chaos fault rate.
-    pub fn chaos(seed: u64, domains: usize, fault_rate: f64) -> CorpusSpec {
-        CorpusSpec {
-            chaos_fault_rate: fault_rate,
-            ..CorpusSpec::calibrated(seed, domains)
         }
     }
 }
@@ -322,14 +309,9 @@ impl Corpus {
         cache
     }
 
-    /// The corpus's fault plan at its spec's `chaos_fault_rate`, seeded
-    /// from the master corpus seed so the whole chaos run is one seed.
-    pub fn fault_plan(&self) -> ccc_netsim::FaultPlan {
-        self.fault_plan_with_rate(self.spec.chaos_fault_rate)
-    }
-
-    /// A fault plan at an explicit rate (used by the chaos table to sweep
-    /// fault rates over one corpus).
+    /// The fault plan at `rate`, seeded from the master corpus seed so a
+    /// whole chaos sweep over one corpus is one seed (0.0 = the
+    /// zero-fault plan, which leaves every analysis byte-identical).
     pub fn fault_plan_with_rate(&self, rate: f64) -> ccc_netsim::FaultPlan {
         if rate <= 0.0 {
             ccc_netsim::FaultPlan::zero(self.spec.seed)
@@ -984,18 +966,15 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_follows_spec_rate() {
-        let calibrated = Corpus::new(CorpusSpec::calibrated(7, 4));
-        assert!(calibrated.fault_plan().is_zero());
-        assert_eq!(calibrated.fault_plan(), ccc_netsim::FaultPlan::zero(7));
+    fn fault_plan_with_rate_is_seeded_from_the_corpus() {
+        let corpus = Corpus::new(CorpusSpec::calibrated(7, 4));
+        let zero = corpus.fault_plan_with_rate(0.0);
+        assert!(zero.is_zero());
+        assert_eq!(zero, ccc_netsim::FaultPlan::zero(7));
 
-        let chaotic = Corpus::new(CorpusSpec::chaos(7, 4, 0.2));
-        let plan = chaotic.fault_plan();
+        let plan = corpus.fault_plan_with_rate(0.2);
         assert!(!plan.is_zero());
         assert_eq!(plan, ccc_netsim::FaultPlan::with_fault_rate(7, 0.2));
-        // Sweeping an explicit rate over the calibrated corpus matches the
-        // chaos-spec plan (same seed, same rate).
-        assert_eq!(calibrated.fault_plan_with_rate(0.2), plan);
     }
 
     #[test]

@@ -383,11 +383,6 @@ impl Certificate {
         &self.0.tbs
     }
 
-    /// Raw signature bytes.
-    pub fn signature_bytes(&self) -> &[u8] {
-        &self.0.signature
-    }
-
     /// Outer signature algorithm.
     pub fn signature_algorithm(&self) -> KeyAlgorithm {
         self.0.signature_algorithm

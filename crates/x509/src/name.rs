@@ -68,11 +68,6 @@ impl DistinguishedName {
         DistinguishedName::default()
     }
 
-    /// Build from attribute pairs.
-    pub fn from_attributes(attributes: Vec<(AttributeType, String)>) -> DistinguishedName {
-        DistinguishedName { attributes }
-    }
-
     /// A DN with just a common name.
     pub fn cn(common_name: impl Into<String>) -> DistinguishedName {
         DistinguishedName {

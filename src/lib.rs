@@ -20,7 +20,7 @@
 //! | [`core`] | `ccc-core` | compliance analysis, chain builder, clients, differential testing |
 //! | [`testgen`] | `ccc-testgen` | capability tests, scenarios, mutations, corpus |
 //! | [`lint`] | `ccc-lint` | zlint-style rule registry, SARIF/JSONL diagnostics, baselines |
-//! | [`bench`] | `ccc-bench` | fused analysis pipeline, corpus tables, fault-injection sweeps |
+//! | [`bench`](mod@bench) | `ccc-bench` | fused analysis pipeline, corpus tables, fault-injection sweeps |
 //!
 //! ## Quick start
 //!
