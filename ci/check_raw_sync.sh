@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Raw-sync guard: the crates wired into the ccc-mc model checker must
-# route every lock, once-cell, shimmed atomic, and thread spawn through
-# the ccc-mc shim layer (crates/mc). A raw std primitive in a wired
-# crate is invisible to the cooperative scheduler, silently shrinking
-# the state space the model tests claim to explore exhaustively — so CI
-# fails on any such use.
+# route every lock, once-cell, atomic, and thread spawn through the
+# ccc-mc shim layer (crates/mc). A raw std primitive in a wired crate is
+# invisible to the cooperative scheduler, silently shrinking the state
+# space the model tests claim to explore exhaustively — so CI fails on
+# any such use.
+#
+# The shim layer provides only what the wired crates use: Mutex,
+# OnceLock, AtomicU64, spawn and scope. A raw RwLock or any other std
+# atomic stays banned; the remedy is to add its shim back to crates/mc.
 #
 # Exceptions (e.g. a test-harness lock that must NOT become a model
-# object, or an atomic width the shim layer does not provide) go in
-# ci/raw_sync_allowlist.txt with a justification comment.
+# object) go in ci/raw_sync_allowlist.txt with a justification comment.
 #
 # Usage: ci/check_raw_sync.sh   (run from anywhere; exits non-zero on
 # violations and prints each offending line).
@@ -22,7 +25,7 @@ cd "$(dirname "$0")/.."
 WIRED=(crates/crypto crates/core crates/lint crates/bench crates/obs)
 
 # Banned constructs: direct std lock/once types (path or braced import),
-# std thread spawn/scope, and std atomics of the widths ccc-mc shims.
+# std thread spawn/scope, and every std atomic type.
 PATTERN='std::sync::(Mutex|RwLock|OnceLock)'
 PATTERN+='|use std::sync::\{[^}]*(Mutex|RwLock|OnceLock)'
 PATTERN+='|std::thread::(spawn|scope)'

@@ -29,7 +29,6 @@
 //! by [`LintSummary`] and in CI by the `table_lint` binary).
 
 pub mod baseline;
-pub mod concurrency;
 pub mod diag;
 pub mod engine;
 pub mod json;
@@ -37,8 +36,6 @@ pub mod render;
 pub mod rules;
 
 pub use baseline::Baseline;
-pub use concurrency::{lock_order_findings, render_lock_order_sarif};
 pub use diag::{ChainContext, Finding, Severity};
 pub use engine::{rule_for_noncompliance, LintEngine, LintSummary};
-pub use render::{render_sarif_with, SarifRule, SarifTool};
 pub use rules::{registry, rule_by_id, LintRule, RuleScope};

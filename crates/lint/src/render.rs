@@ -62,35 +62,6 @@ pub fn render_jsonl(findings: &[Finding]) -> String {
     out
 }
 
-/// SARIF `tool.driver` identity for [`render_sarif_with`].
-#[derive(Clone, Copy, Debug)]
-pub struct SarifTool<'a> {
-    /// `tool.driver.name`.
-    pub name: &'a str,
-    /// `tool.driver.version`.
-    pub version: &'a str,
-    /// `tool.driver.informationUri`.
-    pub information_uri: &'a str,
-}
-
-/// One `tool.driver.rules` entry for [`render_sarif_with`] — a renderer-
-/// neutral projection of rule metadata, so producers other than the lint
-/// registry (e.g. the `ccc-mc` lock-order pass) can emit SARIF through
-/// the same machinery.
-#[derive(Clone, Copy, Debug)]
-pub struct SarifRule<'a> {
-    /// Stable rule ID.
-    pub id: &'a str,
-    /// `shortDescription.text`.
-    pub description: &'a str,
-    /// `defaultConfiguration.level` (`error`/`warning`/`note`).
-    pub level: &'a str,
-    /// Spec/provenance citation (`properties.citation`).
-    pub citation: &'a str,
-    /// Rule scope label (`properties.scope`).
-    pub scope: &'a str,
-}
-
 /// SARIF 2.1.0 rendering against the lint registry.
 ///
 /// The `tool.driver.rules` array always lists the *complete* registry (in
@@ -100,39 +71,7 @@ pub struct SarifRule<'a> {
 /// certificate-attributed, a byte region into the concatenated served DER
 /// stream.
 pub fn render_sarif(findings: &[Finding]) -> String {
-    let rules: Vec<SarifRule<'_>> = registry()
-        .iter()
-        .map(|rule| SarifRule {
-            id: rule.id(),
-            description: rule.description(),
-            level: rule.severity().sarif_level(),
-            citation: rule.citation(),
-            scope: rule.scope().label(),
-        })
-        .collect();
-    render_sarif_with(
-        SarifTool {
-            name: "ccc-lint",
-            version: env!("CARGO_PKG_VERSION"),
-            information_uri: "https://example.invalid/chain-chaos",
-        },
-        "chain",
-        &rules,
-        findings,
-    )
-}
-
-/// Generalized SARIF 2.1.0 rendering: any tool identity, artifact URI
-/// `scheme`, and rules table. [`render_sarif`] is this with the lint
-/// registry and the `chain://` scheme (byte-identical to the historical
-/// output); the concurrency bridge ([`crate::concurrency`]) reuses it for
-/// lock-order reports.
-pub fn render_sarif_with(
-    tool: SarifTool<'_>,
-    scheme: &str,
-    rules: &[SarifRule<'_>],
-    findings: &[Finding],
-) -> String {
+    let rules = registry();
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(
@@ -141,29 +80,27 @@ pub fn render_sarif_with(
     out.push_str("  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n");
     let _ = writeln!(
         out,
-        "          \"name\": \"{}\",\n          \"version\": \"{}\",\n          \"informationUri\": \"{}\",\n          \"rules\": [",
-        escape(tool.name),
-        escape(tool.version),
-        escape(tool.information_uri)
+        "          \"name\": \"ccc-lint\",\n          \"version\": \"{}\",\n          \"informationUri\": \"https://example.invalid/chain-chaos\",\n          \"rules\": [",
+        env!("CARGO_PKG_VERSION")
     );
     for (i, rule) in rules.iter().enumerate() {
         let comma = if i + 1 < rules.len() { "," } else { "" };
         let _ = writeln!(
             out,
             "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}, \"defaultConfiguration\": {{\"level\": \"{}\"}}, \"properties\": {{\"citation\": \"{}\", \"scope\": \"{}\"}}}}{comma}",
-            escape(rule.id),
-            escape(rule.description),
-            rule.level,
-            escape(rule.citation),
-            rule.scope
+            escape(rule.id()),
+            escape(rule.description()),
+            rule.severity().sarif_level(),
+            escape(rule.citation()),
+            rule.scope().label()
         );
     }
     out.push_str("          ]\n        }\n      },\n      \"results\": [\n");
     for (i, f) in findings.iter().enumerate() {
-        let rule_index = rules.iter().position(|r| r.id == f.rule_id).unwrap_or(0);
+        let rule_index = rules.iter().position(|r| r.id() == f.rule_id).unwrap_or(0);
         let comma = if i + 1 < findings.len() { "," } else { "" };
         let mut location = format!(
-            "{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{scheme}://{}\"}}",
+            "{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"chain://{}\"}}",
             escape(&f.domain)
         );
         if let (Some(off), Some(len)) = (f.byte_offset, f.byte_length) {

@@ -86,57 +86,6 @@ fn sarif_snapshot_is_stable() {
     check_golden("chain.sarif.json", &render::render_sarif(&lint_fixture()));
 }
 
-/// A fixed lock-order report with one two-class inversion cycle and one
-/// atomics site — the shape the ccc-mc `gated_lock_inversion` scenario
-/// produces, hand-built so the snapshot does not require the
-/// `model-check` feature to regenerate.
-fn lock_order_fixture() -> ccc_mc::LockOrderReport {
-    use ccc_mc::{AtomicSiteSummary, LockClass, LockEdge, LockKind, LockOrderReport};
-    let mut report = LockOrderReport {
-        classes: vec![
-            LockClass {
-                kind: LockKind::Mutex,
-                site: "crates/mc/src/scenarios.rs:10".to_string(),
-            },
-            LockClass {
-                kind: LockKind::Mutex,
-                site: "crates/mc/src/scenarios.rs:11".to_string(),
-            },
-        ],
-        edges: vec![
-            LockEdge {
-                from: 0,
-                to: 1,
-                acquire_site: "crates/mc/src/scenarios.rs:20".to_string(),
-                observations: 4,
-            },
-            LockEdge {
-                from: 1,
-                to: 0,
-                acquire_site: "crates/mc/src/scenarios.rs:30".to_string(),
-                observations: 4,
-            },
-        ],
-        cycles: Vec::new(),
-        atomics: vec![AtomicSiteSummary {
-            site: "crates/mc/src/scenarios.rs:40".to_string(),
-            load_orderings: vec!["Relaxed".to_string()],
-            store_orderings: Vec::new(),
-            rmw_orderings: vec!["Relaxed".to_string()],
-        }],
-    };
-    report.detect_cycles();
-    report
-}
-
-#[test]
-fn lock_order_sarif_snapshot_is_stable() {
-    check_golden(
-        "lockorder.sarif.json",
-        &ccc_lint::render_lock_order_sarif(&lock_order_fixture()),
-    );
-}
-
 #[test]
 fn text_snapshot_is_stable() {
     check_golden("chain.txt", &render::render_text(&lint_fixture()));

@@ -44,8 +44,7 @@ pub struct Exploration {
     pub truncated: bool,
     /// First property violation found, if any (DFS order, deterministic).
     pub failure: Option<Failure>,
-    /// Lock-acquisition graph and atomics notes aggregated over every
-    /// explored execution.
+    /// Lock-acquisition graph aggregated over every explored execution.
     pub lock_order: LockOrderReport,
 }
 

@@ -3,11 +3,10 @@
 //!
 //! The crate has two personalities, switched by the `model-check` feature:
 //!
-//! - **Passthrough (default)**: every shim — [`Mutex`], [`RwLock`],
-//!   [`OnceLock`], [`AtomicU64`], [`AtomicUsize`], [`spawn`], [`scope`] —
-//!   is a literal `pub use` of its `std` counterpart. Zero cost, zero
-//!   behavior change; `tests/passthrough_transparency.rs` pins this with
-//!   `TypeId` equality.
+//! - **Passthrough (default)**: every shim — [`Mutex`], [`OnceLock`],
+//!   [`AtomicU64`], [`spawn`], [`scope`] — is a literal `pub use` of its
+//!   `std` counterpart. Zero cost, zero behavior change;
+//!   `tests/passthrough_transparency.rs` pins this with `TypeId` equality.
 //! - **Model check (`--features model-check`)**: the same names resolve to
 //!   wrapper types that route every acquire/release/load/store/init
 //!   through a cooperative scheduler *while a model run is active on the
@@ -23,26 +22,21 @@
 //!
 //! Exploration semantics are **sequentially consistent**: the checker
 //! enumerates interleavings of shim operations, not C11 weak-memory
-//! behaviors. The atomics-ordering pass compensates heuristically by
-//! recording the `Ordering` each call site *requested* and flagging
-//! suspicious pairings (e.g. a `Release` store whose only observed loads
-//! are `Relaxed`).
+//! behaviors. The `// ordering:` comment at each atomic call site in the
+//! wired crates records why that site's `Ordering` suffices.
 
 mod report;
 
 pub use report::{
-    AtomicSiteSummary, LockClass, LockCycle, LockEdge, LockKind, LockOrderReport, Schedule,
-    ScheduleParseError,
+    LockClass, LockCycle, LockEdge, LockKind, LockOrderReport, Schedule, ScheduleParseError,
 };
 
 #[cfg(not(feature = "model-check"))]
 mod passthrough {
     //! Zero-cost aliases: the shim *is* `std` when not model checking.
-    pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-    pub use std::sync::{
-        Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard,
-    };
-    pub use std::thread::{scope, spawn, yield_now, JoinHandle, Scope, ScopedJoinHandle};
+    pub use std::sync::atomic::{AtomicU64, Ordering};
+    pub use std::sync::{Mutex, MutexGuard, OnceLock};
+    pub use std::thread::{scope, spawn, JoinHandle, Scope, ScopedJoinHandle};
 }
 
 #[cfg(not(feature = "model-check"))]
@@ -59,15 +53,10 @@ pub mod scenarios;
 
 #[cfg(feature = "model-check")]
 pub use modeled::{
-    scope, spawn, yield_now, AtomicBool, AtomicU64, AtomicUsize, JoinHandle, Mutex, MutexGuard,
-    OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Scope, ScopedJoinHandle,
+    scope, spawn, AtomicU64, JoinHandle, Mutex, MutexGuard, OnceLock, Scope, ScopedJoinHandle,
 };
 #[cfg(feature = "model-check")]
 pub use std::sync::atomic::Ordering;
 
 #[cfg(feature = "model-check")]
 pub use explore::{Exploration, Explorer, Failure, FailureKind};
-
-/// True when this build of the crate has the cooperative scheduler
-/// compiled in (`--features model-check`).
-pub const MODEL_CHECK_BUILD: bool = cfg!(feature = "model-check");

@@ -26,17 +26,6 @@ fn site_of(loc: &'static Location<'static>) -> String {
     format!("{}:{}", loc.file(), loc.line())
 }
 
-fn ordering_name(o: Ordering) -> &'static str {
-    match o {
-        Ordering::Relaxed => "Relaxed",
-        Ordering::Acquire => "Acquire",
-        Ordering::Release => "Release",
-        Ordering::AcqRel => "AcqRel",
-        Ordering::SeqCst => "SeqCst",
-        _ => "Unknown",
-    }
-}
-
 /// Lazily binds a shim object to the active run's generation: ids are
 /// per-execution so objects created outside a run (statics, leftovers
 /// from a previous schedule) still get fresh identities.
@@ -100,19 +89,6 @@ impl<T> Mutex<T> {
             inner: StdMutex::new(value),
         }
     }
-
-    pub fn into_inner(self) -> LockResult<T> {
-        self.inner.into_inner()
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    /// Prefer `Mutex::new` in wired code: the class site of a
-    /// default-constructed mutex is this impl, not the caller.
-    #[track_caller]
-    fn default() -> Mutex<T> {
-        Mutex::new(T::default())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -155,10 +131,6 @@ impl<T: ?Sized> Mutex<T> {
                 })),
             },
         }
-    }
-
-    pub fn get_mut(&mut self) -> LockResult<&mut T> {
-        self.inner.get_mut()
     }
 }
 
@@ -207,199 +179,13 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
 }
 
 // ---------------------------------------------------------------------------
-// RwLock
-// ---------------------------------------------------------------------------
-
-/// Model-checkable `std::sync::RwLock`; read and write acquisitions share
-/// the lock class (the `new` call site).
-pub struct RwLock<T: ?Sized> {
-    site: &'static Location<'static>,
-    obj: LazyObj,
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    #[track_caller]
-    pub fn new(value: T) -> RwLock<T> {
-        RwLock {
-            site: Location::caller(),
-            obj: LazyObj::new(),
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    pub fn into_inner(self) -> LockResult<T> {
-        self.inner.into_inner()
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    #[track_caller]
-    fn default() -> RwLock<T> {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    fn bind(&self, ctx: &TaskCtx) -> ObjId {
-        self.obj.bind(
-            ctx,
-            || ObjState::RwLock {
-                readers: Default::default(),
-                writer: None,
-            },
-            || {
-                Some(LockClass {
-                    kind: LockKind::RwLock,
-                    site: site_of(self.site),
-                })
-            },
-        )
-    }
-
-    #[track_caller]
-    pub fn read(&self) -> LockResult<RwLockReadGuard<'_, T>> {
-        let acquire = Location::caller();
-        match current() {
-            Some(ctx) => {
-                let id = self.bind(&ctx);
-                ctx.rt.yield_op(
-                    ctx.id,
-                    op(Some(id), false, OpWhat::RwReadAcquire, site_of(acquire)),
-                );
-                let guard = self.inner.read().unwrap_or_else(|e| e.into_inner());
-                Ok(RwLockReadGuard {
-                    inner: Some(guard),
-                    model: Some((ctx, id)),
-                })
-            }
-            None => match self.inner.read() {
-                Ok(guard) => Ok(RwLockReadGuard {
-                    inner: Some(guard),
-                    model: None,
-                }),
-                Err(poisoned) => Err(PoisonError::new(RwLockReadGuard {
-                    inner: Some(poisoned.into_inner()),
-                    model: None,
-                })),
-            },
-        }
-    }
-
-    #[track_caller]
-    pub fn write(&self) -> LockResult<RwLockWriteGuard<'_, T>> {
-        let acquire = Location::caller();
-        match current() {
-            Some(ctx) => {
-                let id = self.bind(&ctx);
-                ctx.rt.yield_op(
-                    ctx.id,
-                    op(Some(id), true, OpWhat::RwWriteAcquire, site_of(acquire)),
-                );
-                let guard = self.inner.write().unwrap_or_else(|e| e.into_inner());
-                Ok(RwLockWriteGuard {
-                    inner: Some(guard),
-                    model: Some((ctx, id)),
-                })
-            }
-            None => match self.inner.write() {
-                Ok(guard) => Ok(RwLockWriteGuard {
-                    inner: Some(guard),
-                    model: None,
-                }),
-                Err(poisoned) => Err(PoisonError::new(RwLockWriteGuard {
-                    inner: Some(poisoned.into_inner()),
-                    model: None,
-                })),
-            },
-        }
-    }
-
-    pub fn get_mut(&mut self) -> LockResult<&mut T> {
-        self.inner.get_mut()
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
-    }
-}
-
-pub struct RwLockReadGuard<'a, T: ?Sized + 'a> {
-    inner: Option<std::sync::RwLockReadGuard<'a, T>>,
-    model: Option<(TaskCtx, ObjId)>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard live")
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some((ctx, id)) = self.model.take() {
-            let _ = ctx.rt.yield_op_for_drop(
-                ctx.id,
-                op(Some(id), false, OpWhat::RwReadRelease, String::new()),
-            );
-        }
-        self.inner = None;
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockReadGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-pub struct RwLockWriteGuard<'a, T: ?Sized + 'a> {
-    inner: Option<std::sync::RwLockWriteGuard<'a, T>>,
-    model: Option<(TaskCtx, ObjId)>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard live")
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard live")
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some((ctx, id)) = self.model.take() {
-            let _ = ctx.rt.yield_op_for_drop(
-                ctx.id,
-                op(Some(id), true, OpWhat::RwWriteRelease, String::new()),
-            );
-        }
-        self.inner = None;
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockWriteGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // OnceLock
 // ---------------------------------------------------------------------------
 
 /// Model-checkable `std::sync::OnceLock`. `new` stays `const` (the wired
 /// code keeps `static G: OnceLock<Group>` etc.), so the lock class for the
 /// initialization slot is the *first touch site in the execution* —
-/// in practice the `get_or_init` call, as the issue prescribes.
+/// in practice the `get_or_init` call.
 pub struct OnceLock<T> {
     obj: LazyObj,
     inner: std::sync::OnceLock<T>,
@@ -445,33 +231,6 @@ impl<T> OnceLock<T> {
     }
 
     #[track_caller]
-    pub fn set(&self, value: T) -> Result<(), T> {
-        match current() {
-            Some(ctx) => {
-                let loc = Location::caller();
-                let id = self.bind(&ctx, loc);
-                let grant = ctx.rt.yield_op(
-                    ctx.id,
-                    op(Some(id), true, OpWhat::OnceAcquire, site_of(loc)),
-                );
-                match grant.once_role {
-                    Some(OnceRole::Claimed) => {
-                        let stored = self.inner.set(value);
-                        debug_assert!(stored.is_ok(), "model claim implies empty cell");
-                        ctx.rt.yield_op(
-                            ctx.id,
-                            op(Some(id), true, OpWhat::OnceComplete, site_of(loc)),
-                        );
-                        Ok(())
-                    }
-                    _ => Err(value),
-                }
-            }
-            None => self.inner.set(value),
-        }
-    }
-
-    #[track_caller]
     pub fn get_or_init<F>(&self, f: F) -> &T
     where
         F: FnOnce() -> T,
@@ -504,10 +263,6 @@ impl<T> OnceLock<T> {
             None => self.inner.get_or_init(f),
         }
     }
-
-    pub fn into_inner(self) -> Option<T> {
-        self.inner.into_inner()
-    }
 }
 
 impl<T> Default for OnceLock<T> {
@@ -529,14 +284,6 @@ impl<T: Clone> Clone for OnceLock<T> {
     }
 }
 
-impl<T: PartialEq> PartialEq for OnceLock<T> {
-    fn eq(&self, other: &OnceLock<T>) -> bool {
-        self.inner.get() == other.inner.get()
-    }
-}
-
-impl<T: Eq> Eq for OnceLock<T> {}
-
 impl<T: fmt::Debug> fmt::Debug for OnceLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.inner.fmt(f)
@@ -547,181 +294,53 @@ impl<T: fmt::Debug> fmt::Debug for OnceLock<T> {
 // Atomics
 // ---------------------------------------------------------------------------
 
-macro_rules! atomic_shim {
-    ($name:ident, $std:ty, $prim:ty) => {
-        /// Model-checkable atomic. Exploration is sequentially
-        /// consistent; the *requested* ordering of every op is recorded
-        /// for the atomics-ordering notes pass.
-        pub struct $name {
-            obj: LazyObj,
-            inner: $std,
-        }
-
-        impl $name {
-            pub const fn new(value: $prim) -> $name {
-                $name {
-                    obj: LazyObj::new(),
-                    inner: <$std>::new(value),
-                }
-            }
-
-            fn point(&self, write: bool, bucket: &'static str, ordering: Ordering, loc: &'static Location<'static>) {
-                if let Some(ctx) = current() {
-                    let id = self.obj.bind(&ctx, || ObjState::Atomic, || None);
-                    ctx.rt.yield_op(
-                        ctx.id,
-                        op(
-                            Some(id),
-                            write,
-                            OpWhat::Atomic {
-                                bucket,
-                                ordering: ordering_name(ordering),
-                            },
-                            site_of(loc),
-                        ),
-                    );
-                }
-            }
-
-            #[track_caller]
-            pub fn load(&self, ordering: Ordering) -> $prim {
-                self.point(false, "load", ordering, Location::caller());
-                self.inner.load(ordering)
-            }
-
-            #[track_caller]
-            pub fn store(&self, value: $prim, ordering: Ordering) {
-                self.point(true, "store", ordering, Location::caller());
-                self.inner.store(value, ordering)
-            }
-
-            #[track_caller]
-            pub fn swap(&self, value: $prim, ordering: Ordering) -> $prim {
-                self.point(true, "rmw", ordering, Location::caller());
-                self.inner.swap(value, ordering)
-            }
-
-            #[track_caller]
-            pub fn fetch_add(&self, value: $prim, ordering: Ordering) -> $prim {
-                self.point(true, "rmw", ordering, Location::caller());
-                self.inner.fetch_add(value, ordering)
-            }
-
-            #[track_caller]
-            pub fn fetch_sub(&self, value: $prim, ordering: Ordering) -> $prim {
-                self.point(true, "rmw", ordering, Location::caller());
-                self.inner.fetch_sub(value, ordering)
-            }
-
-            #[track_caller]
-            pub fn fetch_max(&self, value: $prim, ordering: Ordering) -> $prim {
-                self.point(true, "rmw", ordering, Location::caller());
-                self.inner.fetch_max(value, ordering)
-            }
-
-            #[track_caller]
-            pub fn fetch_min(&self, value: $prim, ordering: Ordering) -> $prim {
-                self.point(true, "rmw", ordering, Location::caller());
-                self.inner.fetch_min(value, ordering)
-            }
-
-            #[track_caller]
-            pub fn compare_exchange(
-                &self,
-                expected: $prim,
-                new: $prim,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$prim, $prim> {
-                self.point(true, "rmw", success, Location::caller());
-                self.inner.compare_exchange(expected, new, success, failure)
-            }
-
-            pub fn into_inner(self) -> $prim {
-                self.inner.into_inner()
-            }
-
-            pub fn get_mut(&mut self) -> &mut $prim {
-                self.inner.get_mut()
-            }
-        }
-
-        impl Default for $name {
-            fn default() -> $name {
-                $name::new(<$prim>::default())
-            }
-        }
-
-        impl fmt::Debug for $name {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                self.inner.fmt(f)
-            }
-        }
-    };
-}
-
-atomic_shim!(AtomicU64, std::sync::atomic::AtomicU64, u64);
-atomic_shim!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
-
-/// Model-checkable `AtomicBool` (load/store/swap only; the wired code
-/// needs nothing richer).
-pub struct AtomicBool {
+/// Model-checkable `AtomicU64`. Every op is a scheduling point;
+/// exploration is sequentially consistent whatever ordering the caller
+/// requests.
+pub struct AtomicU64 {
     obj: LazyObj,
-    inner: std::sync::atomic::AtomicBool,
+    inner: std::sync::atomic::AtomicU64,
 }
 
-impl AtomicBool {
-    pub const fn new(value: bool) -> AtomicBool {
-        AtomicBool {
+impl AtomicU64 {
+    pub const fn new(value: u64) -> AtomicU64 {
+        AtomicU64 {
             obj: LazyObj::new(),
-            inner: std::sync::atomic::AtomicBool::new(value),
+            inner: std::sync::atomic::AtomicU64::new(value),
         }
     }
 
-    fn point(&self, write: bool, bucket: &'static str, ordering: Ordering, loc: &'static Location<'static>) {
+    fn point(&self, write: bool) {
         if let Some(ctx) = current() {
             let id = self.obj.bind(&ctx, || ObjState::Atomic, || None);
-            ctx.rt.yield_op(
-                ctx.id,
-                op(
-                    Some(id),
-                    write,
-                    OpWhat::Atomic {
-                        bucket,
-                        ordering: ordering_name(ordering),
-                    },
-                    site_of(loc),
-                ),
-            );
+            ctx.rt
+                .yield_op(ctx.id, op(Some(id), write, OpWhat::Atomic, String::new()));
         }
     }
 
-    #[track_caller]
-    pub fn load(&self, ordering: Ordering) -> bool {
-        self.point(false, "load", ordering, Location::caller());
+    pub fn load(&self, ordering: Ordering) -> u64 {
+        self.point(false);
         self.inner.load(ordering)
     }
 
-    #[track_caller]
-    pub fn store(&self, value: bool, ordering: Ordering) {
-        self.point(true, "store", ordering, Location::caller());
+    pub fn store(&self, value: u64, ordering: Ordering) {
+        self.point(true);
         self.inner.store(value, ordering)
     }
 
-    #[track_caller]
-    pub fn swap(&self, value: bool, ordering: Ordering) -> bool {
-        self.point(true, "rmw", ordering, Location::caller());
-        self.inner.swap(value, ordering)
+    pub fn fetch_add(&self, value: u64, ordering: Ordering) -> u64 {
+        self.point(true);
+        self.inner.fetch_add(value, ordering)
     }
 }
 
-impl Default for AtomicBool {
-    fn default() -> AtomicBool {
-        AtomicBool::new(false)
+impl Default for AtomicU64 {
+    fn default() -> AtomicU64 {
+        AtomicU64::new(0)
     }
 }
 
-impl fmt::Debug for AtomicBool {
+impl fmt::Debug for AtomicU64 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.inner.fmt(f)
     }
@@ -807,20 +426,6 @@ where
     }
 }
 
-/// Cooperative yield: a pure scheduling point inside a model run,
-/// `std::thread::yield_now` otherwise.
-#[track_caller]
-pub fn yield_now() {
-    match current() {
-        Some(ctx) => {
-            let loc = Location::caller();
-            ctx.rt
-                .yield_op(ctx.id, op(None, false, OpWhat::Yield, site_of(loc)));
-        }
-        None => std::thread::yield_now(),
-    }
-}
-
 /// Scoped-thread wrapper. Outside a model run this is
 /// `std::thread::scope` with an API-compatible [`Scope`]. *Inside* a
 /// model run scoped spawning is unsupported (model scenarios use
@@ -864,9 +469,5 @@ pub struct ScopedJoinHandle<'scope, T> {
 impl<T> ScopedJoinHandle<'_, T> {
     pub fn join(self) -> std::thread::Result<T> {
         self.inner.join()
-    }
-
-    pub fn is_finished(&self) -> bool {
-        self.inner.is_finished()
     }
 }

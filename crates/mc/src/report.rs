@@ -1,9 +1,9 @@
-//! Schedule serialization and the lock-order / atomics-ordering report.
+//! Schedule serialization and the lock-order report.
 //!
 //! These types are compiled in **both** build modes: under `model-check`
-//! the explorer produces them, and without the feature downstream tooling
-//! (the `ccc-lint` SARIF bridge, golden-snapshot tests) can still parse,
-//! construct, and render them.
+//! the explorer produces them, and the default build keeps them so the
+//! schedule-parsing and cycle-detection unit tests below run in every
+//! `cargo test --workspace`, not only in model-check runs.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -106,19 +106,16 @@ impl FromStr for Schedule {
 pub enum LockKind {
     /// An `mc::Mutex`.
     Mutex,
-    /// An `mc::RwLock` (read and write acquisitions share the class).
-    RwLock,
     /// An `mc::OnceLock` initialization slot (`get_or_init` holds the
     /// class for the duration of the initializer).
     OnceInit,
 }
 
 impl LockKind {
-    /// Human label used in messages and SARIF.
+    /// Human label used in messages.
     pub fn label(self) -> &'static str {
         match self {
             LockKind::Mutex => "mutex",
-            LockKind::RwLock => "rwlock",
             LockKind::OnceInit => "once-init",
         }
     }
@@ -132,8 +129,8 @@ impl LockKind {
 pub struct LockClass {
     /// What kind of primitive this class groups.
     pub kind: LockKind,
-    /// Construction site (`crates/crypto/src/intern.rs:256`) for mutexes
-    /// and rwlocks; first-initializer site for once-init classes.
+    /// Construction site (`crates/crypto/src/intern.rs:256`) for mutexes;
+    /// first-initializer site for once-init classes.
     pub site: String,
 }
 
@@ -158,38 +155,6 @@ pub struct LockEdge {
     pub observations: u64,
 }
 
-/// Atomic access summary for one source location, used by the
-/// atomics-ordering notes pass. Orderings are recorded as requested by
-/// the caller even though exploration itself is sequentially consistent.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct AtomicSiteSummary {
-    /// The call site (`crates/crypto/src/intern.rs:182`).
-    pub site: String,
-    /// Orderings observed on plain loads, deduplicated, sorted.
-    pub load_orderings: Vec<String>,
-    /// Orderings observed on plain stores, deduplicated, sorted.
-    pub store_orderings: Vec<String>,
-    /// Orderings observed on read-modify-write ops, deduplicated, sorted.
-    pub rmw_orderings: Vec<String>,
-}
-
-impl AtomicSiteSummary {
-    /// Compact single-line description (`loads{Relaxed} rmws{Relaxed}`).
-    pub fn describe(&self) -> String {
-        let mut parts = Vec::new();
-        for (label, orderings) in [
-            ("loads", &self.load_orderings),
-            ("stores", &self.store_orderings),
-            ("rmws", &self.rmw_orderings),
-        ] {
-            if !orderings.is_empty() {
-                parts.push(format!("{label}{{{}}}", orderings.join(",")));
-            }
-        }
-        parts.join(" ")
-    }
-}
-
 /// A cycle in the lock-order graph: class indices in traversal order
 /// (first index repeated implicitly; a single-element cycle is a
 /// same-class self-edge).
@@ -208,8 +173,6 @@ pub struct LockOrderReport {
     /// Elementary cycles found in the class graph, canonicalized (each
     /// rotated to start at its smallest index, deduplicated, sorted).
     pub cycles: Vec<LockCycle>,
-    /// Per-site atomic ordering summaries, sorted by site.
-    pub atomics: Vec<AtomicSiteSummary>,
 }
 
 impl LockOrderReport {
@@ -429,7 +392,7 @@ mod tests {
             classes: vec![
                 class(LockKind::Mutex, "a.rs:1"),
                 class(LockKind::OnceInit, "b.rs:2"),
-                class(LockKind::RwLock, "c.rs:3"),
+                class(LockKind::Mutex, "c.rs:3"),
             ],
             edges: vec![edge(0, 1), edge(0, 2), edge(1, 2)],
             ..Default::default()
@@ -451,16 +414,5 @@ mod tests {
         };
         r.detect_cycles();
         assert_eq!(r.cycles, vec![vec![0, 1, 2]]);
-    }
-
-    #[test]
-    fn atomic_summary_describe() {
-        let s = AtomicSiteSummary {
-            site: "x.rs:5".to_string(),
-            load_orderings: vec!["Relaxed".to_string()],
-            store_orderings: vec![],
-            rmw_orderings: vec!["Relaxed".to_string()],
-        };
-        assert_eq!(s.describe(), "loads{Relaxed} rmws{Relaxed}");
     }
 }

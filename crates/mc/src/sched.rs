@@ -23,7 +23,7 @@
 //!   it are skipped and the exploration is flagged as bound-truncated
 //!   (never silently "complete").
 
-use crate::report::{AtomicSiteSummary, LockClass, LockEdge, LockKind, LockOrderReport};
+use crate::report::{LockClass, LockEdge, LockKind, LockOrderReport};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -54,10 +54,6 @@ pub(crate) enum ObjState {
     Mutex {
         holder: Option<TaskId>,
     },
-    RwLock {
-        readers: BTreeSet<TaskId>,
-        writer: Option<TaskId>,
-    },
     Once {
         status: OnceStatus,
     },
@@ -79,7 +75,8 @@ pub(crate) struct Op {
     /// object (anything but a pure read).
     pub write: bool,
     pub what: OpWhat,
-    /// Caller source location (`crates/crypto/src/intern.rs:182`).
+    /// Caller source location (`crates/crypto/src/intern.rs:182`); empty
+    /// for releases and atomics, which never block or add an edge.
     pub site: String,
 }
 
@@ -87,14 +84,8 @@ pub(crate) struct Op {
 pub(crate) enum OpWhat {
     /// First scheduling point of every task; always enabled.
     Begin,
-    /// Explicit `yield_now`; always enabled.
-    Yield,
     MutexAcquire,
     MutexRelease,
-    RwReadAcquire,
-    RwReadRelease,
-    RwWriteAcquire,
-    RwWriteRelease,
     /// `OnceLock` read or init claim (resolved at grant time).
     OnceAcquire,
     /// Non-blocking `OnceLock::get`: observes the cell without claiming
@@ -102,12 +93,8 @@ pub(crate) enum OpWhat {
     OnceGet,
     /// Initializer finished; publishes the value.
     OnceComplete,
-    /// Atomic op; `bucket` is load/store/rmw, `ordering` the requested
-    /// `Ordering`, recorded for the atomics-notes pass.
-    Atomic {
-        bucket: &'static str,
-        ordering: &'static str,
-    },
+    /// Atomic load, store or read-modify-write; always enabled.
+    Atomic,
     /// Join on another model task; enabled once it finished.
     Join(TaskId),
 }
@@ -170,8 +157,6 @@ pub(crate) struct ExecResult {
     pub classes: Vec<LockClass>,
     /// `(from class, to class, acquire site)` → distinct instance pairs.
     pub edges: BTreeMap<(usize, usize, String), BTreeSet<(ObjId, ObjId)>>,
-    /// Atomic op site → orderings per bucket.
-    pub atomics: BTreeMap<String, [BTreeSet<&'static str>; 3]>,
 }
 
 struct RunInner {
@@ -192,7 +177,6 @@ struct RunInner {
     /// Locks currently held per task (acquisition order).
     lock_stacks: Vec<Vec<ObjId>>,
     edges: BTreeMap<(usize, usize, String), BTreeSet<(ObjId, ObjId)>>,
-    atomics: BTreeMap<String, [BTreeSet<&'static str>; 3]>,
     /// OS thread handles, joined at execution teardown.
     handles: Vec<std::thread::JoinHandle<()>>,
 }
@@ -263,7 +247,6 @@ impl Runtime {
                 cancelling: false,
                 lock_stacks: Vec::new(),
                 edges: BTreeMap::new(),
-                atomics: BTreeMap::new(),
                 handles: Vec::new(),
             }),
             cv: Condvar::new(),
@@ -272,7 +255,7 @@ impl Runtime {
     }
 
     /// Register a shared object the first time it is touched in this
-    /// run's generation. `class` names the lock class (mutex/rwlock by
+    /// run's generation. `class` names the lock class (mutex by
     /// construction site, once-init by first initializer site); atomics
     /// carry no class.
     pub(crate) fn bind_object(
@@ -731,7 +714,6 @@ fn teardown(rt: &Arc<Runtime>) -> ExecResult {
                 decisions: inner.decisions.clone(),
                 classes: inner.classes.clone(),
                 edges: inner.edges.clone(),
-                atomics: inner.atomics.clone(),
             };
             drop(inner);
             for h in handles {
@@ -746,26 +728,13 @@ fn teardown(rt: &Arc<Runtime>) -> ExecResult {
 fn op_enabled(inner: &RunInner, op: &Op) -> bool {
     match &op.what {
         OpWhat::Begin
-        | OpWhat::Yield
         | OpWhat::MutexRelease
-        | OpWhat::RwReadRelease
-        | OpWhat::RwWriteRelease
         | OpWhat::OnceComplete
         | OpWhat::OnceGet
-        | OpWhat::Atomic { .. } => true,
+        | OpWhat::Atomic => true,
         OpWhat::MutexAcquire => {
             matches!(obj(inner, op), ObjState::Mutex { holder: None })
         }
-        OpWhat::RwReadAcquire => {
-            matches!(obj(inner, op), ObjState::RwLock { writer: None, .. })
-        }
-        OpWhat::RwWriteAcquire => matches!(
-            obj(inner, op),
-            ObjState::RwLock {
-                writer: None,
-                readers
-            } if readers.is_empty()
-        ),
         OpWhat::OnceAcquire => !matches!(
             obj(inner, op),
             ObjState::Once {
@@ -795,12 +764,12 @@ fn op_sig(inner: &RunInner, op: &Op) -> OpSig {
     OpSig { obj: op.obj, write }
 }
 
-/// Apply the state transition for a granted op and record lock-order /
-/// atomics facts. Runs under the driver with the token free, so the
+/// Apply the state transition for a granted op and record lock-order
+/// edges. Runs under the driver with the token free, so the
 /// transition is atomic with respect to every task.
 fn apply_op(inner: &mut RunInner, t: TaskId, op: &Op) -> Grant {
     match &op.what {
-        OpWhat::Begin | OpWhat::Yield | OpWhat::OnceGet => Grant::default(),
+        OpWhat::Begin | OpWhat::OnceGet | OpWhat::Atomic | OpWhat::Join(_) => Grant::default(),
         OpWhat::MutexAcquire => {
             let id = op.obj.expect("mutex op has object");
             record_acquisition(inner, t, id, &op.site);
@@ -818,40 +787,6 @@ fn apply_op(inner: &mut RunInner, t: TaskId, op: &Op) -> Grant {
             let id = op.obj.expect("mutex op has object");
             if let Some(ObjState::Mutex { holder }) = inner.objects.get_mut(&id) {
                 *holder = None;
-            }
-            release_from_stack(inner, t, id);
-            Grant::default()
-        }
-        OpWhat::RwReadAcquire => {
-            let id = op.obj.expect("rwlock op has object");
-            record_acquisition(inner, t, id, &op.site);
-            if let Some(ObjState::RwLock { readers, .. }) = inner.objects.get_mut(&id) {
-                readers.insert(t);
-            }
-            inner.lock_stacks[t].push(id);
-            Grant::default()
-        }
-        OpWhat::RwReadRelease => {
-            let id = op.obj.expect("rwlock op has object");
-            if let Some(ObjState::RwLock { readers, .. }) = inner.objects.get_mut(&id) {
-                readers.remove(&t);
-            }
-            release_from_stack(inner, t, id);
-            Grant::default()
-        }
-        OpWhat::RwWriteAcquire => {
-            let id = op.obj.expect("rwlock op has object");
-            record_acquisition(inner, t, id, &op.site);
-            if let Some(ObjState::RwLock { writer, .. }) = inner.objects.get_mut(&id) {
-                *writer = Some(t);
-            }
-            inner.lock_stacks[t].push(id);
-            Grant::default()
-        }
-        OpWhat::RwWriteRelease => {
-            let id = op.obj.expect("rwlock op has object");
-            if let Some(ObjState::RwLock { writer, .. }) = inner.objects.get_mut(&id) {
-                *writer = None;
             }
             release_from_stack(inner, t, id);
             Grant::default()
@@ -887,17 +822,6 @@ fn apply_op(inner: &mut RunInner, t: TaskId, op: &Op) -> Grant {
             release_from_stack(inner, t, id);
             Grant::default()
         }
-        OpWhat::Atomic { bucket, ordering } => {
-            let buckets = inner.atomics.entry(op.site.clone()).or_default();
-            let slot = match *bucket {
-                "load" => 0,
-                "store" => 1,
-                _ => 2,
-            };
-            buckets[slot].insert(*ordering);
-            Grant::default()
-        }
-        OpWhat::Join(_) => Grant::default(),
     }
 }
 
@@ -926,14 +850,13 @@ fn release_from_stack(inner: &mut RunInner, t: TaskId, id: ObjId) {
     }
 }
 
-/// Merge per-execution lock/atomic facts across an exploration.
+/// Merge per-execution lock-order facts across an exploration.
 #[derive(Default)]
 pub(crate) struct ReportAggregator {
     classes: Vec<LockClass>,
     class_index: BTreeMap<(LockKind, String), usize>,
     /// `(from, to, site)` → max distinct instance pairs seen in one run.
     edges: BTreeMap<(usize, usize, String), u64>,
-    atomics: BTreeMap<String, [BTreeSet<&'static str>; 3]>,
 }
 
 impl ReportAggregator {
@@ -961,12 +884,6 @@ impl ReportAggregator {
             let entry = self.edges.entry(key).or_insert(0);
             *entry = (*entry).max(count);
         }
-        for (site, buckets) in &exec.atomics {
-            let agg = self.atomics.entry(site.clone()).or_default();
-            for (slot, orderings) in buckets.iter().enumerate() {
-                agg[slot].extend(orderings.iter().copied());
-            }
-        }
     }
 
     pub(crate) fn into_report(self) -> LockOrderReport {
@@ -989,21 +906,10 @@ impl ReportAggregator {
             })
             .collect();
         edges.sort();
-        let atomics = self
-            .atomics
-            .into_iter()
-            .map(|(site, buckets)| AtomicSiteSummary {
-                site,
-                load_orderings: buckets[0].iter().map(|s| s.to_string()).collect(),
-                store_orderings: buckets[1].iter().map(|s| s.to_string()).collect(),
-                rmw_orderings: buckets[2].iter().map(|s| s.to_string()).collect(),
-            })
-            .collect();
         let mut report = LockOrderReport {
             classes,
             edges,
             cycles: Vec::new(),
-            atomics,
         };
         report.detect_cycles();
         report

@@ -14,10 +14,6 @@ fn shims_are_literal_std_type_aliases() {
         TypeId::of::<std::sync::Mutex<Vec<u8>>>()
     );
     assert_eq!(
-        TypeId::of::<ccc_mc::RwLock<String>>(),
-        TypeId::of::<std::sync::RwLock<String>>()
-    );
-    assert_eq!(
         TypeId::of::<ccc_mc::OnceLock<u64>>(),
         TypeId::of::<std::sync::OnceLock<u64>>()
     );
@@ -25,17 +21,7 @@ fn shims_are_literal_std_type_aliases() {
         TypeId::of::<ccc_mc::AtomicU64>(),
         TypeId::of::<std::sync::atomic::AtomicU64>()
     );
-    assert_eq!(
-        TypeId::of::<ccc_mc::AtomicUsize>(),
-        TypeId::of::<std::sync::atomic::AtomicUsize>()
-    );
-    assert_eq!(
-        TypeId::of::<ccc_mc::AtomicBool>(),
-        TypeId::of::<std::sync::atomic::AtomicBool>()
-    );
 }
-
-const _: () = assert!(!ccc_mc::MODEL_CHECK_BUILD);
 
 #[test]
 fn shim_sizes_match_std() {
@@ -61,7 +47,8 @@ fn spawn_is_std_spawn() {
 
 #[test]
 fn report_types_available_without_feature() {
-    // The SARIF bridge in ccc-lint consumes these in every build mode.
+    // The report types compile without the feature, so their unit tests
+    // (schedule parsing, cycle detection) run in every workspace test.
     let schedule: ccc_mc::Schedule = "0,1,0".parse().expect("parse");
     assert_eq!(schedule.to_string(), "0,1,0");
     let report = ccc_mc::LockOrderReport::default();

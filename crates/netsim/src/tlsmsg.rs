@@ -177,6 +177,10 @@ pub fn decode_tls13(msg: &[u8]) -> Result<Vec<Certificate>, TlsMsgError> {
     if end > msg.len() {
         return Err(TlsMsgError::Truncated);
     }
+    // The context and the list must fill the body, as in TLS 1.2.
+    if end < msg.len() {
+        return Err(TlsMsgError::LengthMismatch);
+    }
     let mut certs = presize_certs(list_len);
     while pos < end {
         let cert_len = read_u24(msg, &mut pos)?;
@@ -272,6 +276,20 @@ mod tests {
         let mut msg = encode_tls12(&certs).unwrap();
         msg[3] = msg[3].wrapping_add(1); // corrupt outer length
         assert!(decode_tls12(&msg).is_err());
+
+        // Four bytes after the certificate list, counted by the outer
+        // length: the list must fill the body under either version.
+        fn with_trailing_bytes(mut msg: Vec<u8>) -> Vec<u8> {
+            msg.extend_from_slice(&[0; 4]);
+            let body_len = msg.len() - 4;
+            msg[1..4].copy_from_slice(&(body_len as u32).to_be_bytes()[1..]);
+            msg
+        }
+        let one = &certs[..1];
+        let msg = with_trailing_bytes(encode_tls12(one).unwrap());
+        assert_eq!(decode_tls12(&msg), Err(TlsMsgError::LengthMismatch));
+        let msg = with_trailing_bytes(encode_tls13(one).unwrap());
+        assert_eq!(decode_tls13(&msg), Err(TlsMsgError::LengthMismatch));
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! - [`MetricsRegistry`]: a process-global registry of named counters,
 //!   gauges, and fixed log₂-bucket histograms. Every cell is a `ccc-mc`
-//!   shim atomic, so under `--features model-check` the model checker
-//!   explores metric updates together with the cache state they
-//!   instrument (and `ci/check_raw_sync.sh` enforces the shim use).
+//!   shim atomic, so when the ccc-crypto and ccc-core model tests turn on
+//!   `ccc-mc/model-check` the model checker explores metric updates
+//!   together with the cache state they instrument (and
+//!   `ci/check_raw_sync.sh` enforces the shim use).
 //! - [`span!`]: scope guards that record nested wall durations into
 //!   histograms named after the `parent/child` span path.
 //! - [`render_prometheus`] / [`render_json`]: two renderers over a

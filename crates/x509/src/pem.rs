@@ -61,17 +61,19 @@ pub fn base64_encode(data: &[u8]) -> String {
 }
 
 /// Base64-decode (standard alphabet; whitespace ignored; padding
-/// optional).
+/// optional). Padding ends the data: after the first `=` only whitespace
+/// and one more `=` may follow.
 pub fn base64_decode(text: &str) -> Option<Vec<u8>> {
+    let (data, padding) = text.split_at(text.find('=').unwrap_or(text.len()));
+    if padding.chars().any(|c| c != '=' && !c.is_whitespace()) || padding.matches('=').count() > 2 {
+        return None;
+    }
     let mut acc: u32 = 0;
     let mut bits = 0u32;
-    let mut out = Vec::with_capacity(text.len() * 3 / 4);
-    for c in text.chars() {
+    let mut out = Vec::with_capacity(data.len() * 3 / 4);
+    for c in data.chars() {
         if c.is_whitespace() {
             continue;
-        }
-        if c == '=' {
-            break;
         }
         let v = match c {
             'A'..='Z' => c as u32 - 'A' as u32,
@@ -177,6 +179,9 @@ mod tests {
         assert_eq!(base64_decode("Zm8=").unwrap(), b"fo");
         assert_eq!(base64_decode("Z m 8 =").unwrap(), b"fo", "whitespace tolerated");
         assert!(base64_decode("Z!8=").is_none());
+        assert!(base64_decode("Zg==Zm9v").is_none(), "data after padding");
+        assert!(base64_decode("Zg==!!!").is_none(), "junk after padding");
+        assert!(base64_decode("Zg===").is_none(), "three padding characters");
     }
 
     #[test]
@@ -238,5 +243,14 @@ mod tests {
             decode_chain(&garbage),
             Err(PemError::BadCertificate(_))
         ));
+        // Two certificates' base64 in one block: the first one's padding
+        // must not end the block and drop the second.
+        let first = base64_encode(cert("A", b"pem-a").to_der());
+        assert!(first.ends_with('='), "precondition: the first encoding is padded");
+        let merged = format!(
+            "-----BEGIN CERTIFICATE-----\n{first}\n{}\n-----END CERTIFICATE-----\n",
+            base64_encode(cert("B", b"pem-b").to_der())
+        );
+        assert_eq!(decode_chain(&merged), Err(PemError::InvalidBase64));
     }
 }
