@@ -51,12 +51,8 @@ pub(crate) struct CancelToken;
 /// What kind of shared object an id denotes (drives enabledness).
 #[derive(Debug)]
 pub(crate) enum ObjState {
-    Mutex {
-        holder: Option<TaskId>,
-    },
-    Once {
-        status: OnceStatus,
-    },
+    Mutex { holder: Option<TaskId> },
+    Once { status: OnceStatus },
     Atomic,
 }
 
