@@ -72,7 +72,8 @@ pub(crate) struct Op {
     pub write: bool,
     pub what: OpWhat,
     /// Caller source location (`crates/crypto/src/intern.rs:182`); empty
-    /// for releases and atomics, which never block or add an edge.
+    /// for `Begin`, releases and atomics, which never block or add an
+    /// edge.
     pub site: String,
 }
 
