@@ -37,8 +37,10 @@ use ccc_rootstore::RootProgram;
 use ccc_testgen::{Corpus, CorpusSpec};
 use std::collections::BTreeMap;
 
+mod host;
 pub mod pipeline;
 
+pub use host::Host;
 pub use pipeline::{
     touch_all_metrics, AnalysisPass, ChaosClientCell, ChaosScenarioSummary, ChaosSummary,
     CompliancePass, DifferentialPass, FaultPass, FaultScenario, LintPass, ObservationMemo,

