@@ -6,7 +6,7 @@
 //! `cargo run --release --bin ablation [domains]`
 
 use ccc_bench::{
-    domains_from_env, scan_corpus, AnalysisPass, ObservationMemo, PassContext, Pipeline,
+    domains_from_args, scan_corpus, AnalysisPass, ObservationMemo, PassContext, Pipeline,
 };
 use ccc_core::builder::{BuildContext, BuilderPolicy, ChainEngine, KidPriority, SearchScope,
     ValidityPriority};
@@ -126,7 +126,7 @@ impl<'c> AnalysisPass<'c> for NoncompliantSubset<'c> {
 }
 
 fn main() -> Result<(), String> {
-    let domains = domains_from_env()?;
+    let domains = domains_from_args()?;
     eprintln!("generating {domains} domains, ablating over the non-compliant subset…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();

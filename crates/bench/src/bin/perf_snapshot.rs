@@ -353,10 +353,7 @@ fn main() -> ExitCode {
         }
     }
     let host = Host::probe();
-    println!(
-        "host: {} ({} CPUs), {}, commit {}",
-        host.cpu_model, host.nproc, host.rustc, host.commit
-    );
+    println!("host: {host}");
     if let Err(e) = std::fs::write(out, render_json(&host, &cases)) {
         eprintln!("perf_snapshot: cannot write {out}: {e}");
         return ExitCode::FAILURE;

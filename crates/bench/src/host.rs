@@ -1,6 +1,7 @@
 //! The host block recorded with every micro-benchmark snapshot. Absolute
 //! times are only comparable between snapshots whose host blocks agree.
 
+use std::fmt;
 use std::path::Path;
 
 /// Where and on what a measurement was taken.
@@ -39,6 +40,17 @@ impl Host {
             rustc: env!("CCC_BENCH_RUSTC_VERSION"),
             commit: git_commit(Path::new(".git")).unwrap_or_else(|| "unknown".to_string()),
         }
+    }
+}
+
+/// One line: CPU model, logical CPUs, rustc and commit.
+impl fmt::Display for Host {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} ({} CPUs), {}, commit {}",
+            self.cpu_model, self.nproc, self.rustc, self.commit
+        )
     }
 }
 

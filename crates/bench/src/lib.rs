@@ -1,10 +1,11 @@
 //! Experiment harness shared by the table/figure regeneration binaries.
 //!
-//! Every corpus-backed `table*`/`section52` binary runs one
-//! [`Pipeline::run`] over a calibrated corpus with the pass it needs
-//! ([`CompliancePass`] for [`CorpusSummary`], [`DifferentialPass`] for
-//! [`DifferentialSummary`]) and prints its slice of the accumulated
-//! statistics next to the paper's published values, so "shape"
+//! The `tables` binary regenerates the paper's corpus tables (Tables 3,
+//! 5, 7, 8, 10 and 11 and §5.2) from one [`Pipeline::run`] over the
+//! calibrated scan corpus, with [`CompliancePass`] (for
+//! [`CorpusSummary`]) and [`DifferentialPass`] (for
+//! [`DifferentialSummary`]) fused. [`tables`] renders each table next to
+//! the paper's published values, which [`paper`] holds once, so "shape"
 //! comparisons are one `cargo run` away.
 //!
 //! [`Pipeline::run`] is the only driver that sweeps a corpus into
@@ -14,12 +15,12 @@
 //! generation pass, not three (see DESIGN.md §12 and the
 //! `pipeline/1k` case of `perf_snapshot`).
 //!
-//! Scale control: binaries default to 100,000 domains; set `CCC_DOMAINS`
-//! (or pass the count as the first CLI argument) to change it. A count
-//! that is not a non-negative integer is an error ([`parse_domains`]),
-//! never a silent fall-back to the default. The paper's
-//! absolute counts are for 906,336 chains; percentages are the comparable
-//! quantity.
+//! Scale control: corpus binaries take the domain count as their first
+//! argument and default to 100,000 domains ([`domains_from_args`]). A
+//! count that is not a non-negative integer is an error
+//! ([`parse_domains`]), never a silent fall-back to the default. The
+//! paper's absolute counts are for 906,336 chains; percentages are the
+//! comparable quantity.
 //!
 //! Thread control: [`Pipeline::from_env`] takes its worker count from
 //! [`threads_from_env`], the one reader of `CCC_THREADS`. It defaults to
@@ -31,14 +32,17 @@
 //! Signature verification has no knobs: every miss in the shared
 //! signature cache runs one `PublicKey::verify` (see DESIGN.md §14).
 
-use ccc_core::{Completeness, DifferentialReport, DiscrepancyCause, LeafPlacement};
-use ccc_netsim::httpserver::HttpServerKind;
+use ccc_core::{
+    Completeness, DifferentialReport, DiscrepancyCause, IncompleteReason, LeafPlacement,
+};
 use ccc_rootstore::RootProgram;
 use ccc_testgen::{Corpus, CorpusSpec};
 use std::collections::BTreeMap;
 
 mod host;
+pub mod paper;
 pub mod pipeline;
+pub mod tables;
 
 pub use host::Host;
 pub use pipeline::{
@@ -70,25 +74,21 @@ pub fn threads_from_env() -> usize {
         .min(16)
 }
 
-/// Parse a corpus size given on the command line or in `CCC_DOMAINS`:
-/// a non-negative integer, or an error naming the value.
+/// Parse a corpus size given on the command line: a non-negative
+/// integer, or an error naming the value.
 pub fn parse_domains(value: &str) -> Result<usize, String> {
     value
         .parse()
         .map_err(|_| format!("bad domain count '{value}' (expected a non-negative integer)"))
 }
 
-/// Resolve the corpus size: CLI arg > `CCC_DOMAINS` env > default. A
-/// value [`parse_domains`] rejects is an error, not a fall-back to the
-/// default.
-pub fn domains_from_env() -> Result<usize, String> {
-    match std::env::args().nth(1) {
-        Some(arg) => parse_domains(&arg),
-        None => match std::env::var("CCC_DOMAINS") {
-            Ok(v) => parse_domains(&v),
-            Err(_) => Ok(DEFAULT_DOMAINS),
-        },
-    }
+/// Resolve the corpus size: the first CLI argument, or
+/// [`DEFAULT_DOMAINS`] without one. A value [`parse_domains`] rejects is
+/// an error, not a fall-back to the default.
+pub fn domains_from_args() -> Result<usize, String> {
+    std::env::args()
+        .nth(1)
+        .map_or(Ok(DEFAULT_DOMAINS), |arg| parse_domains(&arg))
 }
 
 /// Build the standard scan corpus.
@@ -158,7 +158,7 @@ pub struct CorpusSummary {
     /// Incomplete chains missing exactly one intermediate.
     pub missing_single_intermediate: usize,
     /// AIA failure reasons among non-recoverable incompletes.
-    pub incomplete_reasons: BTreeMap<&'static str, usize>,
+    pub incomplete_reasons: BTreeMap<IncompleteReason, usize>,
     /// Chains that located the omitted root via AIA rather than SKID.
     pub root_via_aia: usize,
     /// Overall non-compliant domains (order ∪ incomplete ∪ misplaced).
@@ -284,18 +284,6 @@ impl DifferentialSummary {
             self.cause_examples.entry(k).or_insert(v);
         }
     }
-}
-
-/// The server buckets in Table 10 column order.
-pub fn server_columns() -> Vec<&'static str> {
-    let mut seen = Vec::new();
-    for kind in HttpServerKind::ALL {
-        let label = kind.display_name();
-        if !seen.contains(&label) {
-            seen.push(label);
-        }
-    }
-    seen
 }
 
 #[cfg(test)]

@@ -20,6 +20,13 @@ pub enum Completeness {
 }
 
 impl Completeness {
+    /// Every class, in Table 7 row order.
+    pub const ALL: [Completeness; 3] = [
+        Completeness::CompleteWithRoot,
+        Completeness::CompleteWithoutRoot,
+        Completeness::Incomplete,
+    ];
+
     /// Paper table row label.
     pub fn label(&self) -> &'static str {
         match self {
@@ -31,7 +38,7 @@ impl Completeness {
 }
 
 /// Why an incomplete chain could not be completed via AIA.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum IncompleteReason {
     /// The terminal certificate has no AIA caIssuers field.
     NoAiaField,
@@ -41,6 +48,18 @@ pub enum IncompleteReason {
     AiaWrongCertificate,
     /// The AIA descent exceeded the depth limit without reaching a root.
     AiaChainNotTerminating,
+}
+
+impl IncompleteReason {
+    /// Row label in the §4.3 recoverability table.
+    pub fn label(&self) -> &'static str {
+        match self {
+            IncompleteReason::NoAiaField => "AIA field missing",
+            IncompleteReason::AiaUriDead => "AIA URI dead",
+            IncompleteReason::AiaWrongCertificate => "AIA served wrong certificate",
+            IncompleteReason::AiaChainNotTerminating => "AIA descent not terminating",
+        }
+    }
 }
 
 /// How the (possibly omitted) root was located.

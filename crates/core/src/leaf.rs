@@ -18,6 +18,15 @@ pub enum LeafPlacement {
 }
 
 impl LeafPlacement {
+    /// Every class, in Table 3 row order.
+    pub const ALL: [LeafPlacement; 5] = [
+        LeafPlacement::CorrectlyPlacedMatched,
+        LeafPlacement::CorrectlyPlacedMismatched,
+        LeafPlacement::IncorrectlyPlacedMatched,
+        LeafPlacement::IncorrectlyPlacedMismatched,
+        LeafPlacement::Other,
+    ];
+
     /// Paper table row label.
     pub fn label(&self) -> &'static str {
         match self {
