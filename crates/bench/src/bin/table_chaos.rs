@@ -27,10 +27,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        domains: match std::env::var("CCC_DOMAINS") {
-            Ok(v) => parse_domains(&v)?,
-            Err(_) => DEFAULT_DOMAINS,
-        },
+        domains: DEFAULT_DOMAINS,
         fault_seed: None,
         rates: FaultScenario::STANDARD_RATES.to_vec(),
     };

@@ -29,10 +29,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        domains: match std::env::var("CCC_DOMAINS") {
-            Ok(v) => parse_domains(&v)?,
-            Err(_) => DEFAULT_DOMAINS,
-        },
+        domains: DEFAULT_DOMAINS,
         baseline: None,
         write_baseline: None,
     };
