@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn count_pct_format() {
-        assert_eq!(count_pct(838354, 906336), "838,354 (92.5%)");
+        assert_eq!(count_pct(1234567, 2000000), "1,234,567 (61.7%)");
         // 0/0 must render as a plain zero percentage, not NaN%.
         assert_eq!(count_pct(0, 0), "0 (0.0%)");
         assert_eq!(count_pct(5, 0), "5 (0.0%)");
