@@ -127,12 +127,13 @@ impl<'c> AnalysisPass<'c> for NoncompliantSubset<'c> {
 
 fn main() -> Result<(), String> {
     let domains = domains_from_args()?;
+    let pipeline = Pipeline::from_env()?;
     eprintln!("generating {domains} domains, ablating over the non-compliant subset…");
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
 
     // Collect the non-compliant subset in one streaming sweep.
-    let (pass, stats) = Pipeline::from_env().run(&corpus, &checker, NoncompliantSubset::new());
+    let (pass, stats) = pipeline.run(&corpus, &checker, NoncompliantSubset::new());
     let subset = pass.chains;
     eprintln!("non-compliant subset: {} chains", subset.len());
     eprintln!("{}", stats.render());

@@ -21,6 +21,7 @@ const DEFAULT_DOMAINS: usize = 1_000;
 
 struct Args {
     domains: usize,
+    pipeline: Pipeline,
     fault_seed: Option<u64>,
     rates: Vec<f64>,
 }
@@ -28,6 +29,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         domains: DEFAULT_DOMAINS,
+        pipeline: Pipeline::from_env()?,
         fault_seed: None,
         rates: FaultScenario::STANDARD_RATES.to_vec(),
     };
@@ -67,7 +69,7 @@ fn main() -> ExitCode {
     let scenarios = FaultScenario::sweep(&corpus, &args.rates, args.fault_seed);
 
     let checker = IssuanceChecker::new();
-    let (pass, stats) = Pipeline::from_env().run(&corpus, &checker, FaultPass::new(scenarios));
+    let (pass, stats) = args.pipeline.run(&corpus, &checker, FaultPass::new(scenarios));
     let summary = pass.into_summary();
 
     println!("{}", summary.render_table());

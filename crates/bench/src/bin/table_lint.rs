@@ -23,6 +23,7 @@ const DEFAULT_DOMAINS: usize = 1_000;
 
 struct Args {
     domains: usize,
+    pipeline: Pipeline,
     baseline: Option<String>,
     write_baseline: Option<String>,
 }
@@ -30,6 +31,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         domains: DEFAULT_DOMAINS,
+        pipeline: Pipeline::from_env()?,
         baseline: None,
         write_baseline: None,
     };
@@ -64,7 +66,7 @@ fn main() -> ExitCode {
     // analysis and the lint engine (DESIGN.md §12). The compliance leg
     // replaces the per-chain analyze_compliance call the lint summary
     // used to make internally, and doubles as a cross-check below.
-    let ((compliance, lint), stats) = Pipeline::from_env().run(
+    let ((compliance, lint), stats) = args.pipeline.run(
         &corpus,
         &checker,
         (CompliancePass::new(), LintPass::new()),

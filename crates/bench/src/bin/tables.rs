@@ -6,17 +6,19 @@
 //!
 //! Stdout carries only the tables, byte-identical for any `CCC_THREADS`
 //! worker count. Stderr names the host, seed and domain count, then the
-//! sweep's phase split and cache statistics.
+//! sweep's phase split, worker count and cache statistics, and ends with
+//! the process's peak resident set where `/proc/self/status` reports it.
 
 use ccc_bench::{
-    domains_from_args, scan_corpus, tables, CompliancePass, DifferentialPass, Host, Pipeline,
-    SCAN_SEED,
+    domains_from_args, peak_rss_kib, scan_corpus, tables, CompliancePass, DifferentialPass, Host,
+    Pipeline, SCAN_SEED,
 };
 use ccc_core::report::group_thousands;
 use ccc_core::IssuanceChecker;
 
 fn main() -> Result<(), String> {
     let domains = domains_from_args()?;
+    let pipeline = Pipeline::from_env()?;
     eprintln!(
         "host: {}; seed {SCAN_SEED}, {} domains",
         Host::probe(),
@@ -24,7 +26,7 @@ fn main() -> Result<(), String> {
     );
     let corpus = scan_corpus(domains);
     let checker = IssuanceChecker::new();
-    let ((compliance, differential), stats) = Pipeline::from_env().run(
+    let ((compliance, differential), stats) = pipeline.run(
         &corpus,
         &checker,
         (CompliancePass::new(), DifferentialPass::new()),
@@ -43,5 +45,8 @@ fn main() -> Result<(), String> {
         print!("{table}");
     }
     eprintln!("{}", stats.render());
+    if let Some(kib) = peak_rss_kib() {
+        eprintln!("peak RSS: {:.1} MB (VmHWM)", kib as f64 / 1024.0);
+    }
     Ok(())
 }

@@ -1,5 +1,6 @@
-//! The host block recorded with every micro-benchmark snapshot. Absolute
-//! times are only comparable between snapshots whose host blocks agree.
+//! The host block recorded with every micro-benchmark snapshot, and the
+//! process's peak resident set. Absolute times are only comparable
+//! between snapshots whose host blocks agree.
 
 use std::fmt;
 use std::path::Path;
@@ -52,6 +53,20 @@ impl fmt::Display for Host {
             self.cpu_model, self.nproc, self.rustc, self.commit
         )
     }
+}
+
+/// Peak resident set size of this process in KiB (`VmHWM` in
+/// `/proc/self/status`), or `None` where that file or line is absent.
+pub fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status.lines().find_map(|line| {
+        line.strip_prefix("VmHWM:")?
+            .trim()
+            .strip_suffix("kB")?
+            .trim()
+            .parse()
+            .ok()
+    })
 }
 
 /// Resolve `HEAD` of the git directory `git` without running git.

@@ -25,8 +25,11 @@
 //!    above) and partials merge in thread-index order, so results are
 //!    identical for any worker count.
 //! 3. **Memory bound** — a worker holds one observation at a time (each
-//!    rank is visited exactly once, so nothing is worth keeping);
-//!    whole-corpus memory is O(threads), never O(corpus).
+//!    rank is visited exactly once, so nothing is worth keeping) and
+//!    visits it inside one [`IssuanceChecker::scoped`] scope, so the
+//!    observation's leaf pairs are dropped with it and the shared cache
+//!    keeps only pairs of two CA certificates, which the CA population
+//!    bounds. Whole-corpus memory is O(threads), never O(corpus).
 //!
 //! Adding a pass: implement [`AnalysisPass`] (see DESIGN.md §12 for the
 //! contract), then hand it to [`Pipeline::run`] — tuples of passes are
@@ -64,7 +67,10 @@ pub struct PassContext<'c> {
     /// The corpus being swept.
     pub corpus: &'c Corpus,
     /// The shared sharded signature cache (one per run; every pass and
-    /// every worker hits the same cache).
+    /// every worker hits the same cache). During a `visit` the pipeline
+    /// holds an observation scope open on it: pairs of two CA
+    /// certificates are shared across the run, and any other pair is
+    /// memoized for that observation only.
     pub checker: &'c IssuanceChecker,
 }
 
@@ -208,12 +214,14 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// Multi-line human rendering: the generation/analysis split plus the
-    /// cache-stat delta, in `render_cache_stats` style.
+    /// Multi-line human rendering: the generation/analysis split, the
+    /// worker count and the cache-stat delta, in `render_cache_stats`
+    /// style.
     pub fn render(&self) -> String {
         format!(
-            "{}\n{}",
+            "{}\nworkers: {}\n{}",
             render_phase_split(self.generation, self.analysis, self.observations, self.passes),
+            self.threads,
             render_cache_stats(&self.cache)
         )
     }
@@ -310,9 +318,10 @@ impl Pipeline {
     }
 
     /// Worker count from [`threads_from_env`]: `CCC_THREADS`, else
-    /// detected cores capped at 16.
-    pub fn from_env() -> Pipeline {
-        Pipeline::new(threads_from_env())
+    /// detected cores capped at 16. A `CCC_THREADS` value that is not an
+    /// integer from 1 to [`MAX_THREADS`](crate::MAX_THREADS) is an error.
+    pub fn from_env() -> Result<Pipeline, String> {
+        threads_from_env().map(Pipeline::new)
     }
 
     /// The worker count this pipeline will use.
@@ -344,18 +353,21 @@ impl Pipeline {
             analysis += a;
             1
         } else {
+            // Rank-ordered `div_ceil` chunks partitioning 0..domains. When
+            // the thread count does not divide evenly, fewer chunks than
+            // threads may cover the range, and only those get a worker.
             let chunk = domains.div_ceil(self.threads);
+            let ranges: Vec<(usize, usize)> = (0..domains)
+                .step_by(chunk)
+                .map(|start| (start, (start + chunk).min(domains)))
+                .collect();
             // ccc_mc::scope is std::thread::scope in normal builds; the
             // shim keeps ci/check_raw_sync.sh's raw-primitive ban
             // satisfied for this wired crate.
             let workers: Vec<(P, Duration, Duration)> = ccc_mc::scope(|scope| {
-                let handles: Vec<_> = (0..self.threads)
-                    .map(|t| {
-                        // Clamped chunk edges: ranges partition
-                        // 0..domains even when threads does not divide
-                        // evenly (trailing workers may own empty ranges).
-                        let start = (t * chunk).min(domains);
-                        let end = ((t + 1) * chunk).min(domains);
+                let handles: Vec<_> = ranges
+                    .iter()
+                    .map(|&(start, end)| {
                         let worker = root.begin(ctx);
                         scope.spawn(move || run_chunk(ctx, worker, start, end))
                     })
@@ -371,7 +383,7 @@ impl Pipeline {
                 generation += g;
                 analysis += a;
             }
-            self.threads
+            ranges.len()
         };
         root.finish(ctx);
         let stats = PipelineStats {
@@ -417,7 +429,9 @@ fn run_chunk<'c, P: AnalysisPass<'c>>(
         let obs = ctx.corpus.observation(rank);
         let visit_start = Instant::now();
         let memo = ObservationMemo::default();
-        worker.visit(&obs, &memo);
+        // One checker scope per observation: its leaf pairs are memoized
+        // for this visit only, so the shared cache keeps just CA pairs.
+        ctx.checker.scoped(|| worker.visit(&obs, &memo));
         generation += visit_start.duration_since(gen_start);
         analysis += visit_start.elapsed();
     }
@@ -1141,9 +1155,23 @@ mod tests {
         let (_pass, stats) = Pipeline::new(1).run(&corpus, &checker, CompliancePass::new());
         let text = stats.render();
         assert!(text.contains("generated once"), "{text}");
+        assert!(text.contains("workers: 1"), "{text}");
         assert!(text.contains("signature cache"), "{text}");
         assert!(text.contains("generation"), "{text}");
         assert!(text.contains("analysis"), "{text}");
+    }
+
+    #[test]
+    fn only_workers_with_ranks_are_spawned() {
+        // 256 domains over 30 threads: chunks of 9 ranks, so 29 chunks
+        // cover the corpus and the 30th thread would own nothing.
+        let corpus = scan_corpus(PARALLEL_THRESHOLD);
+        let checker = IssuanceChecker::new();
+        let (wide, stats) = Pipeline::new(30).run(&corpus, &checker, CompliancePass::new());
+        assert_eq!(stats.threads, 29);
+        let checker = IssuanceChecker::new();
+        let (one, _) = Pipeline::new(1).run(&corpus, &checker, CompliancePass::new());
+        assert_eq!(wide.into_summary(), one.into_summary());
     }
 
     #[test]

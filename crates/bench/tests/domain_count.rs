@@ -1,7 +1,9 @@
 //! A domain count that is not a non-negative integer stops the table
 //! binaries with an error naming it, instead of silently running the
 //! default corpus. `tables` reads it through `domains_from_args`, and
-//! `table_chaos` through its own argument parser.
+//! `table_chaos` through its own argument parser. A `CCC_THREADS` value
+//! that is not a worker count stops them the same way, instead of
+//! silently running on every core.
 
 use std::process::{Command, Output};
 
@@ -28,4 +30,14 @@ fn bad_chaos_count_is_rejected() {
         .output()
         .unwrap();
     assert_rejected(out, "5k");
+}
+
+#[test]
+fn bad_thread_count_is_rejected() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tables"))
+        .arg("10")
+        .env("CCC_THREADS", "nope")
+        .output()
+        .unwrap();
+    assert_rejected(out, "nope");
 }

@@ -3,13 +3,17 @@
 //! 1. Parallel corpus passes are *bit-identical* to the sequential pass,
 //!    whatever the worker count — sharing one signature cache across
 //!    threads must never change results, only save work.
-//! 2. Hammering one checker from many threads performs each unique
-//!    (issuer, subject) verification exactly once; every other lookup is
-//!    either a hit or a coalesced wait (the old double-lock design
-//!    recomputed in that window).
+//! 2. Hammering one checker from many threads, outside any observation
+//!    scope, performs each unique (issuer, subject) verification exactly
+//!    once; every other lookup is either a hit or a coalesced wait (the
+//!    old double-lock design recomputed in that window).
+//! 3. A pipeline sweep opens one checker scope per observation, so the
+//!    shared cache keeps only pairs of two CA certificates: it stays
+//!    bounded by the CA population instead of growing with the corpus,
+//!    and its counts do not depend on the worker count.
 
 use ccc_bench::pipeline::run_range;
-use ccc_bench::{scan_corpus, CompliancePass, DifferentialPass, Pipeline};
+use ccc_bench::{scan_corpus, CompliancePass, DifferentialPass, LintPass, Pipeline};
 use ccc_core::IssuanceChecker;
 use ccc_x509::CertificateFingerprint;
 use std::collections::HashSet;
@@ -28,6 +32,7 @@ fn parallel_summary_is_bit_identical_to_sequential() {
         let seq_checker = IssuanceChecker::new();
         let pass = run_range(&corpus, &seq_checker, 0, domains, CompliancePass::new());
         let reference = pass.into_summary();
+        let seq_stats = seq_checker.snapshot_stats();
         assert_eq!(reference.total, domains);
         for threads in THREAD_COUNTS {
             let checker = IssuanceChecker::new();
@@ -41,7 +46,13 @@ fn parallel_summary_is_bit_identical_to_sequential() {
             let stats = checker.snapshot_stats();
             assert_eq!(stats.hits + stats.misses, stats.lookups);
             assert_eq!(stats.verifications + stats.coalesced_waits, stats.misses);
-            assert_eq!(stats.verifications as usize, stats.entries);
+            // Each CA pair is verified once per sweep and stays shared;
+            // every other pair is verified once per observation that asks
+            // for it and dropped with its scope. Both counts are the
+            // sequential sweep's, whatever the worker count.
+            assert_eq!(stats.verifications, seq_stats.verifications);
+            assert_eq!(stats.entries, seq_stats.entries);
+            assert!((stats.entries as u64) < stats.verifications);
         }
     }
 }
@@ -111,4 +122,32 @@ fn hammered_checker_verifies_each_unique_pair_exactly_once() {
     assert_eq!(stats.verifications + stats.coalesced_waits, stats.misses);
     assert_eq!(stats.saved(), stats.lookups - stats.verifications);
     assert!(stats.hit_rate() > 0.5, "hit rate {:.3}", stats.hit_rate());
+}
+
+#[test]
+fn fused_sweep_shares_only_a_bounded_set_of_ca_pairs() {
+    // Nearly every domain brings a leaf pair no later observation asks
+    // for; kept in the shared cache, they would make it grow by about one
+    // entry per domain.
+    const DOMAINS: usize = 1_200;
+    let corpus = scan_corpus(DOMAINS);
+    let counts: Vec<(u64, usize)> = [1, 3]
+        .into_iter()
+        .map(|threads| {
+            let checker = IssuanceChecker::new();
+            let _ = Pipeline::new(threads).run(
+                &corpus,
+                &checker,
+                (CompliancePass::new(), DifferentialPass::new(), LintPass::new()),
+            );
+            let stats = checker.snapshot_stats();
+            assert!(
+                stats.entries < DOMAINS / 10,
+                "{} shared entries after {DOMAINS} domains on {threads} worker(s)",
+                stats.entries
+            );
+            (stats.verifications, stats.entries)
+        })
+        .collect();
+    assert_eq!(counts[0], counts[1], "(verifications, entries) at 1 and 3 workers");
 }

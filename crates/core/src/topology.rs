@@ -11,12 +11,29 @@
 // (enforced by ci/check_raw_sync.sh).
 use ccc_mc::{AtomicU64, Mutex, OnceLock};
 use ccc_x509::{Certificate, CertificateFingerprint, FingerprintBuildHasher, FingerprintMap};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A (issuer fingerprint, subject fingerprint) cache key.
 type PairKey = (CertificateFingerprint, CertificateFingerprint);
+
+/// Verdicts memoized inside one observation scope (see
+/// [`IssuanceChecker::scoped`]): the pairs in which either certificate
+/// is not a CA, for the checker that opened the scope.
+struct ScopeScratch {
+    /// The checker that opened the scope. It is borrowed for the whole
+    /// scope, so no other live checker can share its address.
+    owner: *const IssuanceChecker,
+    verdicts: HashMap<PairKey, bool, FingerprintBuildHasher>,
+}
+
+thread_local! {
+    /// The observation scope open on this thread, if any. It is
+    /// thread-local, so scoped pairs take no lock and never coalesce.
+    static SCOPE: RefCell<Option<ScopeScratch>> = const { RefCell::new(None) };
+}
 
 /// One lock-striped slice of the signature cache.
 ///
@@ -52,22 +69,27 @@ impl Shard {
 /// Invariants (exact once all worker threads have been joined):
 /// - `hits + misses == lookups`
 /// - `verifications + coalesced_waits == misses`
-/// - `verifications == entries` (each unique pair is verified exactly once)
+/// - `verifications == entries` when no lookup ran inside an observation
+///   scope ([`IssuanceChecker::scoped`]): each unique pair is verified
+///   exactly once. A scope verifies its non-CA pairs once per scope and
+///   drops them when it ends, so they count in `verifications` but never
+///   in `entries`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total `signature_verifies` calls.
     pub lookups: u64,
-    /// Lookups answered from a completed cache entry.
+    /// Lookups answered from a completed cache entry, shared or scoped.
     pub hits: u64,
     /// Lookups that did not find a completed entry (`lookups - hits`).
     pub misses: u64,
-    /// Signature verifications actually executed (unique pairs).
+    /// Signature verifications actually executed: once per unique shared
+    /// pair, and once per scope for each pair memoized in a scope.
     pub verifications: u64,
     /// Misses that waited on a verification already in flight on another
     /// thread instead of recomputing (the duplicate work the old
     /// double-lock design performed).
     pub coalesced_waits: u64,
-    /// Memoized pairs currently resident.
+    /// Pairs resident in the shared map (scoped pairs are not counted).
     pub entries: usize,
 }
 
@@ -123,6 +145,12 @@ const DEFAULT_SHARDS: usize = 64;
 /// misses on the same pair coalesce onto one verification (see `Shard`).
 /// Hit/miss/verification counters are exposed via
 /// [`snapshot_stats`](IssuanceChecker::snapshot_stats).
+///
+/// Inside an observation scope ([`scoped`](IssuanceChecker::scoped)),
+/// only pairs of two CA certificates go to the shared map; a pair with a
+/// non-CA certificate, almost always a one-shot leaf pair, is memoized in
+/// scratch the scope drops. The shared map then stays bounded by the CA
+/// population instead of growing with the corpus.
 #[derive(Debug)]
 pub struct IssuanceChecker {
     shards: Vec<Shard>,
@@ -182,6 +210,55 @@ impl IssuanceChecker {
         &self.shards[idx as usize]
     }
 
+    /// Run `f` inside an observation scope of this checker on the calling
+    /// thread: until `f` returns, each pair in which either certificate
+    /// is not a CA is verified at most once and memoized in scratch that
+    /// is dropped when the scope ends (also on panic). Pairs of two CA
+    /// certificates still go to the shared map, as every pair does
+    /// outside a scope. Verdicts are a pure function of the pair, so a
+    /// scope changes only the counters. A nested scope shadows the outer
+    /// one until it ends.
+    pub fn scoped<R>(&self, f: impl FnOnce() -> R) -> R {
+        /// Restores the scope that was open before, even on unwind.
+        struct EndScope(Option<ScopeScratch>);
+        impl Drop for EndScope {
+            fn drop(&mut self) {
+                let outer = self.0.take();
+                SCOPE.with(|scope| *scope.borrow_mut() = outer);
+            }
+        }
+        let scratch = ScopeScratch {
+            owner: self,
+            verdicts: HashMap::default(),
+        };
+        let _end = EndScope(SCOPE.with(|scope| scope.replace(Some(scratch))));
+        f()
+    }
+
+    /// The verdict from this thread's open scope, when that scope belongs
+    /// to this checker (verifying and memoizing it there on a miss).
+    fn scoped_verdict(
+        &self,
+        key: PairKey,
+        issuer: &Certificate,
+        subject: &Certificate,
+    ) -> Option<bool> {
+        SCOPE.with(|scope| {
+            let mut scope = scope.borrow_mut();
+            let scratch = scope.as_mut().filter(|s| std::ptr::eq(s.owner, self))?;
+            // ordering: Relaxed — event counters, as on the shared path;
+            // the verdict itself never leaves this thread.
+            if let Some(&done) = scratch.verdicts.get(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(done);
+            }
+            self.verifications.fetch_add(1, Ordering::Relaxed);
+            let verdict = subject.verify_signature_with(issuer.public_key());
+            scratch.verdicts.insert(key, verdict);
+            Some(verdict)
+        })
+    }
+
     /// Cached signature check: does `issuer`'s key verify `subject`?
     pub fn signature_verifies(&self, issuer: &Certificate, subject: &Certificate) -> bool {
         let key = (issuer.fingerprint(), subject.fingerprint());
@@ -191,6 +268,11 @@ impl IssuanceChecker {
         // `lookups` to synchronize with other memory, so no
         // acquire/release pairing is needed.
         self.lookups.fetch_add(1, Ordering::Relaxed);
+        if !(issuer.is_ca() && subject.is_ca()) {
+            if let Some(verdict) = self.scoped_verdict(key, issuer, subject) {
+                return verdict;
+            }
+        }
         let shard = self.shard_for(&key);
 
         // Single lock acquisition: either read a completed entry, adopt an
@@ -242,7 +324,8 @@ impl IssuanceChecker {
         Self::identity_match(issuer, subject) && self.signature_verifies(issuer, subject)
     }
 
-    /// Number of memoized signature checks.
+    /// Number of signature checks memoized in the shared map (pairs held
+    /// by an observation scope are not counted).
     pub fn cache_size(&self) -> usize {
         self.shards
             .iter()
@@ -663,6 +746,65 @@ mod tests {
         assert_eq!(wrong_order.coalesced_waits, 0);
         // `entries` is the receiver's absolute value, i.e. `before`'s.
         assert_eq!(wrong_order.entries, before.entries);
+    }
+
+    #[test]
+    fn scope_verifies_a_leaf_pair_once_per_scope_outside_the_shared_map() {
+        let f = fixture();
+        let checker = IssuanceChecker::new();
+        for scope in 1..=2 {
+            checker.scoped(|| {
+                assert!(checker.issues(&f.int1, &f.leaf));
+                assert!(checker.issues(&f.int1, &f.leaf));
+                assert_eq!(checker.cache_size(), 0);
+            });
+            // Each scope verifies the pair once, then hits it.
+            let stats = checker.snapshot_stats();
+            assert_eq!((stats.verifications, stats.hits), (scope, scope));
+            assert_eq!(stats.entries, 0);
+        }
+    }
+
+    #[test]
+    fn scope_shares_a_ca_pair_across_scopes() {
+        let f = fixture();
+        let checker = IssuanceChecker::new();
+        for _ in 0..2 {
+            checker.scoped(|| assert!(checker.issues(&f.int2, &f.int1)));
+        }
+        let stats = checker.snapshot_stats();
+        assert_eq!((stats.verifications, stats.hits), (1, 1));
+        assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn scope_serves_only_the_checker_that_opened_it() {
+        let f = fixture();
+        let (scoped, other) = (IssuanceChecker::new(), IssuanceChecker::new());
+        scoped.scoped(|| {
+            assert!(other.issues(&f.int1, &f.leaf));
+            assert!(other.issues(&f.int1, &f.leaf));
+        });
+        let stats = other.snapshot_stats();
+        assert_eq!((stats.verifications, stats.hits), (1, 1));
+        assert_eq!(stats.entries, 1, "the leaf pair went to the shared map");
+        assert_eq!(scoped.snapshot_stats().lookups, 0);
+    }
+
+    #[test]
+    fn scope_ends_when_its_closure_panics() {
+        let f = fixture();
+        let checker = IssuanceChecker::new();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            checker.scoped(|| {
+                assert!(checker.issues(&f.int1, &f.leaf));
+                panic!("visit failed mid-scope");
+            })
+        }));
+        assert!(caught.is_err());
+        assert_eq!(checker.cache_size(), 0);
+        assert!(checker.issues(&f.int1, &f.leaf));
+        assert_eq!(checker.cache_size(), 1, "lookup after the panic used the scope");
     }
 
     #[test]

@@ -406,13 +406,14 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         Some(v) => FaultScenario::parse_rates(v)?,
         None => FaultScenario::STANDARD_RATES.to_vec(),
     };
+    let pipeline = Pipeline::from_env()?;
 
     eprintln!("chaos-sweeping {domains} synthetic domains across {} fault scenario(s)…", rates.len());
     let corpus = scan_corpus(domains);
     let scenarios = FaultScenario::sweep(&corpus, &rates, fault_seed);
 
     let checker = IssuanceChecker::new();
-    let (pass, stats) = Pipeline::from_env().run(&corpus, &checker, FaultPass::new(scenarios));
+    let (pass, stats) = pipeline.run(&corpus, &checker, FaultPass::new(scenarios));
     let summary = pass.into_summary();
 
     println!("{}", summary.render_table());
