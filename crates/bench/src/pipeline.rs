@@ -66,8 +66,8 @@ pub const PARALLEL_THRESHOLD: usize = 256;
 pub struct PassContext<'c> {
     /// The corpus being swept.
     pub corpus: &'c Corpus,
-    /// The shared sharded signature cache (one per run; every pass and
-    /// every worker hits the same cache). During a `visit` the pipeline
+    /// The shared signature cache (one per run; every pass and every
+    /// worker hits the same cache). During a `visit` the pipeline
     /// holds an observation scope open on it: pairs of two CA
     /// certificates are shared across the run, and any other pair is
     /// memoized for that observation only.

@@ -122,24 +122,16 @@ pub fn check(b: bool) -> &'static str {
 /// ```
 ///
 /// Used by the table/figure binaries and the CLI `matrix` command to show
-/// how much work the shared sharded cache avoided.
+/// how much work the shared signature cache avoided.
 pub fn render_cache_stats(stats: &crate::topology::CacheStats) -> String {
-    let mut line = format!(
+    format!(
         "signature cache: {} lookups, {} hits ({:.1}%), {} verified, {} verifications saved",
         group_thousands(stats.lookups as usize),
         group_thousands(stats.hits as usize),
         100.0 * stats.hit_rate(),
         group_thousands(stats.verifications as usize),
         group_thousands(stats.saved() as usize),
-    );
-    if stats.coalesced_waits > 0 {
-        let _ = write!(
-            line,
-            " ({} coalesced)",
-            group_thousands(stats.coalesced_waits as usize)
-        );
-    }
-    line
+    )
 }
 
 /// Two-line rendering of a fused sweep's per-phase wall-time split, in
@@ -263,10 +255,5 @@ mod tests {
             "signature cache: 1,024 lookups, 960 hits (93.8%), 64 verified, \
              960 verifications saved"
         );
-        let contended = crate::topology::CacheStats {
-            coalesced_waits: 3,
-            ..stats
-        };
-        assert!(render_cache_stats(&contended).ends_with("(3 coalesced)"));
     }
 }

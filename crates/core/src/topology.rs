@@ -9,15 +9,20 @@
 // Sync primitives come from ccc-mc: plain std re-exports in normal
 // builds, scheduler-instrumented shims under the `model-check` feature
 // (enforced by ci/check_raw_sync.sh).
-use ccc_mc::{AtomicU64, Mutex, OnceLock};
+use ccc_mc::{AtomicU64, Mutex};
 use ccc_x509::{Certificate, CertificateFingerprint, FingerprintBuildHasher, FingerprintMap};
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// A (issuer fingerprint, subject fingerprint) cache key.
 type PairKey = (CertificateFingerprint, CertificateFingerprint);
+
+/// Memoized signature verdicts. Keys are SHA-256 fingerprint pairs, so
+/// the map skips SipHash in favour of the cheap fingerprint fold
+/// (`FingerprintBuildHasher`).
+type Verdicts = HashMap<PairKey, bool, FingerprintBuildHasher>;
 
 /// Verdicts memoized inside one observation scope (see
 /// [`IssuanceChecker::scoped`]): the pairs in which either certificate
@@ -26,38 +31,13 @@ struct ScopeScratch {
     /// The checker that opened the scope. It is borrowed for the whole
     /// scope, so no other live checker can share its address.
     owner: *const IssuanceChecker,
-    verdicts: HashMap<PairKey, bool, FingerprintBuildHasher>,
+    verdicts: Verdicts,
 }
 
 thread_local! {
     /// The observation scope open on this thread, if any. It is
-    /// thread-local, so scoped pairs take no lock and never coalesce.
+    /// thread-local, so scoped pairs take no lock.
     static SCOPE: RefCell<Option<ScopeScratch>> = const { RefCell::new(None) };
-}
-
-/// One lock-striped slice of the signature cache.
-///
-/// The value is an `Arc<OnceLock<bool>>` rather than a plain `bool` so the
-/// shard lock is held only for the map operation: the expensive Schnorr
-/// verification itself runs *outside* the lock, and `OnceLock` guarantees
-/// it runs at most once per pair even when several threads miss on the
-/// same key simultaneously (losers block on the winner's result instead of
-/// recomputing).
-#[derive(Debug)]
-struct Shard {
-    /// Keys are SHA-256 fingerprint pairs, so the map skips SipHash in
-    /// favour of the cheap fingerprint fold (`FingerprintBuildHasher`).
-    map: Mutex<HashMap<PairKey, Arc<OnceLock<bool>>, FingerprintBuildHasher>>,
-}
-
-impl Shard {
-    /// Explicit construction (not `derive(Default)`) so the lock class
-    /// the model checker reports for every shard stripe is this site.
-    fn new() -> Shard {
-        Shard {
-            map: Mutex::new(HashMap::default()),
-        }
-    }
 }
 
 /// Point-in-time counters from an [`IssuanceChecker`]
@@ -68,7 +48,7 @@ impl Shard {
 ///
 /// Invariants (exact once all worker threads have been joined):
 /// - `hits + misses == lookups`
-/// - `verifications + coalesced_waits == misses`
+/// - `verifications == misses`
 /// - `verifications == entries` when no lookup ran inside an observation
 ///   scope ([`IssuanceChecker::scoped`]): each unique pair is verified
 ///   exactly once. A scope verifies its non-CA pairs once per scope and
@@ -78,16 +58,18 @@ impl Shard {
 pub struct CacheStats {
     /// Total `signature_verifies` calls.
     pub lookups: u64,
-    /// Lookups answered from a completed cache entry, shared or scoped.
+    /// Lookups answered from a memoized verdict, shared or scoped.
     pub hits: u64,
-    /// Lookups that did not find a completed entry (`lookups - hits`).
+    /// Lookups that found no memoized verdict (`lookups - hits`).
     pub misses: u64,
-    /// Signature verifications actually executed: once per unique shared
-    /// pair, and once per scope for each pair memoized in a scope.
+    /// Signature verifications actually executed, one per miss: once per
+    /// unique shared pair, and once per scope for each pair memoized in
+    /// a scope.
     pub verifications: u64,
-    /// Misses that waited on a verification already in flight on another
-    /// thread instead of recomputing (the duplicate work the old
-    /// double-lock design performed).
+    /// Always 0. A miss verifies while holding the map lock, so no lookup
+    /// ever waits on another thread's verification. The field stays only
+    /// because e2ebench reads it into its `verify.coalesced_waits` series;
+    /// it goes when that series does.
     pub coalesced_waits: u64,
     /// Pairs resident in the shared map (scoped pairs are not counted).
     pub entries: usize,
@@ -122,10 +104,6 @@ impl CacheStats {
     }
 }
 
-/// Default shard count (power of two; tuned for up-to-16-thread corpus
-/// passes with headroom).
-const DEFAULT_SHARDS: usize = 64;
-
 /// Memoizing checker for the paper's issuance relationship.
 ///
 /// Certificate A issues certificate B when:
@@ -137,12 +115,8 @@ const DEFAULT_SHARDS: usize = 64;
 /// Signature verification is the expensive step, so results are memoized
 /// by certificate fingerprint pair; corpora share certificates heavily.
 ///
-/// The cache is **N-way sharded** (one mutex per shard, key → shard by
-/// fingerprint bits), so concurrent corpus workers sharing one checker do
-/// not serialize on a single lock, and the miss path is
-/// **single-acquisition**: the shard lock is taken once to install an
-/// in-flight slot, the verification runs outside the lock, and concurrent
-/// misses on the same pair coalesce onto one verification (see `Shard`).
+/// The shared map sits behind **one mutex**, and a miss verifies while
+/// holding it, so concurrent corpus workers verify each pair exactly once.
 /// Hit/miss/verification counters are exposed via
 /// [`snapshot_stats`](IssuanceChecker::snapshot_stats).
 ///
@@ -153,40 +127,29 @@ const DEFAULT_SHARDS: usize = 64;
 /// population instead of growing with the corpus.
 #[derive(Debug)]
 pub struct IssuanceChecker {
-    shards: Vec<Shard>,
-    /// `shards.len() - 1`; shard count is always a power of two.
-    mask: u64,
+    shared: Mutex<Verdicts>,
     lookups: AtomicU64,
     hits: AtomicU64,
     verifications: AtomicU64,
-    coalesced_waits: AtomicU64,
 }
 
 impl Default for IssuanceChecker {
     fn default() -> IssuanceChecker {
-        IssuanceChecker::with_shards(DEFAULT_SHARDS)
+        IssuanceChecker {
+            // Mutex::new (not ::default) so the lock class the model
+            // checker reports is this construction site.
+            shared: Mutex::new(HashMap::default()),
+            lookups: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            verifications: AtomicU64::new(0),
+        }
     }
 }
 
 impl IssuanceChecker {
-    /// Fresh checker with an empty cache and the default shard count.
+    /// Fresh checker with an empty cache.
     pub fn new() -> IssuanceChecker {
         IssuanceChecker::default()
-    }
-
-    /// Fresh checker with `shards` lock stripes (rounded up to a power of
-    /// two, minimum 1). `with_shards(1)` is the single-mutex configuration
-    /// the model tests explore (`tests/model_concurrency.rs`).
-    pub fn with_shards(shards: usize) -> IssuanceChecker {
-        let count = shards.max(1).next_power_of_two();
-        IssuanceChecker {
-            shards: (0..count).map(|_| Shard::new()).collect(),
-            mask: (count - 1) as u64,
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            verifications: AtomicU64::new(0),
-            coalesced_waits: AtomicU64::new(0),
-        }
     }
 
     /// Identity-level match: subject/issuer DN equality, or SKID/AKID
@@ -198,16 +161,6 @@ impl IssuanceChecker {
             _ => false,
         };
         dn_match || kid_match
-    }
-
-    /// Shard selector: fingerprints are SHA-256 outputs, so any fixed bit
-    /// slice is uniformly distributed; mix both halves of the pair so
-    /// (A, B) and (B, A) land independently.
-    fn shard_for(&self, key: &PairKey) -> &Shard {
-        let a = u64::from_le_bytes(key.0 .0[..8].try_into().expect("32-byte fingerprint"));
-        let b = u64::from_le_bytes(key.1 .0[8..16].try_into().expect("32-byte fingerprint"));
-        let idx = (a ^ b.rotate_left(17)) & self.mask;
-        &self.shards[idx as usize]
     }
 
     /// Run `f` inside an observation scope of this checker on the calling
@@ -236,7 +189,7 @@ impl IssuanceChecker {
     }
 
     /// The verdict from this thread's open scope, when that scope belongs
-    /// to this checker (verifying and memoizing it there on a miss).
+    /// to this checker.
     fn scoped_verdict(
         &self,
         key: PairKey,
@@ -246,77 +199,54 @@ impl IssuanceChecker {
         SCOPE.with(|scope| {
             let mut scope = scope.borrow_mut();
             let scratch = scope.as_mut().filter(|s| std::ptr::eq(s.owner, self))?;
-            // ordering: Relaxed — event counters, as on the shared path;
-            // the verdict itself never leaves this thread.
-            if let Some(&done) = scratch.verdicts.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(done);
-            }
-            self.verifications.fetch_add(1, Ordering::Relaxed);
-            let verdict = subject.verify_signature_with(issuer.public_key());
-            scratch.verdicts.insert(key, verdict);
-            Some(verdict)
+            Some(self.lookup_or_verify(&mut scratch.verdicts, key, issuer, subject))
         })
+    }
+
+    /// The verdict memoized in `verdicts`, or verify the pair and memoize
+    /// it there on a miss.
+    fn lookup_or_verify(
+        &self,
+        verdicts: &mut Verdicts,
+        key: PairKey,
+        issuer: &Certificate,
+        subject: &Certificate,
+    ) -> bool {
+        // ordering: Relaxed — pure event counters. fetch_add's atomic RMW
+        // alone guarantees no update is lost (the
+        // `route_counters_lose_no_updates` model property); the verdict is
+        // published by the map's owner (the mutex or the thread-local
+        // scope), not by these counters.
+        match verdicts.entry(key) {
+            Entry::Occupied(done) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                *done.get()
+            }
+            Entry::Vacant(slot) => {
+                self.verifications.fetch_add(1, Ordering::Relaxed);
+                *slot.insert(subject.verify_signature_with(issuer.public_key()))
+            }
+        }
     }
 
     /// Cached signature check: does `issuer`'s key verify `subject`?
     pub fn signature_verifies(&self, issuer: &Certificate, subject: &Certificate) -> bool {
         let key = (issuer.fingerprint(), subject.fingerprint());
-        // ordering: Relaxed — a pure event counter. fetch_add's atomic RMW
-        // alone guarantees no update is lost (the
-        // `route_counters_lose_no_updates` model property); nothing reads
-        // `lookups` to synchronize with other memory, so no
-        // acquire/release pairing is needed.
+        // ordering: Relaxed — a pure event counter; nothing reads
+        // `lookups` to synchronize with other memory.
         self.lookups.fetch_add(1, Ordering::Relaxed);
         if !(issuer.is_ca() && subject.is_ca()) {
             if let Some(verdict) = self.scoped_verdict(key, issuer, subject) {
                 return verdict;
             }
         }
-        let shard = self.shard_for(&key);
-
-        // Single lock acquisition: either read a completed entry, adopt an
-        // in-flight slot, or install a fresh slot to initialize ourselves.
-        let slot: Arc<OnceLock<bool>> = {
-            let mut map = shard.map.lock().expect("shard lock poisoned");
-            match map.get(&key) {
-                Some(slot) => {
-                    if let Some(&done) = slot.get() {
-                        // ordering: Relaxed — event counter; the verdict
-                        // itself is published by the OnceLock's internal
-                        // acquire/release, not by this counter.
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return done;
-                    }
-                    Arc::clone(slot)
-                }
-                None => {
-                    let slot = Arc::new(OnceLock::new());
-                    map.insert(key, Arc::clone(&slot));
-                    slot
-                }
-            }
-        };
-
-        // Miss path, outside the lock. Exactly one thread runs the
-        // verification per pair; the rest block here and adopt its result.
-        let mut computed = false;
-        let result = *slot.get_or_init(|| {
-            computed = true;
-            // ordering: Relaxed — counts initializer executions. The
-            // OnceLock already serializes the closure (exactly one run
-            // per slot, checked by the `cache_coalesces_to_one_
-            // verification` model property), so the counter needs no
-            // ordering of its own.
-            self.verifications.fetch_add(1, Ordering::Relaxed);
-            subject.verify_signature_with(issuer.public_key())
-        });
-        if !computed {
-            // ordering: Relaxed — event counter for losers of the
-            // init race; carries no synchronization.
-            self.coalesced_waits.fetch_add(1, Ordering::Relaxed);
-        }
-        result
+        // The verification runs under this lock, so each shared pair is
+        // verified exactly once. Lock order: it may take the `KeyRegistry`
+        // mutex (through `PublicKey::interned`'s once-init) and build the
+        // key's fixed-base table. Nothing in ccc-crypto or ccc-obs calls
+        // into a checker, so those locks never wait on this one.
+        let mut shared = self.shared.lock().expect("signature cache lock poisoned");
+        self.lookup_or_verify(&mut shared, key, issuer, subject)
     }
 
     /// The full issuance relationship (criteria 1 ∧ (2 ∨ 3)).
@@ -327,10 +257,10 @@ impl IssuanceChecker {
     /// Number of signature checks memoized in the shared map (pairs held
     /// by an observation scope are not counted).
     pub fn cache_size(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.map.lock().expect("shard lock poisoned").len())
-            .sum()
+        self.shared
+            .lock()
+            .expect("signature cache lock poisoned")
+            .len()
     }
 
     /// Point-in-time counter snapshot. Exact once concurrent users have
@@ -348,7 +278,7 @@ impl IssuanceChecker {
             hits,
             misses: lookups.saturating_sub(hits),
             verifications: self.verifications.load(Ordering::Relaxed),
-            coalesced_waits: self.coalesced_waits.load(Ordering::Relaxed),
+            coalesced_waits: 0,
             entries: self.cache_size(),
         }
     }

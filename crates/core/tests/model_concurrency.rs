@@ -7,7 +7,10 @@
 //! explorer closure so they sit in their terminal states during runs —
 //! pure reads the sleep sets prune — while the checker under test is
 //! created *fresh inside* the closure so each explored execution starts
-//! from the same state.
+//! from the same state. The one exception is
+//! `issuer_key_interns_under_the_map_lock`, which re-decodes the issuer
+//! inside the closure on purpose, so its key is interned under the
+//! checker's lock.
 
 #![cfg(feature = "model-check")]
 
@@ -67,16 +70,16 @@ fn warmed_fixture() -> Fixture {
     }
 }
 
-/// Invariant: under OnceLock coalescing, a unique (issuer, subject) pair
-/// is verified exactly once no matter how two concurrent misses
-/// interleave, and the `CacheStats` accounting identities hold in every
-/// interleaving.
+/// Invariant: a miss verifies while holding the map lock, so two
+/// concurrent misses on one unique (issuer, subject) pair verify it
+/// exactly once in every interleaving (the second finds the first's
+/// verdict), and the `CacheStats` accounting identities hold.
 #[test]
-fn cache_coalesces_to_one_verification() {
+fn concurrent_misses_on_one_pair_verify_once_under_the_map_lock() {
     let _guard = test_guard();
     let fx = Arc::new(warmed_fixture());
     let exploration = Explorer::new().explore(move || {
-        let checker = Arc::new(IssuanceChecker::with_shards(1));
+        let checker = Arc::new(IssuanceChecker::new());
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 let checker = Arc::clone(&checker);
@@ -92,28 +95,77 @@ fn cache_coalesces_to_one_verification() {
         let stats = checker.snapshot_stats();
         assert_eq!(
             stats.verifications, 1,
-            "one verification per unique pair under coalescing"
+            "one verification per unique pair under the map lock"
         );
         assert_eq!(stats.lookups, 2);
+        assert_eq!(stats.hits, 1);
         assert_eq!(stats.hits + stats.misses, stats.lookups);
-        assert_eq!(stats.verifications + stats.coalesced_waits, stats.misses);
+        assert_eq!(stats.verifications, stats.misses);
         assert_eq!(stats.entries as u64, stats.verifications);
     });
     assert!(exploration.failure.is_none(), "{:?}", exploration.failure);
     assert!(
         exploration.complete,
-        "2-thread OnceLock-coalescing scenario must explore to fixpoint"
+        "2-thread same-pair scenario must explore to fixpoint"
     );
     assert!(!exploration.truncated);
-    // The shard stripe and the coalescing slot both surface as lock
-    // classes rooted in topology.rs; they never cycle (the slot is only
-    // initialized outside the shard lock).
+    // The map mutex is the one lock class rooted in topology.rs. With the
+    // issuer key warmed, the verification it guards takes no other lock,
+    // so nothing nests under it here.
     assert!(exploration
         .lock_order
         .classes
         .iter()
         .any(|c| c.kind == ccc_mc::LockKind::Mutex && c.site.contains("topology.rs")));
     assert!(exploration.lock_order.is_acyclic());
+}
+
+/// Invariant: a verification under the map lock may intern the issuer's
+/// key, taking the `KeyRegistry` mutex inside the checker's. The issuer
+/// is re-decoded inside the closure, so its `PublicKey` has not been
+/// interned yet: whichever task takes the map lock first interns it
+/// there. Both pairs are verified once, and the nesting is acyclic.
+#[test]
+fn issuer_key_interns_under_the_map_lock() {
+    let _guard = test_guard();
+    let fx = Arc::new(warmed_fixture());
+    let exploration = Explorer::new().explore(move || {
+        let root = Certificate::from_der(fx.root.to_der()).expect("root re-decodes");
+        let checker = Arc::new(IssuanceChecker::new());
+        let handles: Vec<_> = [fx.leaf_a.clone(), fx.leaf_b.clone()]
+            .into_iter()
+            .map(|leaf| {
+                let checker = Arc::clone(&checker);
+                let root = root.clone();
+                ccc_mc::spawn(move || checker.signature_verifies(&root, &leaf))
+            })
+            .collect();
+        for h in handles {
+            assert!(h.join().expect("verifier task"));
+        }
+        let stats = checker.snapshot_stats();
+        assert_eq!(stats.verifications, 2);
+        assert_eq!(stats.entries, 2);
+    });
+    assert!(exploration.failure.is_none(), "{:?}", exploration.failure);
+    assert!(
+        exploration.complete,
+        "2-thread interning scenario must explore to fixpoint"
+    );
+    assert!(!exploration.truncated);
+    let order = &exploration.lock_order;
+    assert!(order.is_acyclic());
+    let is_mutex_in = |idx: usize, file: &str| {
+        order.classes[idx].kind == ccc_mc::LockKind::Mutex && order.classes[idx].site.contains(file)
+    };
+    assert!(
+        order
+            .edges
+            .iter()
+            .any(|e| is_mutex_in(e.from, "topology.rs") && is_mutex_in(e.to, "intern.rs")),
+        "no topology.rs mutex -> intern.rs mutex edge: {:?}",
+        order.edges
+    );
 }
 
 /// Invariant: the cache and route counters are lock-free fetch_adds, so
@@ -127,7 +179,7 @@ fn route_counters_lose_no_updates() {
     let fx = Arc::new(warmed_fixture());
     let exploration = Explorer::new().explore(move || {
         let before = ccc_crypto::verify_stats();
-        let checker = Arc::new(IssuanceChecker::with_shards(1));
+        let checker = Arc::new(IssuanceChecker::new());
         let a = {
             let checker = Arc::clone(&checker);
             let fx = Arc::clone(&fx);
@@ -147,7 +199,6 @@ fn route_counters_lose_no_updates() {
             "distinct pairs are verified independently"
         );
         assert_eq!(stats.hits, 0);
-        assert_eq!(stats.coalesced_waits, 0);
         assert_eq!(stats.entries, 2);
         assert_eq!(
             ccc_crypto::verify_stats().since(&before).fixed_base_hits,

@@ -5,9 +5,8 @@
 //! bases exponentiated over and over — the exact skew fixed-base windowing
 //! exploits. This module turns that observation into shared state:
 //!
-//! - [`KeyRegistry`]: a fingerprint-keyed, lock-striped intern table
-//!   (mirroring the `IssuanceChecker` shard pattern) mapping
-//!   `(group, y)` to one [`InternedKey`] per process. Every parsed
+//! - [`KeyRegistry`]: a fingerprint-keyed intern table behind one mutex,
+//!   mapping `(group, y)` to one [`InternedKey`] per process. Every parsed
 //!   certificate carrying the same CA key shares one entry, so the
 //!   Montgomery residue of `y` — and, once promoted, its Brauer
 //!   fixed-base table — is computed once per process instead of once per
@@ -17,8 +16,8 @@
 //!   [`FixedBaseTable`], and the cached subgroup-membership verdict.
 //! - [`VerifyStats`]: process-global counters for how the `y^(q-e)` half
 //!   of each verification was computed (per-key table or plain
-//!   `pow_mont`), surfaced through `CacheStats` in `ccc-core` and every
-//!   stats renderer downstream.
+//!   `pow_mont`), kept in the `ccc-obs` registry and read back by
+//!   [`verify_stats`].
 //!
 //! Promotion: a per-key table (`⌈q_bits/4⌉ · 15` residues in one limb
 //! vector: 30 KiB at 256 bits, 1.05 MiB at 1536 bits) is only built for
@@ -213,28 +212,21 @@ impl InternedKey {
     }
 }
 
-/// Shard count for the intern table (power of two; key counts are small —
-/// two sweeps of the 8,000-domain scan corpus intern 79 keys and build 60
-/// per-key tables — so this is about uncontended interning from parallel
-/// workers, not capacity).
-const REGISTRY_SHARDS: usize = 16;
-
-/// One lock stripe of the registry.
-type RegistryShard = Mutex<HashMap<[u8; 32], Arc<InternedKey>>>;
-
-/// Fingerprint-keyed, lock-striped intern table for issuer keys.
+/// Fingerprint-keyed intern table for issuer keys.
 ///
-/// Keys are `SHA-256(group tag ‖ y bytes)`, sharded by fingerprint bits
-/// exactly like the `IssuanceChecker` signature cache. The registry is a
+/// Keys are `SHA-256(group tag ‖ y bytes)`. The registry is a
 /// process-global singleton ([`KeyRegistry::global`]): interning is how
 /// distinct `PublicKey`/`Certificate` instances carrying the same CA key
 /// converge on one Montgomery residue and one fixed-base table across
 /// every pass, thread, and analysis engine.
+///
+/// One mutex guards the whole table. It stays small (two sweeps of the
+/// 8,000-domain scan corpus intern 79 keys), and each `PublicKey`
+/// interns at most once, so the lock is taken at most once per
+/// `PublicKey`, not once per verification.
 #[derive(Debug)]
 pub struct KeyRegistry {
-    shards: Vec<RegistryShard>,
-    /// `shards.len() - 1`; shard count is a power of two.
-    mask: u64,
+    keys: Mutex<HashMap<[u8; 32], Arc<InternedKey>>>,
 }
 
 impl Default for KeyRegistry {
@@ -250,10 +242,7 @@ impl KeyRegistry {
         KeyRegistry {
             // Mutex::new (not ::default) so the lock class the model
             // checker reports is this construction site.
-            shards: (0..REGISTRY_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            mask: (REGISTRY_SHARDS - 1) as u64,
+            keys: Mutex::new(HashMap::new()),
         }
     }
 
@@ -271,14 +260,11 @@ impl KeyRegistry {
     /// constructors guarantee this).
     pub fn intern(&self, group: &Group, y_bytes: &[u8]) -> Arc<InternedKey> {
         let fp = fingerprint(group.id, y_bytes);
-        let idx = u64::from_le_bytes(fp[..8].try_into().expect("32-byte fingerprint")) & self.mask;
-        let mut map = self.shards[idx as usize]
-            .lock()
-            .expect("registry shard poisoned");
+        let mut keys = self.keys.lock().expect("key registry poisoned");
         // The residue conversion is two Montgomery multiplications —
-        // cheap enough to run under the shard lock, which keeps the
-        // entry unique without an in-flight coalescing slot.
-        Arc::clone(map.entry(fp).or_insert_with(|| {
+        // cheap enough to run under the lock, which keeps the entry
+        // unique without an in-flight slot.
+        Arc::clone(keys.entry(fp).or_insert_with(|| {
             let ops = group.ops();
             Arc::new(InternedKey {
                 group: group.id,
@@ -294,10 +280,7 @@ impl KeyRegistry {
 
     /// Number of interned keys.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("registry shard poisoned").len())
-            .sum()
+        self.keys.lock().expect("key registry poisoned").len()
     }
 
     /// True when nothing has been interned.

@@ -89,7 +89,8 @@ fn promotion_ordinals_are_unique_and_route_invariantly() {
 }
 
 /// Invariant: concurrent interns of the same key coalesce on one shared
-/// entry through the shard mutex, and the registry never double-inserts.
+/// entry through the registry mutex, and the registry never
+/// double-inserts.
 #[test]
 fn interning_coalesces_across_tasks() {
     let _guard = test_guard();
@@ -116,7 +117,7 @@ fn interning_coalesces_across_tasks() {
     });
     assert!(exploration.failure.is_none(), "{:?}", exploration.failure);
     assert!(exploration.complete);
-    // The shard mutexes appear as one lock class, never nested.
+    // The registry mutex is one lock class and never nests.
     assert!(exploration.lock_order.is_acyclic());
     assert!(exploration
         .lock_order

@@ -42,7 +42,7 @@ pub fn rule_for_noncompliance(nc: NonCompliance) -> &'static str {
 
 /// Evaluates the rule registry against served chains.
 ///
-/// Holds the shared sharded [`IssuanceChecker`], so the topology rebuild
+/// Holds the shared [`IssuanceChecker`], so the topology rebuild
 /// performed for linting after `analyze_compliance` is all cache hits,
 /// and signature-dependent rules never re-verify an (issuer, subject)
 /// pair.

@@ -12,10 +12,9 @@
 //!   IDs** (`e_chain_reversed_order`, `w_root_included`, …), severities,
 //!   and RFC/CABF citations;
 //! - a [`LintEngine`] that evaluates the registry against one served
-//!   chain, reusing the shared sharded
-//!   [`IssuanceChecker`](ccc_core::IssuanceChecker) so signature-dependent
-//!   rules never re-verify a (issuer, subject) pair, and a
-//!   [`LintSummary`] that folds linted chains into corpus-wide
+//!   chain, reusing the shared [`IssuanceChecker`](ccc_core::IssuanceChecker)
+//!   so signature-dependent rules never re-verify a (issuer, subject)
+//!   pair, and a [`LintSummary`] that folds linted chains into corpus-wide
 //!   histograms (parallel sweeps run on `ccc-bench`'s fused pipeline);
 //! - three renderers: human text ([`render::render_text`]), JSON lines
 //!   ([`render::render_jsonl`]), and SARIF 2.1.0

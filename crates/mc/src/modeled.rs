@@ -73,7 +73,8 @@ fn op(obj: Option<ObjId>, write: bool, what: OpWhat, site: String) -> Op {
 
 /// Model-checkable `std::sync::Mutex`. The lock *class* (for the
 /// lock-order pass) is the [`new`](Mutex::new) call site, lockdep-style:
-/// all 16 `KeyRegistry` shard mutexes built on one line are one class.
+/// the mutexes of every `IssuanceChecker`, built on one line, are one
+/// class.
 pub struct Mutex<T: ?Sized> {
     site: &'static Location<'static>,
     obj: LazyObj,

@@ -122,9 +122,9 @@ impl LockKind {
 }
 
 /// A lock *class*: every lock instance constructed at the same source
-/// location (lockdep-style). The 16 `KeyRegistry` shard mutexes are one
-/// class; a cycle within a class (self-edge) means instances of the same
-/// class nest, which deadlocks unless acquisition is index-ordered.
+/// location (lockdep-style). The mutexes of every `IssuanceChecker` are
+/// one class; a cycle within a class (self-edge) means instances of the
+/// same class nest, which deadlocks unless acquisition is index-ordered.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LockClass {
     /// What kind of primitive this class groups.
