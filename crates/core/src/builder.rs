@@ -22,7 +22,6 @@
 use crate::topology::IssuanceChecker;
 use crate::validate::validate_path;
 use ccc_asn1::Time;
-use ccc_mc::OnceLock;
 use ccc_netsim::{AiaTransport, FetchOutcome};
 use ccc_rootstore::RootStore;
 use ccc_x509::{
@@ -31,6 +30,7 @@ use ccc_x509::{
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Validity preference among candidate issuers (paper VP footnotes).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

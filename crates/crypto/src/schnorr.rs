@@ -16,13 +16,9 @@ use crate::hmac::hmac_sha256;
 use crate::intern::{self, InternedKey, KeyRegistry, PROMOTION_THRESHOLD};
 use crate::sha256::Sha256;
 use ccc_bignum::{FixedBaseTable, MontElem, MontgomeryCtx, Uint};
-// Sync primitives come from the ccc-mc shim layer (std re-exports in
-// normal builds, scheduler-instrumented under `model-check`); the group
-// statics and per-key interning slots are on model-checked paths.
-use ccc_mc::{AtomicU64, OnceLock};
 use std::fmt;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Global count of key-pair derivations (scalar sampling + `g^x`).
 ///

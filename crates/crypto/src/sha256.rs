@@ -166,9 +166,7 @@ mod kernel {
     /// `blocks.len()` is a multiple of 64. The only caller of either kernel.
     ///
     /// The CPU check is std's `is_x86_feature_detected!`, which caches the
-    /// answer in std's own atomic. A `ccc_mc` cell here would become a
-    /// scheduler object under `--features model-check` and add a
-    /// scheduling point to every hash in the explored scenarios.
+    /// answer in std's own atomic.
     pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
         debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
         #[cfg(target_arch = "x86_64")]

@@ -2,12 +2,13 @@
 //!
 //! Handles are `&'static` references to leaked cells: registration happens
 //! once per series (typically behind a `OnceLock` in the instrumented
-//! crate) and the hot path touches only a relaxed shim atomic — no lock,
-//! no lookup. The registry lock guards only registration and snapshots.
+//! crate) and the hot path touches only a relaxed atomic — no lock, no
+//! lookup. The registry lock guards only registration and snapshots.
 
-use ccc_mc::{AtomicU64, Mutex, OnceLock, Ordering};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// Number of histogram buckets: upper bounds `2^0 .. 2^30` plus `+Inf`.
 pub const HISTOGRAM_BUCKETS: usize = 32;
