@@ -302,7 +302,9 @@ fn cmd_matrix(args: &Args) -> Result<(), String> {
     }
     let analysis = analysis_start.elapsed();
     println!("{}", table.render());
-    println!(
+    // The wall-clock split goes to stderr, as in `lint`, so stdout is the
+    // same on every run.
+    eprintln!(
         "{}",
         chain_chaos::core::report::render_phase_split(generation, analysis, 1, ClientKind::ALL.len())
     );

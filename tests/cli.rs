@@ -61,21 +61,27 @@ fn demo_pki_analyze_and_matrix_roundtrip() {
     assert!(text.contains("Correctly Placed and Matched"), "{text}");
     assert!(text.contains("Complete Chain w/ Root"), "{text}");
 
-    // Matrix: all eight clients appear.
-    let output = bin()
-        .args([
-            "matrix",
-            reversed.to_str().unwrap(),
-            "--store",
-            root.to_str().unwrap(),
-        ])
-        .output()
-        .expect("run");
-    assert!(output.status.success());
-    let text = String::from_utf8_lossy(&output.stdout);
+    // Matrix: all eight clients appear, and stdout is the same on every
+    // run (the wall-clock phase split goes to stderr).
+    let matrix = || {
+        let output = bin()
+            .args([
+                "matrix",
+                reversed.to_str().unwrap(),
+                "--store",
+                root.to_str().unwrap(),
+            ])
+            .output()
+            .expect("run");
+        assert!(output.status.success());
+        output.stdout
+    };
+    let first = matrix();
+    let text = String::from_utf8_lossy(&first);
     for client in ["OpenSSL", "GnuTLS", "MbedTLS", "CryptoAPI", "Chrome", "Safari", "Firefox"] {
         assert!(text.contains(client), "missing {client}: {text}");
     }
+    assert_eq!(first, matrix(), "matrix stdout differs between two runs");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
