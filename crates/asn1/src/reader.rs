@@ -255,12 +255,8 @@ fn validate_integer(content: &[u8]) -> Result<()> {
     match content {
         [] => Err(Error::InvalidValue("empty INTEGER")),
         // Redundant leading 0x00 (next byte's top bit clear) or 0xff (set).
-        [0x00, rest, ..] if rest & 0x80 == 0 => {
-            Err(Error::InvalidValue("non-minimal INTEGER"))
-        }
-        [0xff, rest, ..] if rest & 0x80 != 0 => {
-            Err(Error::InvalidValue("non-minimal INTEGER"))
-        }
+        [0x00, rest, ..] if rest & 0x80 == 0 => Err(Error::InvalidValue("non-minimal INTEGER")),
+        [0xff, rest, ..] if rest & 0x80 != 0 => Err(Error::InvalidValue("non-minimal INTEGER")),
         _ => Ok(()),
     }
 }

@@ -8,8 +8,9 @@
 use ccc_bench::{
     domains_from_args, scan_corpus, AnalysisPass, ObservationMemo, PassContext, Pipeline,
 };
-use ccc_core::builder::{BuildContext, BuilderPolicy, ChainEngine, KidPriority, SearchScope,
-    ValidityPriority};
+use ccc_core::builder::{
+    BuildContext, BuilderPolicy, ChainEngine, KidPriority, SearchScope, ValidityPriority,
+};
 use ccc_core::report::{count_pct, TextTable};
 use ccc_core::{CompletenessAnalyzer, IssuanceChecker};
 use ccc_testgen::corpus::scan_time;
@@ -22,11 +23,17 @@ fn variants() -> Vec<(&'static str, BuilderPolicy)> {
         ("full capability", full.clone()),
         (
             "no AIA completion",
-            BuilderPolicy { aia: false, ..full.clone() },
+            BuilderPolicy {
+                aia: false,
+                ..full.clone()
+            },
         ),
         (
             "no backtracking",
-            BuilderPolicy { backtracking: false, ..full.clone() },
+            BuilderPolicy {
+                backtracking: false,
+                ..full.clone()
+            },
         ),
         (
             "no reordering (forward scan)",
@@ -48,15 +55,24 @@ fn variants() -> Vec<(&'static str, BuilderPolicy)> {
         ),
         (
             "no trusted-first preference",
-            BuilderPolicy { trusted_first: false, ..full.clone() },
+            BuilderPolicy {
+                trusted_first: false,
+                ..full.clone()
+            },
         ),
         (
             "path limit = 8 (Firefox-like)",
-            BuilderPolicy { max_path_len: Some(8), ..full.clone() },
+            BuilderPolicy {
+                max_path_len: Some(8),
+                ..full.clone()
+            },
         ),
         (
             "list limit = 16 (GnuTLS-like)",
-            BuilderPolicy { max_list_len: Some(16), ..full.clone() },
+            BuilderPolicy {
+                max_list_len: Some(16),
+                ..full.clone()
+            },
         ),
         // Interactions: AIA completion can mask the loss of other
         // capabilities (a fetch recovers an out-of-position issuer), so
@@ -93,7 +109,10 @@ struct NoncompliantSubset<'c> {
 
 impl<'c> NoncompliantSubset<'c> {
     fn new() -> NoncompliantSubset<'c> {
-        NoncompliantSubset { state: None, chains: Vec::new() }
+        NoncompliantSubset {
+            state: None,
+            chains: Vec::new(),
+        }
     }
 }
 
@@ -108,7 +127,10 @@ impl<'c> AnalysisPass<'c> for NoncompliantSubset<'c> {
             ctx.corpus.programs.unified(),
             Some(&ctx.corpus.aia),
         );
-        NoncompliantSubset { state: Some((ctx.checker, analyzer)), chains: Vec::new() }
+        NoncompliantSubset {
+            state: Some((ctx.checker, analyzer)),
+            chains: Vec::new(),
+        }
     }
 
     fn visit(&mut self, obs: &DomainObservation, memo: &ObservationMemo) {
@@ -147,7 +169,13 @@ fn main() -> Result<(), String> {
     };
     let mut table = TextTable::new(
         "Capability ablation over non-compliant chains",
-        &["Variant", "Accepted", "Avg candidates", "Avg AIA fetches", "Avg backtracks"],
+        &[
+            "Variant",
+            "Accepted",
+            "Avg candidates",
+            "Avg AIA fetches",
+            "Avg backtracks",
+        ],
     );
     for (name, policy) in variants() {
         let engine = ChainEngine::new(policy);

@@ -9,7 +9,12 @@ use ccc_testgen::scenarios::ScenarioSet;
 fn main() {
     let set = ScenarioSet::new(5);
     let checker = IssuanceChecker::new();
-    for scenario in [set.figure2a(), set.figure2b(), set.figure2c(), set.figure2d()] {
+    for scenario in [
+        set.figure2a(),
+        set.figure2b(),
+        set.figure2c(),
+        set.figure2d(),
+    ] {
         let graph = TopologyGraph::build(&scenario.served, &checker);
         let order = analyze_order(&scenario.served, &checker);
         println!("{} — {}", scenario.name, scenario.description);
@@ -18,7 +23,11 @@ fn main() {
             println!(
                 "    [{i}] {}{}",
                 cert.subject(),
-                if cert.is_self_issued() { "  (self-signed)" } else { "" }
+                if cert.is_self_issued() {
+                    "  (self-signed)"
+                } else {
+                    ""
+                }
             );
         }
         println!("  graph: {}", graph.describe());

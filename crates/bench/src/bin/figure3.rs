@@ -13,7 +13,10 @@ fn main() {
     let set = ScenarioSet::new(5);
     let scenario = set.figure3();
     println!("{} — {}", scenario.name, scenario.description);
-    println!("served list length: {} certificates\n", scenario.served.len());
+    println!(
+        "served list length: {} certificates\n",
+        scenario.served.len()
+    );
 
     let checker = IssuanceChecker::new();
     let ctx = BuildContext {

@@ -41,7 +41,11 @@ fn main() {
         table.row(&[
             kind.name().to_string(),
             selected.to_string(),
-            if outcome.accepted() { "accepted".into() } else { format!("{:?}", outcome.verdict) },
+            if outcome.accepted() {
+                "accepted".into()
+            } else {
+                format!("{:?}", outcome.verdict)
+            },
         ]);
     }
     println!("{}", table.render());

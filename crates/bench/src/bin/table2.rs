@@ -12,9 +12,21 @@ fn main() {
         &["#", "Capability", "Test case"],
     );
     let rows = [
-        ("1", "Order Reorganization", "{E, I2, I1, R} — true chain E <- I1 <- I2 <- R"),
-        ("2", "Redundancy Elimination", "{E, X, I, R} — X unrelated self-signed"),
-        ("3", "AIA Completion", "{E, I1} — I1's AIA caIssuers URI serves I2"),
+        (
+            "1",
+            "Order Reorganization",
+            "{E, I2, I1, R} — true chain E <- I1 <- I2 <- R",
+        ),
+        (
+            "2",
+            "Redundancy Elimination",
+            "{E, X, I, R} — X unrelated self-signed",
+        ),
+        (
+            "3",
+            "AIA Completion",
+            "{E, I1} — I1's AIA caIssuers URI serves I2",
+        ),
         (
             "4",
             "Validity Priority",
@@ -35,8 +47,16 @@ fn main() {
             "Basic Constraints Priority",
             "{E, I1, I3(pathLen 0 violated), I2(pathLen ok), R} — I2/I3 same subject+key",
         ),
-        ("8", "Path Length Constraint", "{E, I1..In, R} probed for total lengths 3..=53"),
-        ("9", "Self-signed Leaf Certificate", "{ES, E, I, R} — ES self-signed twin of E"),
+        (
+            "8",
+            "Path Length Constraint",
+            "{E, I1..In, R} probed for total lengths 3..=53",
+        ),
+        (
+            "9",
+            "Self-signed Leaf Certificate",
+            "{ES, E, I, R} — ES self-signed twin of E",
+        ),
     ];
     for (n, cap, case) in rows {
         table.row_str(&[n, cap, case]);

@@ -51,7 +51,11 @@ fn main() {
         FileLayout::Pfx => "SF3",
     };
     let mut row = vec!["Automatic Certificate Management".to_string()];
-    row.extend(servers.iter().map(|s| check(s.supports_automation()).to_string()));
+    row.extend(
+        servers
+            .iter()
+            .map(|s| check(s.supports_automation()).to_string()),
+    );
     table.row(&row);
     let mut row = vec!["Supported Certificate Fields".to_string()];
     row.extend(servers.iter().map(|s| layout_label(*s).to_string()));

@@ -12,7 +12,13 @@ use ccc_rootstore::CaUniverse;
 fn main() {
     let universe = CaUniverse::default_with_seed(6);
     let profiles = CaProfile::all();
-    let picks = ["Let's Encrypt", "ZeroSSL", "GoGetSSL", "cyber_Folks S.A.", "Trustico"];
+    let picks = [
+        "Let's Encrypt",
+        "ZeroSSL",
+        "GoGetSSL",
+        "cyber_Folks S.A.",
+        "Trustico",
+    ];
 
     let mut header = vec!["Issuance Characteristic"];
     header.extend(picks);
@@ -46,11 +52,19 @@ fn main() {
     table.row(&row);
 
     let mut row = vec!["Provide Fullchain File".to_string()];
-    row.extend(bundles.iter().map(|b| check(b.fullchain.is_some()).to_string()));
+    row.extend(
+        bundles
+            .iter()
+            .map(|b| check(b.fullchain.is_some()).to_string()),
+    );
     table.row(&row);
 
     let mut row = vec!["Provide Ca-bundle File".to_string()];
-    row.extend(bundles.iter().map(|b| check(b.ca_bundle.is_some()).to_string()));
+    row.extend(
+        bundles
+            .iter()
+            .map(|b| check(b.ca_bundle.is_some()).to_string()),
+    );
     table.row(&row);
 
     let mut row = vec!["Provide Root Certificate".to_string()];
@@ -78,12 +92,10 @@ fn main() {
     table.row(&row);
 
     let mut row = vec!["Provide Certificate Installation Guide".to_string()];
-    row.extend(selected.iter().map(|p| {
-        match p.install_guide {
-            InstallGuide::AllServers => "Y".to_string(),
-            InstallGuide::ApacheIisOnly => "only Apache/IIS".to_string(),
-            InstallGuide::None => "x".to_string(),
-        }
+    row.extend(selected.iter().map(|p| match p.install_guide {
+        InstallGuide::AllServers => "Y".to_string(),
+        InstallGuide::ApacheIisOnly => "only Apache/IIS".to_string(),
+        InstallGuide::None => "x".to_string(),
     }));
     table.row(&row);
 

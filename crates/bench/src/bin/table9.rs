@@ -26,19 +26,41 @@ fn main() {
         row.extend(rows.iter().map(|(_, r)| f(r)));
         table.row(&row);
     };
-    push(&mut table, "Order Reorganization", &|r| check(r.order_reorganization).into());
-    push(&mut table, "Redundancy Elimination", &|r| check(r.redundancy_elimination).into());
-    push(&mut table, "AIA Completion", &|r| check(r.aia_completion).into());
-    push(&mut table, "Validity Priority", &|r| r.validity_priority.label().into());
-    push(&mut table, "KID Matching Priority", &|r| r.kid_priority.label().into());
+    push(&mut table, "Order Reorganization", &|r| {
+        check(r.order_reorganization).into()
+    });
+    push(&mut table, "Redundancy Elimination", &|r| {
+        check(r.redundancy_elimination).into()
+    });
+    push(&mut table, "AIA Completion", &|r| {
+        check(r.aia_completion).into()
+    });
+    push(&mut table, "Validity Priority", &|r| {
+        r.validity_priority.label().into()
+    });
+    push(&mut table, "KID Matching Priority", &|r| {
+        r.kid_priority.label().into()
+    });
     push(&mut table, "KeyUsage Correctness Priority", &|r| {
-        if r.key_usage_priority { "KUP".into() } else { "-".into() }
+        if r.key_usage_priority {
+            "KUP".into()
+        } else {
+            "-".into()
+        }
     });
     push(&mut table, "Basic Constraints Priority", &|r| {
-        if r.basic_constraints_priority { "BP".into() } else { "-".into() }
+        if r.basic_constraints_priority {
+            "BP".into()
+        } else {
+            "-".into()
+        }
     });
-    push(&mut table, "Path Length Constraint", &|r| r.max_path_len.label());
-    push(&mut table, "Self-signed Leaf Certificate", &|r| check(r.self_signed_leaf).into());
+    push(&mut table, "Path Length Constraint", &|r| {
+        r.max_path_len.label()
+    });
+    push(&mut table, "Self-signed Leaf Certificate", &|r| {
+        check(r.self_signed_leaf).into()
+    });
 
     println!("{}", table.render());
     println!(

@@ -38,8 +38,7 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--fault-seed" => {
                 let v = it.next().ok_or("--fault-seed needs a value")?;
-                args.fault_seed =
-                    Some(v.parse().map_err(|_| format!("bad fault seed '{v}'"))?);
+                args.fault_seed = Some(v.parse().map_err(|_| format!("bad fault seed '{v}'"))?);
             }
             "--rates" => {
                 let v = it.next().ok_or("--rates needs a comma-separated list")?;
@@ -69,7 +68,9 @@ fn main() -> ExitCode {
     let scenarios = FaultScenario::sweep(&corpus, &args.rates, args.fault_seed);
 
     let checker = IssuanceChecker::new();
-    let (pass, stats) = args.pipeline.run(&corpus, &checker, FaultPass::new(scenarios));
+    let (pass, stats) = args
+        .pipeline
+        .run(&corpus, &checker, FaultPass::new(scenarios));
     let summary = pass.into_summary();
 
     println!("{}", summary.render_table());

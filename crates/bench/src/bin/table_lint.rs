@@ -66,11 +66,9 @@ fn main() -> ExitCode {
     // analysis and the lint engine (DESIGN.md §12). The compliance leg
     // replaces the per-chain analyze_compliance call the lint summary
     // used to make internally, and doubles as a cross-check below.
-    let ((compliance, lint), stats) = args.pipeline.run(
-        &corpus,
-        &checker,
-        (CompliancePass::new(), LintPass::new()),
-    );
+    let ((compliance, lint), stats) =
+        args.pipeline
+            .run(&corpus, &checker, (CompliancePass::new(), LintPass::new()));
     let compliance = compliance.into_summary();
     let s = lint.into_summary();
     if s.noncompliant_chains != compliance.noncompliant {
@@ -84,7 +82,13 @@ fn main() -> ExitCode {
     // Severity × rule histogram, registry order within severity bands.
     let mut table = TextTable::new(
         "Lint findings by rule",
-        &["Rule", "Scope", "Findings", "Chains (% of corpus)", "Citation"],
+        &[
+            "Rule",
+            "Scope",
+            "Findings",
+            "Chains (% of corpus)",
+            "Citation",
+        ],
     );
     for severity in Severity::ALL {
         for rule in registry().iter().filter(|r| r.severity() == severity) {
@@ -140,7 +144,10 @@ fn main() -> ExitCode {
             eprintln!("table_lint: writing {path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("baseline: wrote {} suppression(s) to {path}", baseline.len());
+        println!(
+            "baseline: wrote {} suppression(s) to {path}",
+            baseline.len()
+        );
         return ExitCode::SUCCESS;
     }
 
@@ -173,7 +180,10 @@ fn main() -> ExitCode {
         println!("no new error findings");
         ExitCode::SUCCESS
     } else {
-        eprintln!("{} new error finding(s):", group_thousands(new_errors.len()));
+        eprintln!(
+            "{} new error finding(s):",
+            group_thousands(new_errors.len())
+        );
         for f in new_errors.iter().take(20) {
             eprintln!("  {}: {f}", f.domain);
         }

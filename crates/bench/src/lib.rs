@@ -350,7 +350,16 @@ mod tests {
         assert_eq!(parse_threads("8"), Ok(8));
         assert_eq!(parse_threads(&MAX_THREADS.to_string()), Ok(MAX_THREADS));
         let past_cap = (MAX_THREADS + 1).to_string();
-        for bad in ["0", "nope", "-2", "", " 4", "2.5", "100000", past_cap.as_str()] {
+        for bad in [
+            "0",
+            "nope",
+            "-2",
+            "",
+            " 4",
+            "2.5",
+            "100000",
+            past_cap.as_str(),
+        ] {
             let err = parse_threads(bad).unwrap_err();
             assert!(err.contains(&format!("'{bad}'")), "{err}");
         }

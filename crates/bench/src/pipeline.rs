@@ -221,7 +221,12 @@ impl PipelineStats {
     pub fn render(&self) -> String {
         format!(
             "{}\nworkers: {}\n{}",
-            render_phase_split(self.generation, self.analysis, self.observations, self.passes),
+            render_phase_split(
+                self.generation,
+                self.analysis,
+                self.observations,
+                self.passes
+            ),
             self.threads,
             render_cache_stats(&self.cache)
         )
@@ -447,7 +452,11 @@ struct ComplianceState<'c> {
     checker: &'c IssuanceChecker,
     analyzer: CompletenessAnalyzer<'c>,
     no_aia_analyzer: CompletenessAnalyzer<'c>,
-    program_analyzers: Vec<(RootProgram, CompletenessAnalyzer<'c>, CompletenessAnalyzer<'c>)>,
+    program_analyzers: Vec<(
+        RootProgram,
+        CompletenessAnalyzer<'c>,
+        CompletenessAnalyzer<'c>,
+    )>,
 }
 
 /// [`AnalysisPass`] computing [`CorpusSummary`] (Tables 3, 5, 7, 8, 10,
@@ -969,8 +978,15 @@ impl ChaosSummary {
                 self.total
             ),
             &[
-                "scenario", "client", "pass", "recovered", "attempts", "fetches",
-                "retries", "budget out", "sim ms",
+                "scenario",
+                "client",
+                "pass",
+                "recovered",
+                "attempts",
+                "fetches",
+                "retries",
+                "budget out",
+                "sim ms",
             ],
         );
         for scenario in &self.scenarios {
@@ -1179,11 +1195,8 @@ mod tests {
         // the plain lint loop on an empty corpus.
         let corpus = scan_corpus(0);
         let checker = IssuanceChecker::new();
-        let ((compliance, lint), stats) = Pipeline::new(1).run(
-            &corpus,
-            &checker,
-            (CompliancePass::new(), LintPass::new()),
-        );
+        let ((compliance, lint), stats) =
+            Pipeline::new(1).run(&corpus, &checker, (CompliancePass::new(), LintPass::new()));
         assert_eq!(stats.observations, 0);
         assert_eq!(stats.cache.lookups, 0, "empty sweep touched the cache");
 

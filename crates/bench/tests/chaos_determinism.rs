@@ -41,7 +41,11 @@ fn chaos(corpus: &Corpus, scenarios: Vec<FaultScenario>, threads: usize) -> Chao
 fn chaos_summary_is_thread_invariant() {
     // 300 domains: above the 256-domain threshold, so workers really run.
     let corpus = scan_corpus(300);
-    let reference = chaos(&corpus, FaultScenario::standard_sweep(&corpus), THREAD_COUNTS[0]);
+    let reference = chaos(
+        &corpus,
+        FaultScenario::standard_sweep(&corpus),
+        THREAD_COUNTS[0],
+    );
     assert_eq!(reference.total, 300);
     for &threads in &THREAD_COUNTS[1..] {
         let summary = chaos(&corpus, FaultScenario::standard_sweep(&corpus), threads);
@@ -205,7 +209,10 @@ fn retrying_clients_recover_transient_chains() {
     // (plans cap transient failures at 2), CryptoAPI's single shot loses
     // all of them. `recovered` attributes exactly those rescued chains.
     assert!(chrome.aia_retries > 0, "fault rate 1.0 must force retries");
-    assert!(chrome.recovered > 0, "retries must rescue at least one chain");
+    assert!(
+        chrome.recovered > 0,
+        "retries must rescue at least one chain"
+    );
     assert!(
         chrome.passes > cryptoapi.passes,
         "retrying Chrome ({}) must beat non-retrying CryptoAPI ({})",

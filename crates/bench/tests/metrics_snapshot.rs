@@ -45,8 +45,7 @@ fn check_golden(name: &str, rendered: &str) {
         )
     });
     assert_eq!(
-        rendered,
-        expected,
+        rendered, expected,
         "{name} drifted from its golden; re-bless with CCC_BLESS=1 if intentional"
     );
 }
@@ -60,11 +59,7 @@ fn run_workload(threads: usize) -> Snapshot {
     let baseline = MetricsRegistry::global().snapshot();
     let corpus = scan_corpus(DOMAINS);
     let checker = IssuanceChecker::new();
-    let _ = Pipeline::new(threads).run(
-        &corpus,
-        &checker,
-        (CompliancePass::new(), LintPass::new()),
-    );
+    let _ = Pipeline::new(threads).run(&corpus, &checker, (CompliancePass::new(), LintPass::new()));
     let chaos_checker = IssuanceChecker::new();
     let scenarios = FaultScenario::standard_sweep(&corpus);
     let _ = Pipeline::new(threads).run(&corpus, &chaos_checker, FaultPass::new(scenarios));

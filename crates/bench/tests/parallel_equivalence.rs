@@ -153,7 +153,11 @@ fn fused_sweep_shares_only_a_bounded_set_of_ca_pairs() {
             let _ = Pipeline::new(threads).run(
                 &corpus,
                 &checker,
-                (CompliancePass::new(), DifferentialPass::new(), LintPass::new()),
+                (
+                    CompliancePass::new(),
+                    DifferentialPass::new(),
+                    LintPass::new(),
+                ),
             );
             let stats = checker.snapshot_stats();
             assert!(

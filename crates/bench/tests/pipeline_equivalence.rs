@@ -43,15 +43,16 @@ fn standalone(
 }
 
 /// One fused sweep with all three passes registered.
-fn fused(
-    corpus: &Corpus,
-    threads: usize,
-) -> (CorpusSummary, DifferentialSummary, LintSummary) {
+fn fused(corpus: &Corpus, threads: usize) -> (CorpusSummary, DifferentialSummary, LintSummary) {
     let checker = IssuanceChecker::new();
     let ((c, d, l), stats) = Pipeline::new(threads).run(
         corpus,
         &checker,
-        (CompliancePass::new(), DifferentialPass::new(), LintPass::new()),
+        (
+            CompliancePass::new(),
+            DifferentialPass::new(),
+            LintPass::new(),
+        ),
     );
     assert_eq!(stats.passes, 3);
     (c.into_summary(), d.into_summary(), l.into_summary())
@@ -70,9 +71,18 @@ fn fused_pipeline_is_bit_identical_to_standalone_passes() {
         assert_eq!(ref_c.total, domains);
         for threads in THREAD_COUNTS {
             let (fc, fd, fl) = fused(&corpus, threads);
-            assert_eq!(fc, ref_c, "compliance diverged (domains={domains}, threads={threads})");
-            assert_eq!(fd, ref_d, "differential diverged (domains={domains}, threads={threads})");
-            assert_eq!(fl, ref_l, "lint diverged (domains={domains}, threads={threads})");
+            assert_eq!(
+                fc, ref_c,
+                "compliance diverged (domains={domains}, threads={threads})"
+            );
+            assert_eq!(
+                fd, ref_d,
+                "differential diverged (domains={domains}, threads={threads})"
+            );
+            assert_eq!(
+                fl, ref_l,
+                "lint diverged (domains={domains}, threads={threads})"
+            );
         }
     }
 }

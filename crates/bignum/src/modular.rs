@@ -87,7 +87,8 @@ pub fn modinv(a: &Uint, m: &Uint) -> Option<Uint> {
     let (val, neg) = t0;
     let val = val.rem(m)?;
     Some(if neg && !val.is_zero() {
-        m.checked_sub(&val).expect("val reduced mod m, so m - val cannot underflow")
+        m.checked_sub(&val)
+            .expect("val reduced mod m, so m - val cannot underflow")
     } else {
         val
     })
@@ -99,7 +100,10 @@ fn signed_sub(a: &(Uint, bool), b: &(Uint, bool)) -> (Uint, bool) {
         // a - b where both non-negative
         (false, false) => match a.0.checked_sub(&b.0) {
             Some(d) => (d, false),
-            None => (b.0.checked_sub(&a.0).expect("b >= a when a - b underflows"), true),
+            None => (
+                b.0.checked_sub(&a.0).expect("b >= a when a - b underflows"),
+                true,
+            ),
         },
         // (-a) - b = -(a + b)
         (true, false) => (a.0.add(&b.0), true),
@@ -108,7 +112,10 @@ fn signed_sub(a: &(Uint, bool), b: &(Uint, bool)) -> (Uint, bool) {
         // (-a) - (-b) = b - a
         (true, true) => match b.0.checked_sub(&a.0) {
             Some(d) => (d, false),
-            None => (a.0.checked_sub(&b.0).expect("a >= b when b - a underflows"), true),
+            None => (
+                a.0.checked_sub(&b.0).expect("a >= b when b - a underflows"),
+                true,
+            ),
         },
     }
 }
@@ -119,7 +126,12 @@ mod tests {
 
     #[test]
     fn modpow_small() {
-        let r = modpow(&Uint::from_u64(4), &Uint::from_u64(13), &Uint::from_u64(497)).unwrap();
+        let r = modpow(
+            &Uint::from_u64(4),
+            &Uint::from_u64(13),
+            &Uint::from_u64(497),
+        )
+        .unwrap();
         assert_eq!(r, Uint::from_u64(445));
     }
 

@@ -132,7 +132,9 @@ impl MontgomeryCtx {
         let r = Uint::one().shl(64 * k);
         let one_val = r.rem(modulus).expect("modulus > 1");
         let r2_val = one_val.mul_mod(&one_val, modulus);
-        let pad = |v: &Uint| MontElem { limbs: to_limbs64(v, k) };
+        let pad = |v: &Uint| MontElem {
+            limbs: to_limbs64(v, k),
+        };
         Some(MontgomeryCtx {
             n: modulus.clone(),
             one: pad(&one_val),
@@ -515,7 +517,10 @@ mod tests {
         let ctx = MontgomeryCtx::new(&n).unwrap();
         let base = u("ab3d485627ba6272e0f9c0a9ae435e247c91df81a1743c12a89eeaf8ef52878a");
         let exp = u("1eadbeef1eadbeef1eadbeef1eadbeef1eadbeef1eadbeef");
-        assert_eq!(ctx.modpow(&base, &exp), modpow_naive(&base, &exp, &n).unwrap());
+        assert_eq!(
+            ctx.modpow(&base, &exp),
+            modpow_naive(&base, &exp, &n).unwrap()
+        );
     }
 
     #[test]
@@ -552,7 +557,11 @@ mod tests {
             Uint::from_u64(0xdead_beef),
             u("76dc914f4efb9e5a7a520b7d802fbed74e657415695d35ac73f0e23f5e2cb784"),
         ] {
-            assert_eq!(wide.pow_mont(&ctx, &e), narrow.pow_mont(&ctx, &e), "e={e:?}");
+            assert_eq!(
+                wide.pow_mont(&ctx, &e),
+                narrow.pow_mont(&ctx, &e),
+                "e={e:?}"
+            );
             assert_eq!(wide.pow_mont(&ctx, &e), ctx.pow_mont(&g, &e), "e={e:?}");
         }
     }

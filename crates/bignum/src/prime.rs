@@ -61,7 +61,10 @@ mod tests {
         }
         let composites = [0u64, 1, 4, 9, 15, 561, 1105, 6601, 65536, 2147483649];
         for c in composites {
-            assert!(!is_probable_prime(&Uint::from_u64(c)), "{c} should be composite");
+            assert!(
+                !is_probable_prime(&Uint::from_u64(c)),
+                "{c} should be composite"
+            );
         }
     }
 

@@ -102,11 +102,7 @@ impl Uint {
             return None;
         }
         let mut bytes = Vec::with_capacity(s.len() / 2 + 1);
-        let padded = if s.len() % 2 == 1 {
-            format!("0{s}")
-        } else {
-            s
-        };
+        let padded = if s.len() % 2 == 1 { format!("0{s}") } else { s };
         for chunk in padded.as_bytes().chunks(2) {
             let hi = (chunk[0] as char).to_digit(16)?;
             let lo = (chunk[1] as char).to_digit(16)?;
@@ -312,7 +308,11 @@ impl Uint {
         }
 
         // Knuth Algorithm D.
-        let shift = divisor.limbs.last().expect("divisor is normalized and non-zero").leading_zeros() as usize;
+        let shift = divisor
+            .limbs
+            .last()
+            .expect("divisor is normalized and non-zero")
+            .leading_zeros() as usize;
         let v = divisor.shl(shift);
         let mut u = self.shl(shift).limbs;
         let n = v.limbs.len();
@@ -326,9 +326,7 @@ impl Uint {
             let top = ((u[j + n] as u64) << 32) | u[j + n - 1] as u64;
             let mut qhat = top / v_hi;
             let mut rhat = top % v_hi;
-            while qhat >= 1u64 << 32
-                || qhat * v_next > ((rhat << 32) | u[j + n - 2] as u64)
-            {
+            while qhat >= 1u64 << 32 || qhat * v_next > ((rhat << 32) | u[j + n - 2] as u64) {
                 qhat -= 1;
                 rhat += v_hi;
                 if rhat >= 1u64 << 32 {

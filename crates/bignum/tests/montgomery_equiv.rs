@@ -174,9 +174,9 @@ fn r_boundary_values() {
         let k = ctx.limbs();
         let r = Uint::one().shl(64 * k);
         for base in [
-            r.checked_sub(&Uint::one()).unwrap(), // R - 1
-            r.clone(),                            // R itself (≡ Montgomery one)
-            r.add(&Uint::one()),                  // R + 1
+            r.checked_sub(&Uint::one()).unwrap(),       // R - 1
+            r.clone(),                                  // R itself (≡ Montgomery one)
+            r.add(&Uint::one()),                        // R + 1
             modulus.checked_sub(&Uint::one()).unwrap(), // n - 1
         ] {
             for exp in [Uint::one(), Uint::from_u64(2), Uint::from_u64(65537)] {

@@ -527,8 +527,9 @@ impl CachePool {
 pub(crate) struct RunScratch {
     store_candidates: RefCell<FingerprintMap<Vec<Candidate>>>,
     base_issuers: RefCell<FingerprintMap<Vec<u32>>>,
-    validations:
-        RefCell<HashMap<Vec<CertificateFingerprint>, Result<(), ClientError>, FingerprintBuildHasher>>,
+    validations: RefCell<
+        HashMap<Vec<CertificateFingerprint>, Result<(), ClientError>, FingerprintBuildHasher>,
+    >,
 }
 
 /// The chain construction engine: a policy plus entry points.
@@ -615,7 +616,9 @@ impl ChainEngine {
             }
         }
         let leaf = served[0].clone();
-        if !p.allow_self_signed_leaf && leaf.is_self_issued() && ctx.checker.signature_verifies(&leaf, &leaf)
+        if !p.allow_self_signed_leaf
+            && leaf.is_self_issued()
+            && ctx.checker.signature_verifies(&leaf, &leaf)
         {
             return (vec![leaf], Err(ClientError::SelfSignedLeaf), false);
         }
@@ -988,7 +991,11 @@ impl Search<'_, '_, '_> {
         now: Time,
     ) -> CandidateKey {
         let p = &self.engine.policy;
-        let trusted_rank = if p.trusted_first && cand.trusted { 0 } else { 1 };
+        let trusted_rank = if p.trusted_first && cand.trusted {
+            0
+        } else {
+            1
+        };
 
         let kid_state = match (current.akid_key_id(), cand.cert.skid()) {
             (Some(akid), Some(skid)) => {
@@ -1048,11 +1055,7 @@ impl Search<'_, '_, '_> {
             ValidityPriority::FirstValid => (if valid_now { 0 } else { 1 }, 0, 0),
             ValidityPriority::MostRecent => {
                 if valid_now {
-                    (
-                        0,
-                        -validity.not_before.unix(),
-                        -validity.duration_seconds(),
-                    )
+                    (0, -validity.not_before.unix(), -validity.duration_seconds())
                 } else {
                     (1, 0, 0)
                 }
@@ -1108,8 +1111,10 @@ impl Search<'_, '_, '_> {
             attempt += 1;
             self.stats.aia_attempts += 1;
             let response = transport.fetch_aia(uri, attempt);
-            self.stats.sim_latency_ms =
-                self.stats.sim_latency_ms.saturating_add(response.latency_ms);
+            self.stats.sim_latency_ms = self
+                .stats
+                .sim_latency_ms
+                .saturating_add(response.latency_ms);
             match response.outcome {
                 FetchOutcome::Success(fetched) => {
                     self.stats.aia_fetches += 1;
@@ -1135,9 +1140,7 @@ impl Search<'_, '_, '_> {
                     // budget* instead of wrapping the shift — a wrapped
                     // backoff corrupted `sim_latency_ms` and made the
                     // budget gate fire with a bogus overshoot.
-                    let remaining = retry
-                        .budget_ms
-                        .saturating_sub(self.stats.sim_latency_ms);
+                    let remaining = retry.budget_ms.saturating_sub(self.stats.sim_latency_ms);
                     let shift = attempt - 1;
                     let doubled = match retry.backoff_base_ms.checked_shl(shift) {
                         Some(scaled) if scaled >> shift == retry.backoff_base_ms => scaled,
@@ -1227,7 +1230,12 @@ mod tests {
             &int_kp,
         );
         let store = RootStore::new("eng", vec![root.clone()]);
-        Pki { root, int, leaf, store }
+        Pki {
+            root,
+            int,
+            leaf,
+            store,
+        }
     }
 
     fn ctx<'a>(pki: &'a Pki, checker: &'a IssuanceChecker) -> BuildContext<'a> {
@@ -1268,12 +1276,7 @@ mod tests {
         let p = pki();
         let checker = IssuanceChecker::new();
         let engine = ChainEngine::new(BuilderPolicy::full_capability("t"));
-        let served = vec![
-            p.leaf.clone(),
-            p.int.clone(),
-            p.int.clone(),
-            p.int.clone(),
-        ];
+        let served = vec![p.leaf.clone(), p.int.clone(), p.int.clone(), p.int.clone()];
         let outcome = engine.process(&served, &ctx(&p, &checker));
         assert!(outcome.accepted());
         // The constructed path never repeats a certificate.
@@ -1359,7 +1362,10 @@ mod tests {
         let warm = checker.snapshot_stats().since(&after_first);
         assert_eq!(warm.verifications, 0);
         assert_eq!(warm.hits, warm.lookups);
-        assert_eq!(warm.lookups, cold.lookups, "the same build asks the same questions");
+        assert_eq!(
+            warm.lookups, cold.lookups,
+            "the same build asks the same questions"
+        );
     }
 
     #[test]
@@ -1441,7 +1447,10 @@ mod tests {
         let outcome = engine.process(&served, &aia_ctx(&store, &repo, &checker));
 
         assert!(!outcome.accepted());
-        assert!(outcome.stats.backtracks > 0, "both cross-signs must be tried");
+        assert!(
+            outcome.stats.backtracks > 0,
+            "both cross-signs must be tried"
+        );
         assert_eq!(
             repo.fetches(),
             1,
@@ -1462,7 +1471,11 @@ mod tests {
         let uri = "http://aia.sim/engine-int.crt";
         let leaf = CertificateBuilder::leaf_profile("acct.sim")
             .aia_ca_issuers(uri)
-            .issued_by(&leaf_kp.public, DistinguishedName::cn("Engine Int"), &pki_int_kp());
+            .issued_by(
+                &leaf_kp.public,
+                DistinguishedName::cn("Engine Int"),
+                &pki_int_kp(),
+            );
         let engine = ChainEngine::new(BuilderPolicy::full_capability("acct"));
 
         // Dead URI: one attempt, zero successful fetches — but the
@@ -1523,7 +1536,11 @@ mod tests {
         let leaf_kp = KeyPair::from_seed(Group::simulation_256(), b"retry-leaf");
         CertificateBuilder::leaf_profile(domain)
             .aia_ca_issuers(uri)
-            .issued_by(&leaf_kp.public, DistinguishedName::cn("Engine Int"), &pki_int_kp())
+            .issued_by(
+                &leaf_kp.public,
+                DistinguishedName::cn("Engine Int"),
+                &pki_int_kp(),
+            )
     }
 
     #[test]
@@ -1601,7 +1618,10 @@ mod tests {
         let outcome = ChainEngine::new(policy).process(&[leaf], &ctx);
         assert_eq!(outcome.verdict, Err(ClientError::NoIssuerFound));
         assert!(outcome.stats.aia_budget_exhausted);
-        assert_eq!(outcome.stats.aia_attempts, 1, "budget gate must stop attempt 2");
+        assert_eq!(
+            outcome.stats.aia_attempts, 1,
+            "budget gate must stop attempt 2"
+        );
         assert!(outcome.stats.sim_latency_ms >= 500);
     }
 

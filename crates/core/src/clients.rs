@@ -210,13 +210,23 @@ pub fn capability_coverage() -> Vec<(&'static str, &'static str, bool, bool)> {
         ("Priority Preferences", "EXPIRED", true, true),
         ("Priority Preferences", "NAME_CONSTRAINTS", true, false),
         ("Priority Preferences", "BAD_EKU", true, false),
-        ("Priority Preferences", "MISS_BASIC_CONSTRAINTS", true, false),
+        (
+            "Priority Preferences",
+            "MISS_BASIC_CONSTRAINTS",
+            true,
+            false,
+        ),
         ("Priority Preferences", "NOT_A_CA", true, false),
         ("Priority Preferences", "DEPRECATED_CRYPTO", true, false),
         ("Priority Preferences", "BAD_PATH_LENGTH", false, true),
         ("Priority Preferences", "BAD_KID", false, true),
         ("Priority Preferences", "BAD_KU", false, true),
-        ("Restriction Settings", "PATH_LENGTH_CONSTRAINT", false, true),
+        (
+            "Restriction Settings",
+            "PATH_LENGTH_CONSTRAINT",
+            false,
+            true,
+        ),
         ("Restriction Settings", "SELF_SIGNED_LEAF_CERT", false, true),
     ]
 }
@@ -229,21 +239,30 @@ mod tests {
     fn profiles_match_table9_headlines() {
         // AIA: CryptoAPI + the three non-Firefox browsers only.
         let aia: Vec<bool> = ClientKind::ALL.iter().map(|k| k.policy().aia).collect();
-        assert_eq!(aia, vec![false, false, false, true, true, true, true, false]);
+        assert_eq!(
+            aia,
+            vec![false, false, false, true, true, true, true, false]
+        );
 
         // Reorder: everyone except MbedTLS.
         let reorder: Vec<bool> = ClientKind::ALL
             .iter()
             .map(|k| k.policy().scope == SearchScope::FullList)
             .collect();
-        assert_eq!(reorder, vec![true, true, false, true, true, true, true, true]);
+        assert_eq!(
+            reorder,
+            vec![true, true, false, true, true, true, true, true]
+        );
 
         // Self-signed leaf: MbedTLS and Safari only.
         let ssl: Vec<bool> = ClientKind::ALL
             .iter()
             .map(|k| k.policy().allow_self_signed_leaf)
             .collect();
-        assert_eq!(ssl, vec![false, false, true, false, false, false, true, false]);
+        assert_eq!(
+            ssl,
+            vec![false, false, true, false, false, false, true, false]
+        );
 
         // Path limits.
         assert_eq!(ClientKind::OpenSsl.policy().max_path_len, None);
@@ -270,9 +289,18 @@ mod tests {
             retries,
             vec![false, false, false, false, true, true, true, false]
         );
-        assert_eq!(ClientKind::Chrome.policy().retry, RetryPolicy::retrying(3, 200, 30_000));
-        assert_eq!(ClientKind::Edge.policy().retry, RetryPolicy::retrying(3, 200, 30_000));
-        assert_eq!(ClientKind::Safari.policy().retry, RetryPolicy::retrying(2, 500, 15_000));
+        assert_eq!(
+            ClientKind::Chrome.policy().retry,
+            RetryPolicy::retrying(3, 200, 30_000)
+        );
+        assert_eq!(
+            ClientKind::Edge.policy().retry,
+            RetryPolicy::retrying(3, 200, 30_000)
+        );
+        assert_eq!(
+            ClientKind::Safari.policy().retry,
+            RetryPolicy::retrying(2, 500, 15_000)
+        );
         assert_eq!(ClientKind::CryptoApi.policy().retry, RetryPolicy::none());
     }
 

@@ -107,7 +107,10 @@ enum TerminalOutcome {
     SkidMatch,
     /// AIA descent reached a self-signed root after `fetches` downloads;
     /// `in_store` records whether that root is in the analyzer's store.
-    AiaRoot { fetches: usize, in_store: bool },
+    AiaRoot {
+        fetches: usize,
+        in_store: bool,
+    },
     Failed(IncompleteReason),
 }
 
@@ -119,7 +122,11 @@ impl<'a> CompletenessAnalyzer<'a> {
         store: &'a RootStore,
         aia: Option<&'a AiaRepository>,
     ) -> CompletenessAnalyzer<'a> {
-        CompletenessAnalyzer { checker, store, aia }
+        CompletenessAnalyzer {
+            checker,
+            store,
+            aia,
+        }
     }
 
     /// Structural completeness per the paper's §3.1 method (Table 7).
@@ -331,7 +338,11 @@ mod tests {
         );
         ccc_x509::CertificateBuilder::leaf_profile(domain)
             .aia_ca_issuers(intermediate.aia_uri.clone())
-            .issued_by(&kp.public, intermediate.cert.subject().clone(), &intermediate.keypair)
+            .issued_by(
+                &kp.public,
+                intermediate.cert.subject().clone(),
+                &intermediate.keypair,
+            )
     }
 
     #[test]
@@ -340,8 +351,7 @@ mod tests {
         let leaf = leaf_under(&e, 0, 0, "cwr.sim");
         let int = &e.universe.roots[0].intermediates[0];
         let served = vec![leaf, int.cert.clone(), e.universe.roots[0].cert.clone()];
-        let analyzer =
-            CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
+        let analyzer = CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
         let a = analyzer.analyze(&served);
         assert_eq!(a.completeness, Completeness::CompleteWithRoot);
         assert_eq!(a.resolution, Some(RootResolution::IncludedSelfSigned));
@@ -353,8 +363,7 @@ mod tests {
         let leaf = leaf_under(&e, 0, 0, "cwor.sim");
         let int = &e.universe.roots[0].intermediates[0];
         let served = vec![leaf, int.cert.clone()];
-        let analyzer =
-            CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
+        let analyzer = CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
         let a = analyzer.analyze(&served);
         assert_eq!(a.completeness, Completeness::CompleteWithoutRoot);
         assert_eq!(a.resolution, Some(RootResolution::StoreSkidMatch));
@@ -366,16 +375,17 @@ mod tests {
         let leaf = leaf_under(&e, 0, 0, "noakid.sim");
         let int = &e.universe.roots[0].intermediates[0];
         let served = vec![leaf, int.cert_no_akid.clone()];
-        let analyzer =
-            CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
+        let analyzer = CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
         let a = analyzer.analyze(&served);
         // AIA fetches the root directly: complete without root.
         assert_eq!(a.completeness, Completeness::CompleteWithoutRoot);
-        assert_eq!(a.resolution, Some(RootResolution::AiaResolved { fetches: 1 }));
+        assert_eq!(
+            a.resolution,
+            Some(RootResolution::AiaResolved { fetches: 1 })
+        );
 
         // Without AIA the same chain cannot be anchored.
-        let analyzer_no_aia =
-            CompletenessAnalyzer::new(&e.checker, e.programs.unified(), None);
+        let analyzer_no_aia = CompletenessAnalyzer::new(&e.checker, e.programs.unified(), None);
         let a = analyzer_no_aia.analyze(&served);
         assert_eq!(a.completeness, Completeness::Incomplete);
         assert!(!a.aia_completable);
@@ -386,15 +396,13 @@ mod tests {
         let e = env();
         let leaf = leaf_under(&e, 1, 0, "miss.sim");
         let served = vec![leaf]; // no intermediate at all
-        let analyzer =
-            CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
+        let analyzer = CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
         let a = analyzer.analyze(&served);
         assert_eq!(a.completeness, Completeness::Incomplete);
         assert!(a.aia_completable);
         assert_eq!(a.missing_intermediates, 1);
 
-        let analyzer_no_aia =
-            CompletenessAnalyzer::new(&e.checker, e.programs.unified(), None);
+        let analyzer_no_aia = CompletenessAnalyzer::new(&e.checker, e.programs.unified(), None);
         let a = analyzer_no_aia.analyze(&served);
         assert!(!a.aia_completable);
         assert_eq!(a.incomplete_reason, Some(IncompleteReason::NoAiaField));
@@ -425,7 +433,10 @@ mod tests {
         let served = vec![leaf];
         let analyzer = CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&aia));
         let a = analyzer.analyze(&served);
-        assert_eq!(a.incomplete_reason, Some(IncompleteReason::AiaWrongCertificate));
+        assert_eq!(
+            a.incomplete_reason,
+            Some(IncompleteReason::AiaWrongCertificate)
+        );
     }
 
     #[test]
@@ -443,8 +454,7 @@ mod tests {
         let served = vec![leaf, int.cert.clone()];
         let graph = TopologyGraph::build(&served, &e.checker);
 
-        let unified =
-            CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
+        let unified = CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
         assert!(unified.client_complete(&graph));
 
         let mozilla = CompletenessAnalyzer::new(
@@ -465,18 +475,16 @@ mod tests {
     #[test]
     fn untrusted_self_signed_terminal_not_client_complete() {
         let e = env();
-        let gov_idx = e
-            .universe
-            .roots
-            .iter()
-            .position(|r| !r.trusted)
-            .unwrap();
+        let gov_idx = e.universe.roots.iter().position(|r| !r.trusted).unwrap();
         let leaf = leaf_under(&e, gov_idx, 0, "gov.sim");
         let int = &e.universe.roots[gov_idx].intermediates[0];
-        let served = vec![leaf, int.cert.clone(), e.universe.roots[gov_idx].cert.clone()];
+        let served = vec![
+            leaf,
+            int.cert.clone(),
+            e.universe.roots[gov_idx].cert.clone(),
+        ];
         let graph = TopologyGraph::build(&served, &e.checker);
-        let analyzer =
-            CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
+        let analyzer = CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
         // Structurally complete (root included)…
         assert_eq!(
             analyzer.analyze_graph(&graph).completeness,
@@ -489,8 +497,7 @@ mod tests {
     #[test]
     fn empty_list_is_incomplete() {
         let e = env();
-        let analyzer =
-            CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
+        let analyzer = CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
         let a = analyzer.analyze(&[]);
         assert_eq!(a.completeness, Completeness::Incomplete);
     }

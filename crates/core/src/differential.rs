@@ -344,9 +344,9 @@ fn attribute_causes(outcomes: &[(ClientKind, BuildOutcome)]) -> Vec<DiscrepancyC
     ];
     let no_aia_clients = [ClientKind::OpenSsl, ClientKind::GnuTls, ClientKind::MbedTls];
     let aia_pass = aia_clients.iter().any(|&k| get(k).accepted());
-    let no_aia_unknown_issuer = no_aia_clients.iter().any(|&k| {
-        matches!(get(k).verdict, Err(ClientError::NoIssuerFound))
-    });
+    let no_aia_unknown_issuer = no_aia_clients
+        .iter()
+        .any(|&k| matches!(get(k).verdict, Err(ClientError::NoIssuerFound)));
     if aia_pass && no_aia_unknown_issuer {
         causes.push(DiscrepancyCause::AiaCompletion);
     }
@@ -420,7 +420,11 @@ mod tests {
         );
         CertificateBuilder::leaf_profile(domain)
             .aia_ca_issuers(intermediate.aia_uri.clone())
-            .issued_by(&kp.public, intermediate.cert.subject().clone(), &intermediate.keypair)
+            .issued_by(
+                &kp.public,
+                intermediate.cert.subject().clone(),
+                &intermediate.keypair,
+            )
     }
 
     #[test]
@@ -437,7 +441,12 @@ mod tests {
         let served = vec![leaf(&e, 0, 0, "all.sim"), int.cert.clone()];
         let result = harness.run(&served);
         for (kind, outcome) in &result.outcomes {
-            assert!(outcome.accepted(), "{} failed: {:?}", kind.name(), outcome.verdict);
+            assert!(
+                outcome.accepted(),
+                "{} failed: {:?}",
+                kind.name(),
+                outcome.verdict
+            );
         }
         assert!(result.causes.is_empty());
     }
@@ -489,11 +498,8 @@ mod tests {
             &int.keypair,
         );
         let leaf_kp = ccc_crypto::KeyPair::from_seed(g, b"diff-subca-leaf");
-        let deep_leaf = CertificateBuilder::leaf_profile("deep.sim").issued_by(
-            &leaf_kp.public,
-            i1_dn,
-            &i1_kp,
-        );
+        let deep_leaf =
+            CertificateBuilder::leaf_profile("deep.sim").issued_by(&leaf_kp.public, i1_dn, &i1_kp);
         // Served: leaf, int (i1's issuer), i1 — i1 is AFTER its issuer.
         let served = vec![deep_leaf, int.cert.clone(), i1];
         let result = harness.run(&served);
@@ -502,14 +508,23 @@ mod tests {
             .iter()
             .find(|(k, _)| *k == ClientKind::MbedTls)
             .unwrap();
-        assert!(!mbed.1.accepted(), "MbedTLS should fail reversed deep chain");
+        assert!(
+            !mbed.1.accepted(),
+            "MbedTLS should fail reversed deep chain"
+        );
         let openssl = result
             .outcomes
             .iter()
             .find(|(k, _)| *k == ClientKind::OpenSsl)
             .unwrap();
-        assert!(openssl.1.accepted(), "OpenSSL reorders: {:?}", openssl.1.verdict);
-        assert!(result.causes.contains(&DiscrepancyCause::OrderReorganization));
+        assert!(
+            openssl.1.accepted(),
+            "OpenSSL reorders: {:?}",
+            openssl.1.verdict
+        );
+        assert!(result
+            .causes
+            .contains(&DiscrepancyCause::OrderReorganization));
     }
 
     #[test]
@@ -602,8 +617,7 @@ mod tests {
         }
 
         // The completeness analyzer classifies the list the same way.
-        let analyzer =
-            CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
+        let analyzer = CompletenessAnalyzer::new(&e.checker, e.programs.unified(), Some(&e.aia));
         let analysis = analyzer.analyze(&served);
         assert_eq!(
             analysis.incomplete_reason,
@@ -764,20 +778,12 @@ mod tests {
             &trusted.keypair,
         );
         let leaf_kp = ccc_crypto::KeyPair::from_seed(g, b"diff-x-leaf");
-        let x_leaf = CertificateBuilder::leaf_profile("moex.sim").issued_by(
-            &leaf_kp.public,
-            x_dn,
-            &x_kp,
-        );
+        let x_leaf =
+            CertificateBuilder::leaf_profile("moex.sim").issued_by(&leaf_kp.public, x_dn, &x_kp);
         // Served: leaf, X-by-gov, gov-root, X-by-trusted — greedy clients
         // that take the first matching issuer walk into the untrusted gov
         // branch; backtrackers recover via X-by-trusted.
-        let served = vec![
-            x_leaf,
-            x_by_gov,
-            gov.cert.clone(),
-            x_by_trusted,
-        ];
+        let served = vec![x_leaf, x_by_gov, gov.cert.clone(), x_by_trusted];
         let harness = DifferentialHarness::new(
             e.programs.unified(),
             Some(&e.aia),

@@ -103,14 +103,21 @@ pub fn is_domain_like(s: &str) -> bool {
 /// Heuristic: does `s` look like an IPv4 address?
 pub fn is_ip_like(s: &str) -> bool {
     let parts: Vec<&str> = s.split('.').collect();
-    parts.len() == 4 && parts.iter().all(|p| !p.is_empty() && p.parse::<u8>().is_ok())
+    parts.len() == 4
+        && parts
+            .iter()
+            .all(|p| !p.is_empty() && p.parse::<u8>().is_ok())
 }
 
 /// Does this certificate cover `domain`? SAN DNS entries are authoritative
 /// when present; otherwise the CN is consulted (legacy behaviour).
 pub fn cert_covers_domain(cert: &Certificate, domain: &str) -> bool {
     if let Some(san) = cert.san() {
-        if san.names.iter().any(|n| matches!(n, ccc_x509::GeneralName::Dns(_))) {
+        if san
+            .names
+            .iter()
+            .any(|n| matches!(n, ccc_x509::GeneralName::Dns(_)))
+        {
             return san
                 .dns_names()
                 .any(|pattern| hostname_matches(pattern, domain));
@@ -227,7 +234,10 @@ mod tests {
     #[test]
     fn incorrectly_placed_matched() {
         // mot.gov.ps pattern: appliance cert first, matching cert later.
-        let served = vec![weird_cert("SophosAppliance", b"lp-4"), leaf_for("mot.gov.sim", b"lp-5")];
+        let served = vec![
+            weird_cert("SophosAppliance", b"lp-4"),
+            leaf_for("mot.gov.sim", b"lp-5"),
+        ];
         assert_eq!(
             classify_leaf_placement("mot.gov.sim", &served),
             LeafPlacement::IncorrectlyPlacedMatched
@@ -236,7 +246,10 @@ mod tests {
 
     #[test]
     fn incorrectly_placed_mismatched() {
-        let served = vec![weird_cert("Appliance", b"lp-6"), leaf_for("elsewhere.sim", b"lp-7")];
+        let served = vec![
+            weird_cert("Appliance", b"lp-6"),
+            leaf_for("elsewhere.sim", b"lp-7"),
+        ];
         assert_eq!(
             classify_leaf_placement("query.sim", &served),
             LeafPlacement::IncorrectlyPlacedMismatched
@@ -245,9 +258,18 @@ mod tests {
 
     #[test]
     fn other_category() {
-        let served = vec![weird_cert("Plesk", b"lp-8"), weird_cert("localhost", b"lp-9")];
-        assert_eq!(classify_leaf_placement("query.sim", &served), LeafPlacement::Other);
-        assert_eq!(classify_leaf_placement("query.sim", &[]), LeafPlacement::Other);
+        let served = vec![
+            weird_cert("Plesk", b"lp-8"),
+            weird_cert("localhost", b"lp-9"),
+        ];
+        assert_eq!(
+            classify_leaf_placement("query.sim", &served),
+            LeafPlacement::Other
+        );
+        assert_eq!(
+            classify_leaf_placement("query.sim", &[]),
+            LeafPlacement::Other
+        );
     }
 
     #[test]

@@ -22,8 +22,8 @@
 
 pub mod builder;
 pub mod clients;
-pub mod compliance;
 pub mod completeness;
+pub mod compliance;
 pub mod differential;
 pub mod leaf;
 pub mod order;
@@ -31,14 +31,20 @@ pub mod report;
 pub mod topology;
 pub mod validate;
 
-pub use builder::{BuildContext, BuildOutcome, BuildStats, BuilderPolicy, CandidateOrigin,
-    ChainEngine, ClientError, KidPriority, RetryPolicy, SearchScope, ValidityPriority};
+pub use builder::{
+    BuildContext, BuildOutcome, BuildStats, BuilderPolicy, CandidateOrigin, ChainEngine,
+    ClientError, KidPriority, RetryPolicy, SearchScope, ValidityPriority,
+};
 pub use clients::{client_profiles, ClientKind};
+pub use completeness::{
+    Completeness, CompletenessAnalysis, CompletenessAnalyzer, IncompleteReason,
+};
 pub use compliance::{
     analyze_compliance, analyze_compliance_with_graph, ComplianceReport, NonCompliance,
 };
-pub use completeness::{Completeness, CompletenessAnalysis, CompletenessAnalyzer, IncompleteReason};
-pub use differential::{DifferentialHarness, DifferentialReport, DifferentialResult, DiscrepancyCause};
+pub use differential::{
+    DifferentialHarness, DifferentialReport, DifferentialResult, DiscrepancyCause,
+};
 pub use leaf::{classify_leaf_placement, LeafPlacement};
 pub use order::{analyze_order, analyze_order_with_graph, OrderAnalysis};
 pub use topology::{CacheStats, IssuanceChecker, TopologyGraph};

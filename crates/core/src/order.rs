@@ -105,7 +105,9 @@ pub fn analyze_order_with_graph(graph: &TopologyGraph) -> OrderAnalysis {
     // early, but it must cover every served certificate.
     let strictly_sequential = if paths.len() == 1 {
         let p = &paths[0];
-        p.iter().enumerate().all(|(i, &n)| graph.nodes[n].position == i)
+        p.iter()
+            .enumerate()
+            .all(|(i, &n)| graph.nodes[n].position == i)
             && p.len() == graph.served_len
     } else {
         false
@@ -148,11 +150,8 @@ mod tests {
             root_dn,
             &root_kp,
         );
-        let leaf = CertificateBuilder::leaf_profile("ord.sim").issued_by(
-            &leaf_kp.public,
-            int_dn,
-            &int_kp,
-        );
+        let leaf =
+            CertificateBuilder::leaf_profile("ord.sim").issued_by(&leaf_kp.public, int_dn, &int_kp);
         let foreign_root = CertificateBuilder::ca_profile(DistinguishedName::cn("Foreign"))
             .self_signed(&foreign_kp);
         Chain {
@@ -181,10 +180,7 @@ mod tests {
     fn duplicate_leaf_detected() {
         let c = chain();
         let checker = IssuanceChecker::new();
-        let a = analyze_order(
-            &[c.leaf.clone(), c.leaf.clone(), c.int.clone()],
-            &checker,
-        );
+        let a = analyze_order(&[c.leaf.clone(), c.leaf.clone(), c.int.clone()], &checker);
         assert!(!a.is_compliant());
         assert_eq!(a.duplicates.leaf, 1);
         assert_eq!(a.duplicates.total(), 1);
@@ -240,7 +236,12 @@ mod tests {
         let checker = IssuanceChecker::new();
         // leaf, foreign, int, root: single path 0 <- 2 <- 3, not sequential.
         let a = analyze_order(
-            &[c.leaf.clone(), c.foreign_root.clone(), c.int.clone(), c.root.clone()],
+            &[
+                c.leaf.clone(),
+                c.foreign_root.clone(),
+                c.int.clone(),
+                c.root.clone(),
+            ],
             &checker,
         );
         assert!(!a.strictly_sequential);

@@ -32,7 +32,8 @@ impl TextTable {
 
     /// Append a row of string slices.
     pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        self.rows.push(cells.iter().map(|s| s.to_string()).collect());
+        self.rows
+            .push(cells.iter().map(|s| s.to_string()).collect());
         self
     }
 
@@ -192,12 +193,7 @@ mod tests {
 
     #[test]
     fn phase_split_zero_duration_is_finite() {
-        let text = render_phase_split(
-            std::time::Duration::ZERO,
-            std::time::Duration::ZERO,
-            0,
-            1,
-        );
+        let text = render_phase_split(std::time::Duration::ZERO, std::time::Duration::ZERO, 0, 1);
         assert!(text.contains("(0.0%)"), "{text}");
         assert!(!text.contains("NaN"), "{text}");
     }

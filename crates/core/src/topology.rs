@@ -554,7 +554,12 @@ mod tests {
     fn compliant_chain_single_increasing_path() {
         let f = fixture();
         let checker = IssuanceChecker::new();
-        let served = vec![f.leaf.clone(), f.int1.clone(), f.int2.clone(), f.root.clone()];
+        let served = vec![
+            f.leaf.clone(),
+            f.int1.clone(),
+            f.int2.clone(),
+            f.root.clone(),
+        ];
         let g = TopologyGraph::build(&served, &checker);
         assert_eq!(g.unique_len(), 4);
         assert!(!g.has_duplicates());
@@ -570,7 +575,12 @@ mod tests {
         let f = fixture();
         let checker = IssuanceChecker::new();
         // Reversed tail: leaf, root, int2, int1.
-        let served = vec![f.leaf.clone(), f.root.clone(), f.int2.clone(), f.int1.clone()];
+        let served = vec![
+            f.leaf.clone(),
+            f.root.clone(),
+            f.int2.clone(),
+            f.int1.clone(),
+        ];
         let g = TopologyGraph::build(&served, &checker);
         let paths = g.leaf_paths(16);
         assert_eq!(paths.len(), 1);
@@ -598,7 +608,12 @@ mod tests {
     fn irrelevant_cert_detected() {
         let f = fixture();
         let checker = IssuanceChecker::new();
-        let served = vec![f.leaf.clone(), f.unrelated.clone(), f.int1.clone(), f.int2.clone()];
+        let served = vec![
+            f.leaf.clone(),
+            f.unrelated.clone(),
+            f.int1.clone(),
+            f.int2.clone(),
+        ];
         let g = TopologyGraph::build(&served, &checker);
         let irrelevant = g.irrelevant_nodes();
         assert_eq!(irrelevant.len(), 1);
@@ -719,7 +734,11 @@ mod tests {
         assert!(caught.is_err());
         assert_eq!(checker.cache_size(), 0);
         assert!(checker.issues(&f.int1, &f.leaf));
-        assert_eq!(checker.cache_size(), 1, "lookup after the panic used the scope");
+        assert_eq!(
+            checker.cache_size(),
+            1,
+            "lookup after the panic used the scope"
+        );
     }
 
     #[test]

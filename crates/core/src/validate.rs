@@ -93,11 +93,8 @@ mod tests {
             root_dn,
             &root_kp,
         );
-        let leaf = CertificateBuilder::leaf_profile("val.sim").issued_by(
-            &leaf_kp.public,
-            int_dn,
-            &int_kp,
-        );
+        let leaf =
+            CertificateBuilder::leaf_profile("val.sim").issued_by(&leaf_kp.public, int_dn, &int_kp);
         let store = RootStore::new("test", vec![root.clone()]);
         Pki {
             root,
@@ -213,16 +210,10 @@ mod tests {
             root_dn,
             &root_kp,
         );
-        let i1 = CertificateBuilder::ca_profile(i1_dn.clone()).issued_by(
-            &i1_kp.public,
-            i2_dn,
-            &i2_kp,
-        );
-        let leaf = CertificateBuilder::leaf_profile("plc.sim").issued_by(
-            &leaf_kp.public,
-            i1_dn,
-            &i1_kp,
-        );
+        let i1 =
+            CertificateBuilder::ca_profile(i1_dn.clone()).issued_by(&i1_kp.public, i2_dn, &i2_kp);
+        let leaf =
+            CertificateBuilder::leaf_profile("plc.sim").issued_by(&leaf_kp.public, i1_dn, &i1_kp);
         let store = RootStore::new("s", vec![root.clone()]);
         let checker = IssuanceChecker::new();
         assert_eq!(

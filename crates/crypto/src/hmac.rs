@@ -80,7 +80,10 @@ mod tests {
     #[test]
     fn rfc4231_case6_long_key() {
         let key = [0xaau8; 131];
-        let out = hmac_sha256(&key, b"Test Using Larger Than Block-Size Key - Hash Key First");
+        let out = hmac_sha256(
+            &key,
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+        );
         assert_eq!(
             hex(&out),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"

@@ -100,14 +100,12 @@ impl Group {
     pub fn simulation_256() -> &'static Group {
         static G: OnceLock<Group> = OnceLock::new();
         G.get_or_init(|| {
-            let p = Uint::from_hex(
-                "edb9229e9df73cb4f4a416fb005f7dae9ccae82ad2ba6b58e7e1c47ebc596f0b",
-            )
-            .expect("p is valid hex");
-            let q = Uint::from_hex(
-                "76dc914f4efb9e5a7a520b7d802fbed74e657415695d35ac73f0e23f5e2cb785",
-            )
-            .expect("q is valid hex");
+            let p =
+                Uint::from_hex("edb9229e9df73cb4f4a416fb005f7dae9ccae82ad2ba6b58e7e1c47ebc596f0b")
+                    .expect("p is valid hex");
+            let q =
+                Uint::from_hex("76dc914f4efb9e5a7a520b7d802fbed74e657415695d35ac73f0e23f5e2cb785")
+                    .expect("q is valid hex");
             Group {
                 id: GroupId::Sim256,
                 p,
@@ -163,8 +161,7 @@ impl Group {
     /// thereafter.
     pub fn ops(&self) -> &GroupOps {
         self.ops.get_or_init(|| {
-            let ctx = MontgomeryCtx::new(&self.p)
-                .expect("group prime is odd and > 1");
+            let ctx = MontgomeryCtx::new(&self.p).expect("group prime is odd and > 1");
             let g_table = FixedBaseTable::from_mont_with_window(
                 &ctx,
                 &ctx.to_montgomery(&self.g),
@@ -234,7 +231,12 @@ impl std::hash::Hash for PublicKey {
 
 impl fmt::Debug for PublicKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let prefix: String = self.y_bytes.iter().take(6).map(|b| format!("{b:02x}")).collect();
+        let prefix: String = self
+            .y_bytes
+            .iter()
+            .take(6)
+            .map(|b| format!("{b:02x}"))
+            .collect();
         write!(f, "PublicKey({:?}, {prefix}…)", self.group)
     }
 }
@@ -342,7 +344,9 @@ impl PrivateKey {
                 material.extend_from_slice(&block);
             }
             material.truncate(group.scalar_len);
-            let k = Uint::from_bytes_be(&material).rem(&group.q).expect("q is non-zero");
+            let k = Uint::from_bytes_be(&material)
+                .rem(&group.q)
+                .expect("q is non-zero");
             if !k.is_zero() {
                 break k;
             }
@@ -356,7 +360,9 @@ impl PrivateKey {
         h.update(&r_bytes);
         h.update(message);
         let e = h.finalize();
-        let e_scalar = Uint::from_bytes_be(&e).rem(&group.q).expect("q is non-zero");
+        let e_scalar = Uint::from_bytes_be(&e)
+            .rem(&group.q)
+            .expect("q is non-zero");
         let s = k.add_mod(&self.x.mul_mod(&e_scalar, &group.q), &group.q);
         Signature {
             e,

@@ -166,9 +166,7 @@ mod tests {
         assert!(Baseline::parse("{}").is_err());
         assert!(Baseline::parse(r#"{"version":2,"suppressions":[]}"#).is_err());
         assert!(Baseline::parse(r#"{"version":1}"#).is_err());
-        assert!(
-            Baseline::parse(r#"{"version":1,"suppressions":[{"rule":"e_x"}]}"#).is_err()
-        );
+        assert!(Baseline::parse(r#"{"version":1,"suppressions":[{"rule":"e_x"}]}"#).is_err());
         assert!(Baseline::parse("not json").is_err());
     }
 

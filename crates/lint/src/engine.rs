@@ -14,7 +14,7 @@ use crate::diag::{ChainContext, Finding, Severity};
 use crate::rules::registry;
 use ccc_asn1::Time;
 use ccc_core::{
-    analyze_compliance_with_graph, ComplianceReport, CompletenessAnalyzer, IssuanceChecker,
+    analyze_compliance_with_graph, CompletenessAnalyzer, ComplianceReport, IssuanceChecker,
     NonCompliance, TopologyGraph,
 };
 use ccc_netsim::AiaRepository;
@@ -229,8 +229,11 @@ impl LintSummary {
                 ));
             }
         }
-        self.error_findings
-            .extend(findings.into_iter().filter(|f| f.severity == Severity::Error));
+        self.error_findings.extend(
+            findings
+                .into_iter()
+                .filter(|f| f.severity == Severity::Error),
+        );
     }
 
     /// Fold a worker partial into this summary, `total` included
@@ -339,7 +342,9 @@ mod tests {
 
         let (report, findings) = engine.lint_chain_with_report("rev.sim", &served);
         assert!(report.findings.contains(&NonCompliance::ReversedSequence));
-        assert!(findings.iter().any(|f| f.rule_id == "e_chain_reversed_order"));
+        assert!(findings
+            .iter()
+            .any(|f| f.rule_id == "e_chain_reversed_order"));
         // The root-included warning also fires (position 1 is self-signed).
         assert!(findings.iter().any(|f| f.rule_id == "w_root_included"));
     }

@@ -232,8 +232,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                             return Err(format!("bad \\u escape at byte {}", *pos));
                         }
                         let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                         *pos += 4;
                         // Surrogate pairs are not needed for baselines;
                         // replace unpaired surrogates rather than erroring.

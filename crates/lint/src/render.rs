@@ -174,7 +174,10 @@ mod tests {
         assert_eq!(first.get("cert"), Some(&Value::Null));
         let second = json::parse(lines[1]).unwrap();
         assert_eq!(second.get("cert").and_then(Value::as_f64), Some(2.0));
-        assert_eq!(second.get("byteLength").and_then(Value::as_f64), Some(512.0));
+        assert_eq!(
+            second.get("byteLength").and_then(Value::as_f64),
+            Some(512.0)
+        );
         // The embedded quotes survived escaping.
         assert_eq!(
             second.get("message").and_then(Value::as_str),
@@ -207,7 +210,10 @@ mod tests {
             .and_then(|l| l[0].get("physicalLocation"))
             .and_then(|p| p.get("region"))
             .unwrap();
-        assert_eq!(region.get("byteOffset").and_then(Value::as_f64), Some(1024.0));
+        assert_eq!(
+            region.get("byteOffset").and_then(Value::as_f64),
+            Some(1024.0)
+        );
     }
 
     #[test]

@@ -120,7 +120,10 @@ impl LintRule for CertExpired {
                 out.push(ctx.finding_at_validity(
                     self,
                     i,
-                    format!("certificate expired: notAfter {} is before scan time {}", v.not_after, ctx.now),
+                    format!(
+                        "certificate expired: notAfter {} is before scan time {}",
+                        v.not_after, ctx.now
+                    ),
                 ));
             }
         }
@@ -648,7 +651,11 @@ impl LintRule for ChainReversedOrder {
         "RFC 5246 §7.4.2; RFC 8446 §4.4.2"
     }
     fn check(&self, ctx: &ChainContext<'_>, out: &mut Vec<Finding>) {
-        if ctx.report.findings.contains(&NonCompliance::ReversedSequence) {
+        if ctx
+            .report
+            .findings
+            .contains(&NonCompliance::ReversedSequence)
+        {
             out.push(ctx.finding(
                 self,
                 format!(
@@ -686,7 +693,11 @@ impl LintRule for ChainIncomplete {
         "RFC 5246 §7.4.2; RFC 8446 §4.4.2"
     }
     fn check(&self, ctx: &ChainContext<'_>, out: &mut Vec<Finding>) {
-        if ctx.report.findings.contains(&NonCompliance::IncompleteChain) {
+        if ctx
+            .report
+            .findings
+            .contains(&NonCompliance::IncompleteChain)
+        {
             let c = &ctx.report.completeness;
             let detail = if c.aia_completable {
                 format!(
@@ -847,7 +858,12 @@ impl LintRule for ChainAiaCompletable {
     }
     fn check(&self, ctx: &ChainContext<'_>, out: &mut Vec<Finding>) {
         let c = &ctx.report.completeness;
-        if ctx.report.findings.contains(&NonCompliance::IncompleteChain) && c.aia_completable {
+        if ctx
+            .report
+            .findings
+            .contains(&NonCompliance::IncompleteChain)
+            && c.aia_completable
+        {
             out.push(ctx.finding(
                 self,
                 format!(

@@ -61,8 +61,7 @@ fn check_golden(name: &str, rendered: &str) {
         )
     });
     assert_eq!(
-        rendered,
-        expected,
+        rendered, expected,
         "{name} drifted from its golden snapshot; if intentional, re-bless with CCC_BLESS=1"
     );
 }
@@ -113,7 +112,10 @@ fn sarif_output_validates_structurally() {
         .expect("tool.driver");
     assert_eq!(driver.get("name").and_then(Value::as_str), Some("ccc-lint"));
 
-    let rules = driver.get("rules").and_then(Value::as_array).expect("rules[]");
+    let rules = driver
+        .get("rules")
+        .and_then(Value::as_array)
+        .expect("rules[]");
     assert_eq!(rules.len(), registry().len());
     for (rule_meta, rule) in rules.iter().zip(registry()) {
         assert_eq!(rule_meta.get("id").and_then(Value::as_str), Some(rule.id()));
@@ -136,7 +138,10 @@ fn sarif_output_validates_structurally() {
         .expect("results[]");
     assert!(!results.is_empty());
     for result in results {
-        let rule_id = result.get("ruleId").and_then(Value::as_str).expect("ruleId");
+        let rule_id = result
+            .get("ruleId")
+            .and_then(Value::as_str)
+            .expect("ruleId");
         let idx = result
             .get("ruleIndex")
             .and_then(Value::as_f64)
@@ -170,12 +175,18 @@ fn jsonl_output_validates_structurally() {
     assert_eq!(lines.len(), findings.len());
     for (line, finding) in lines.iter().zip(&findings) {
         let obj = json::parse(line).expect("JSONL line parses");
-        assert_eq!(obj.get("rule").and_then(Value::as_str), Some(finding.rule_id));
+        assert_eq!(
+            obj.get("rule").and_then(Value::as_str),
+            Some(finding.rule_id)
+        );
         assert_eq!(
             obj.get("severity").and_then(Value::as_str),
             Some(finding.severity.label())
         );
-        assert_eq!(obj.get("domain").and_then(Value::as_str), Some("golden.sim"));
+        assert_eq!(
+            obj.get("domain").and_then(Value::as_str),
+            Some("golden.sim")
+        );
         assert_eq!(
             obj.get("fingerprint").and_then(Value::as_str),
             Some(finding.fingerprint.as_str())

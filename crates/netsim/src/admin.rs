@@ -85,16 +85,13 @@ pub fn assemble(
     server: HttpServerKind,
 ) -> DeploymentFiles {
     // The certificates the CA delivered, in delivered order.
-    let delivered_chain: Vec<Certificate> = bundle
-        .fullchain
-        .clone()
-        .unwrap_or_else(|| {
-            let mut v = vec![bundle.leaf.clone()];
-            if let Some(cb) = &bundle.ca_bundle {
-                v.extend(cb.iter().cloned());
-            }
-            v
-        });
+    let delivered_chain: Vec<Certificate> = bundle.fullchain.clone().unwrap_or_else(|| {
+        let mut v = vec![bundle.leaf.clone()];
+        if let Some(cb) = &bundle.ca_bundle {
+            v.extend(cb.iter().cloned());
+        }
+        v
+    });
 
     let (mut cert_file, mut chain_file): (Vec<Certificate>, Option<Vec<Certificate>>) =
         match behavior {
@@ -112,12 +109,10 @@ pub fn assemble(
             AdminBehavior::NaiveMerge => match server.file_layout() {
                 FileLayout::SeparateLeafAndBundle => (
                     vec![bundle.leaf.clone()],
-                    bundle.ca_bundle.clone().or_else(|| {
-                        bundle
-                            .fullchain
-                            .as_ref()
-                            .map(|fc| fc[1..].to_vec())
-                    }),
+                    bundle
+                        .ca_bundle
+                        .clone()
+                        .or_else(|| bundle.fullchain.as_ref().map(|fc| fc[1..].to_vec())),
                 ),
                 _ => (delivered_chain.clone(), None),
             },
@@ -234,7 +229,11 @@ mod tests {
     #[test]
     fn follow_guide_is_compliant_everywhere() {
         let bundle = issue("GoGetSSL", "fg.sim"); // reversed delivery
-        for server in [HttpServerKind::ApacheOld, HttpServerKind::Nginx, HttpServerKind::Iis] {
+        for server in [
+            HttpServerKind::ApacheOld,
+            HttpServerKind::Nginx,
+            HttpServerKind::Iis,
+        ] {
             let files = assemble(&bundle, &AdminBehavior::FollowGuide, server);
             let served = server.deploy(&files).unwrap();
             assert_eq!(served[0], bundle.leaf);
@@ -250,7 +249,10 @@ mod tests {
         // leaf, root, intermediate — reversed tail straight from the bundle.
         assert_eq!(served.len(), 3);
         assert_eq!(served[0], bundle.leaf);
-        assert!(served[1].is_self_issued(), "root ended up before intermediate");
+        assert!(
+            served[1].is_self_issued(),
+            "root ended up before intermediate"
+        );
         assert_eq!(served[2], bundle.intermediate);
     }
 
@@ -259,13 +261,20 @@ mod tests {
         let bundle = issue("ZeroSSL", "zc.sim");
         let files = assemble(&bundle, &AdminBehavior::NaiveMerge, HttpServerKind::Nginx);
         let served = HttpServerKind::Nginx.deploy(&files).unwrap();
-        assert_eq!(served, vec![bundle.leaf.clone(), bundle.intermediate.clone()]);
+        assert_eq!(
+            served,
+            vec![bundle.leaf.clone(), bundle.intermediate.clone()]
+        );
     }
 
     #[test]
     fn leaf_in_chain_file_duplicates_leaf_on_old_apache() {
         let bundle = issue("ZeroSSL", "dup.sim");
-        let files = assemble(&bundle, &AdminBehavior::LeafInChainFile, HttpServerKind::ApacheOld);
+        let files = assemble(
+            &bundle,
+            &AdminBehavior::LeafInChainFile,
+            HttpServerKind::ApacheOld,
+        );
         let served = HttpServerKind::ApacheOld.deploy(&files).unwrap();
         assert_eq!(served.iter().filter(|c| **c == bundle.leaf).count(), 2);
         // Azure rejects the same files.
@@ -297,7 +306,11 @@ mod tests {
     #[test]
     fn reverse_everything_puts_leaf_last() {
         let bundle = issue("ZeroSSL", "rev.sim");
-        let files = assemble(&bundle, &AdminBehavior::ReverseEverything, HttpServerKind::Nginx);
+        let files = assemble(
+            &bundle,
+            &AdminBehavior::ReverseEverything,
+            HttpServerKind::Nginx,
+        );
         // Leaf is not first → the key check fails on upload.
         assert!(!files.key_matches_first_cert);
         assert_eq!(

@@ -70,7 +70,10 @@ impl CertServer {
     /// recorded against that connection's index and the listener keeps
     /// accepting. [`join`](Self::join) surfaces all recorded failures as
     /// [`HandshakeError::Connections`].
-    pub fn spawn(certs: Vec<Certificate>, connections: usize) -> Result<CertServer, HandshakeError> {
+    pub fn spawn(
+        certs: Vec<Certificate>,
+        connections: usize,
+    ) -> Result<CertServer, HandshakeError> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let msg = tlsmsg::encode_tls12(&certs)?;
@@ -144,8 +147,11 @@ mod tests {
         let leaf_kp = KeyPair::from_seed(g, b"hsk-leaf");
         let ca_dn = DistinguishedName::cn("Handshake CA");
         let ca = CertificateBuilder::ca_profile(ca_dn.clone()).self_signed(&ca_kp);
-        let leaf = CertificateBuilder::leaf_profile("handshake.sim")
-            .issued_by(&leaf_kp.public, ca_dn, &ca_kp);
+        let leaf = CertificateBuilder::leaf_profile("handshake.sim").issued_by(
+            &leaf_kp.public,
+            ca_dn,
+            &ca_kp,
+        );
         vec![leaf, ca]
     }
 
@@ -184,10 +190,7 @@ mod tests {
         // client that hung up reliably fails mid-exchange (RST → EPIPE /
         // ECONNRESET) instead of being absorbed by the kernel.
         let pair = chain();
-        let certs: Vec<Certificate> = std::iter::repeat(pair)
-            .take(8_000)
-            .flatten()
-            .collect();
+        let certs: Vec<Certificate> = std::iter::repeat(pair).take(8_000).flatten().collect();
         let server = CertServer::spawn(certs.clone(), 2).unwrap();
 
         // Connection 0: connect and hang up without reading anything.

@@ -76,10 +76,10 @@ impl HttpServerKind {
     /// Expected file layout.
     pub fn file_layout(&self) -> FileLayout {
         match self {
-            HttpServerKind::ApacheOld | HttpServerKind::AwsElb => {
-                FileLayout::SeparateLeafAndBundle
-            }
-            HttpServerKind::ApacheNew | HttpServerKind::Nginx | HttpServerKind::Cloudflare
+            HttpServerKind::ApacheOld | HttpServerKind::AwsElb => FileLayout::SeparateLeafAndBundle,
+            HttpServerKind::ApacheNew
+            | HttpServerKind::Nginx
+            | HttpServerKind::Cloudflare
             | HttpServerKind::Other => FileLayout::FullChain,
             HttpServerKind::AzureAppGateway | HttpServerKind::Iis => FileLayout::Pfx,
         }
@@ -87,10 +87,7 @@ impl HttpServerKind {
 
     /// Whether upload-time validation rejects duplicate leaf certificates.
     pub fn checks_duplicate_leaf(&self) -> bool {
-        matches!(
-            self,
-            HttpServerKind::AzureAppGateway | HttpServerKind::Iis
-        )
+        matches!(self, HttpServerKind::AzureAppGateway | HttpServerKind::Iis)
     }
 
     /// Whether upload-time validation rejects duplicate intermediates or
@@ -236,7 +233,11 @@ mod tests {
             key_matches_first_cert: false,
         };
         for kind in HttpServerKind::ALL {
-            assert_eq!(kind.deploy(&files).unwrap_err(), DeployError::KeyMismatch, "{kind}");
+            assert_eq!(
+                kind.deploy(&files).unwrap_err(),
+                DeployError::KeyMismatch,
+                "{kind}"
+            );
         }
     }
 
@@ -296,9 +297,15 @@ mod tests {
             HttpServerKind::ApacheOld.file_layout(),
             FileLayout::SeparateLeafAndBundle
         );
-        assert_eq!(HttpServerKind::ApacheNew.file_layout(), FileLayout::FullChain);
+        assert_eq!(
+            HttpServerKind::ApacheNew.file_layout(),
+            FileLayout::FullChain
+        );
         assert_eq!(HttpServerKind::Nginx.file_layout(), FileLayout::FullChain);
-        assert_eq!(HttpServerKind::AzureAppGateway.file_layout(), FileLayout::Pfx);
+        assert_eq!(
+            HttpServerKind::AzureAppGateway.file_layout(),
+            FileLayout::Pfx
+        );
         assert_eq!(HttpServerKind::Iis.file_layout(), FileLayout::Pfx);
         assert_eq!(
             HttpServerKind::AwsElb.file_layout(),

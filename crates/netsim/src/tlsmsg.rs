@@ -218,8 +218,11 @@ mod tests {
         let leaf_kp = KeyPair::from_seed(g, b"tls-leaf");
         let root_dn = DistinguishedName::cn("TLS Root");
         let root = CertificateBuilder::ca_profile(root_dn.clone()).self_signed(&root_kp);
-        let leaf =
-            CertificateBuilder::leaf_profile("tls.sim").issued_by(&leaf_kp.public, root_dn, &root_kp);
+        let leaf = CertificateBuilder::leaf_profile("tls.sim").issued_by(
+            &leaf_kp.public,
+            root_dn,
+            &root_kp,
+        );
         vec![leaf, root]
     }
 
@@ -258,7 +261,10 @@ mod tests {
         let certs = chain();
         let mut msg = encode_tls12(&certs).unwrap();
         msg[0] = 2; // ServerHello
-        assert_eq!(decode_tls12(&msg).unwrap_err(), TlsMsgError::NotCertificateMessage(2));
+        assert_eq!(
+            decode_tls12(&msg).unwrap_err(),
+            TlsMsgError::NotCertificateMessage(2)
+        );
     }
 
     #[test]
@@ -353,9 +359,8 @@ mod tests {
         // re-walking the framing.
         let mut pos = 1 + 3 + 1; // type, body_len, ctx_len(0)
         pos += 3; // list_len
-        let cert_len = ((good[pos] as usize) << 16)
-            | ((good[pos + 1] as usize) << 8)
-            | good[pos + 2] as usize;
+        let cert_len =
+            ((good[pos] as usize) << 16) | ((good[pos + 1] as usize) << 8) | good[pos + 2] as usize;
         let ext_at = pos + 3 + cert_len;
         let mut bad = good.clone();
         bad[ext_at] = 0xff;

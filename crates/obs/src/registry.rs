@@ -49,7 +49,9 @@ impl Counter {
 
 impl fmt::Debug for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Counter").field("value", &self.get()).finish()
+        f.debug_struct("Counter")
+            .field("value", &self.get())
+            .finish()
     }
 }
 

@@ -141,16 +141,20 @@ mod tests {
 
     fn sample_registry() -> MetricsRegistry {
         let reg = MetricsRegistry::new();
-        reg.counter("ccc_demo_builds_total", "Builds processed.").add(3);
-        reg.counter_volatile(
-            "ccc_demo_wall_us_total",
-            "Wall microseconds (volatile).",
+        reg.counter("ccc_demo_builds_total", "Builds processed.")
+            .add(3);
+        reg.counter_volatile("ccc_demo_wall_us_total", "Wall microseconds (volatile).")
+            .add(1234);
+        reg.counter(
+            "ccc_demo_outcomes_total{class=\"dead\"}",
+            "Outcomes by class.",
         )
-        .add(1234);
-        reg.counter("ccc_demo_outcomes_total{class=\"dead\"}", "Outcomes by class.")
-            .add(2);
-        reg.counter("ccc_demo_outcomes_total{class=\"ok\"}", "Outcomes by class.")
-            .add(7);
+        .add(2);
+        reg.counter(
+            "ccc_demo_outcomes_total{class=\"ok\"}",
+            "Outcomes by class.",
+        )
+        .add(7);
         reg.histogram("ccc_demo_latency_ms", "Per-build simulated latency.")
             .observe(5);
         reg
@@ -163,7 +167,8 @@ mod tests {
         assert!(text.contains("ccc_demo_builds_total 3"));
         // One header per family even with several labeled series.
         assert_eq!(
-            text.matches("# TYPE ccc_demo_outcomes_total counter").count(),
+            text.matches("# TYPE ccc_demo_outcomes_total counter")
+                .count(),
             1
         );
         assert!(text.contains("ccc_demo_outcomes_total{class=\"dead\"} 2"));

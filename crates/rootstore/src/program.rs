@@ -133,9 +133,17 @@ mod tests {
             .find(|r| r.name.contains("Sim MZ"))
             .expect("MZ root present");
         assert!(programs.unified().contains(&mz_excluded.cert));
-        assert!(!programs.store(RootProgram::Mozilla).contains(&mz_excluded.cert));
-        assert!(!programs.store(RootProgram::Chrome).contains(&mz_excluded.cert));
-        assert!(programs.store(RootProgram::Microsoft).contains(&mz_excluded.cert));
-        assert!(programs.store(RootProgram::Apple).contains(&mz_excluded.cert));
+        assert!(!programs
+            .store(RootProgram::Mozilla)
+            .contains(&mz_excluded.cert));
+        assert!(!programs
+            .store(RootProgram::Chrome)
+            .contains(&mz_excluded.cert));
+        assert!(programs
+            .store(RootProgram::Microsoft)
+            .contains(&mz_excluded.cert));
+        assert!(programs
+            .store(RootProgram::Apple)
+            .contains(&mz_excluded.cert));
     }
 }

@@ -235,8 +235,7 @@ impl CaUniverse {
             let slug = slugify(&ca.name);
             let root_drbg = drbg.fork(&format!("root/{ci}/{slug}"));
             let keypair = KeyPair::from_seed(group, &root_drbg.fork("key").bytes_static());
-            let root_dn =
-                DistinguishedName::cn_o(format!("{} Root CA", ca.name), ca.name.clone());
+            let root_dn = DistinguishedName::cn_o(format!("{} Root CA", ca.name), ca.name.clone());
             let cert = CertificateBuilder::ca_profile(root_dn.clone())
                 .validity(root_not_before, root_not_after)
                 .akid(KidMode::Absent) // typical real-world roots omit AKID
@@ -256,9 +255,9 @@ impl CaUniverse {
                 let cert = base
                     .clone()
                     .issued_by(&int_kp.public, root_dn.clone(), &keypair);
-                let cert_no_akid = base
-                    .akid(KidMode::Absent)
-                    .issued_by(&int_kp.public, root_dn.clone(), &keypair);
+                let cert_no_akid =
+                    base.akid(KidMode::Absent)
+                        .issued_by(&int_kp.public, root_dn.clone(), &keypair);
                 intermediates.push(IssuingCa {
                     name: int_name,
                     keypair: int_kp,
@@ -419,7 +418,9 @@ mod tests {
         for root in &u.roots {
             for int in &root.intermediates {
                 assert!(int.cert.verify_signature_with(root.cert.public_key()));
-                assert!(int.cert_no_akid.verify_signature_with(root.cert.public_key()));
+                assert!(int
+                    .cert_no_akid
+                    .verify_signature_with(root.cert.public_key()));
                 assert_eq!(int.cert.issuer(), root.cert.subject());
                 assert_eq!(
                     int.cert.akid_key_id().unwrap(),
@@ -447,7 +448,9 @@ mod tests {
             assert_eq!(cs.cross_cert.public_key(), original.cert.public_key());
             assert_ne!(cs.cross_cert.issuer(), original.cert.issuer());
             let issuer_root = &u.roots[cs.issuer_root];
-            assert!(cs.cross_cert.verify_signature_with(issuer_root.cert.public_key()));
+            assert!(cs
+                .cross_cert
+                .verify_signature_with(issuer_root.cert.public_key()));
         }
         assert!(u.cross_signed.iter().any(|cs| cs.expired));
     }

@@ -10,12 +10,12 @@
 use ccc_asn1::Time;
 use ccc_core::builder::{BuildContext, ChainEngine, ClientError};
 use ccc_core::topology::IssuanceChecker;
+use ccc_crypto::{Group, KeyPair};
 use ccc_netsim::AiaRepository;
 use ccc_rootstore::RootStore;
 use ccc_x509::{
     BasicConstraints, Certificate, CertificateBuilder, DistinguishedName, KeyUsage, KidMode,
 };
-use ccc_crypto::{Group, KeyPair};
 
 /// Validity-priority classes (Table 9 footnotes).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -128,9 +128,8 @@ impl CapabilitySuite {
     /// Build the suite (deterministic in `seed`).
     pub fn new(seed: u64) -> CapabilitySuite {
         let g = Group::simulation_256();
-        let mk = |label: &str| {
-            KeyPair::from_seed(g, format!("capability/{seed}/{label}").as_bytes())
-        };
+        let mk =
+            |label: &str| KeyPair::from_seed(g, format!("capability/{seed}/{label}").as_bytes());
         let root_kp = mk("root");
         let root_dn = DistinguishedName::cn_o("Capability Root", "chain-chaos");
         let root = CertificateBuilder::ca_profile(root_dn.clone())
@@ -194,16 +193,10 @@ impl CapabilitySuite {
             self.root_dn.clone(),
             &self.root_kp,
         );
-        let i1 = CertificateBuilder::ca_profile(i1_dn.clone()).issued_by(
-            &i1_kp.public,
-            i2_dn,
-            &i2_kp,
-        );
-        let e = CertificateBuilder::leaf_profile("order.cap").issued_by(
-            &leaf_kp.public,
-            i1_dn,
-            &i1_kp,
-        );
+        let i1 =
+            CertificateBuilder::ca_profile(i1_dn.clone()).issued_by(&i1_kp.public, i2_dn, &i2_kp);
+        let e =
+            CertificateBuilder::leaf_profile("order.cap").issued_by(&leaf_kp.public, i1_dn, &i1_kp);
         let served = vec![e, i2, i1, self.root.clone()];
         let checker = IssuanceChecker::new();
         engine.process(&served, &self.ctx(&checker)).accepted()
@@ -238,11 +231,8 @@ impl CapabilitySuite {
         let i1 = CertificateBuilder::ca_profile(i1_dn.clone())
             .aia_ca_issuers("http://aia.cap/i2.crt")
             .issued_by(&i1_kp.public, i2_dn, &i2_kp);
-        let e = CertificateBuilder::leaf_profile("aia.cap").issued_by(
-            &leaf_kp.public,
-            i1_dn,
-            &i1_kp,
-        );
+        let e =
+            CertificateBuilder::leaf_profile("aia.cap").issued_by(&leaf_kp.public, i1_dn, &i1_kp);
         let mut aia = AiaRepository::empty();
         aia.publish("http://aia.cap/i2.crt", i2);
         let served = vec![e, i1];
@@ -342,14 +332,24 @@ impl CapabilitySuite {
         let (leaf, certs) = self.same_key_intermediates(
             "kid",
             &[
-                ("mismatch", CertificateBuilder::ca_profile(DistinguishedName::cn("Priority CA kid"))
-                    .skid(KidMode::Custom(vec![0xAB; 20]))),
-                ("absent", CertificateBuilder::ca_profile(DistinguishedName::cn("Priority CA kid"))
-                    .skid(KidMode::Absent)),
-                ("match", CertificateBuilder::ca_profile(DistinguishedName::cn("Priority CA kid"))),
+                (
+                    "mismatch",
+                    CertificateBuilder::ca_profile(DistinguishedName::cn("Priority CA kid"))
+                        .skid(KidMode::Custom(vec![0xAB; 20])),
+                ),
+                (
+                    "absent",
+                    CertificateBuilder::ca_profile(DistinguishedName::cn("Priority CA kid"))
+                        .skid(KidMode::Absent),
+                ),
+                (
+                    "match",
+                    CertificateBuilder::ca_profile(DistinguishedName::cn("Priority CA kid")),
+                ),
             ],
         );
-        let (i_mismatch, i_absent, i_match) = (certs[0].clone(), certs[1].clone(), certs[2].clone());
+        let (i_mismatch, i_absent, i_match) =
+            (certs[0].clone(), certs[1].clone(), certs[2].clone());
         let served = vec![
             leaf,
             i_mismatch.clone(),
@@ -379,14 +379,23 @@ impl CapabilitySuite {
         let (leaf, certs) = self.same_key_intermediates(
             "ku",
             &[
-                ("wrong", CertificateBuilder::new(dn.clone())
-                    .basic_constraints(Some(BasicConstraints::ca()))
-                    .key_usage(Some(KeyUsage::no_cert_sign()))),
-                ("absent", CertificateBuilder::new(dn.clone())
-                    .basic_constraints(Some(BasicConstraints::ca()))),
-                ("correct", CertificateBuilder::new(dn.clone())
-                    .basic_constraints(Some(BasicConstraints::ca()))
-                    .key_usage(Some(KeyUsage::ca()))),
+                (
+                    "wrong",
+                    CertificateBuilder::new(dn.clone())
+                        .basic_constraints(Some(BasicConstraints::ca()))
+                        .key_usage(Some(KeyUsage::no_cert_sign())),
+                ),
+                (
+                    "absent",
+                    CertificateBuilder::new(dn.clone())
+                        .basic_constraints(Some(BasicConstraints::ca())),
+                ),
+                (
+                    "correct",
+                    CertificateBuilder::new(dn.clone())
+                        .basic_constraints(Some(BasicConstraints::ca()))
+                        .key_usage(Some(KeyUsage::ca())),
+                ),
             ],
         );
         let i_wrong = certs[0].clone();
@@ -425,11 +434,8 @@ impl CapabilitySuite {
             shared_dn,
             &shared_kp,
         );
-        let e = CertificateBuilder::leaf_profile("bc.cap").issued_by(
-            &leaf_kp.public,
-            i1_dn,
-            &i1_kp,
-        );
+        let e =
+            CertificateBuilder::leaf_profile("bc.cap").issued_by(&leaf_kp.public, i1_dn, &i1_kp);
         let served = vec![e, i1, bad.clone(), good.clone(), self.root.clone()];
         let checker = IssuanceChecker::new();
         let outcome = engine.process(&served, &self.ctx(&checker));
@@ -440,7 +446,24 @@ impl CapabilitySuite {
     /// lengths (leaf + intermediates + root) up to [`MAX_LEN_PROBE`].
     pub fn test_max_path_len(&self, engine: &ChainEngine) -> MaxLen {
         let mut last_ok = 0usize;
-        for total in [3usize, 6, 8, 9, 10, 11, 13, 14, 16, 17, 21, 22, 30, 40, 52, MAX_LEN_PROBE] {
+        for total in [
+            3usize,
+            6,
+            8,
+            9,
+            10,
+            11,
+            13,
+            14,
+            16,
+            17,
+            21,
+            22,
+            30,
+            40,
+            52,
+            MAX_LEN_PROBE,
+        ] {
             if self.deep_chain_accepted(engine, total) {
                 last_ok = total;
             } else {
@@ -467,10 +490,8 @@ impl CapabilitySuite {
         let mut issuer_kp = self.root_kp.clone();
         let mut tower: Vec<Certificate> = Vec::new();
         for depth in 0..n_ints {
-            let kp = KeyPair::from_seed(
-                g,
-                format!("capability/deep/{total_len}/{depth}").as_bytes(),
-            );
+            let kp =
+                KeyPair::from_seed(g, format!("capability/deep/{total_len}/{depth}").as_bytes());
             let dn = DistinguishedName::cn(format!("Deep CA {total_len}.{depth}"));
             let cert = CertificateBuilder::ca_profile(dn.clone()).issued_by(
                 &kp.public,

@@ -50,24 +50,78 @@ pub fn ca_population() -> Vec<(CaProfile, CaDefectRates)> {
     profiles.push(CaProfile::other_cas());
     let rates = [
         // Let's Encrypt: 400,737 issued.
-        CaDefectRates { duplicate: 0.00813, irrelevant: 0.00100, multipath: 0.000127, reversed: 0.000202, incomplete: 0.00288 },
+        CaDefectRates {
+            duplicate: 0.00813,
+            irrelevant: 0.00100,
+            multipath: 0.000127,
+            reversed: 0.000202,
+            incomplete: 0.00288,
+        },
         // Digicert: 60,894.
-        CaDefectRates { duplicate: 0.01266, irrelevant: 0.01192, multipath: 0.000099, reversed: 0.02851, incomplete: 0.03687 },
+        CaDefectRates {
+            duplicate: 0.01266,
+            irrelevant: 0.01192,
+            multipath: 0.000099,
+            reversed: 0.02851,
+            incomplete: 0.03687,
+        },
         // Sectigo: 48,042.
-        CaDefectRates { duplicate: 0.01330, irrelevant: 0.01032, multipath: 0.00279, reversed: 0.05281, incomplete: 0.04159 },
+        CaDefectRates {
+            duplicate: 0.01330,
+            irrelevant: 0.01032,
+            multipath: 0.00279,
+            reversed: 0.05281,
+            incomplete: 0.04159,
+        },
         // ZeroSSL: 8,219.
-        CaDefectRates { duplicate: 0.01046, irrelevant: 0.00426, multipath: 0.0, reversed: 0.000243, incomplete: 0.01460 },
+        CaDefectRates {
+            duplicate: 0.01046,
+            irrelevant: 0.00426,
+            multipath: 0.0,
+            reversed: 0.000243,
+            incomplete: 0.01460,
+        },
         // GoGetSSL: 1,617 (reversal comes mechanically from its reversed
         // bundle + naive merges, not from a planned rate).
-        CaDefectRates { duplicate: 0.02535, irrelevant: 0.02103, multipath: 0.0, reversed: 0.0, incomplete: 0.06926 },
+        CaDefectRates {
+            duplicate: 0.02535,
+            irrelevant: 0.02103,
+            multipath: 0.0,
+            reversed: 0.0,
+            incomplete: 0.06926,
+        },
         // TAIWAN-CA: 492.
-        CaDefectRates { duplicate: 0.01423, irrelevant: 0.01626, multipath: 0.0, reversed: 0.09553, incomplete: 0.41870 },
+        CaDefectRates {
+            duplicate: 0.01423,
+            irrelevant: 0.01626,
+            multipath: 0.0,
+            reversed: 0.09553,
+            incomplete: 0.41870,
+        },
         // cyber_Folks: 142 (mechanism-driven reversal, see GoGetSSL).
-        CaDefectRates { duplicate: 0.02113, irrelevant: 0.05634, multipath: 0.0, reversed: 0.0, incomplete: 0.05634 },
+        CaDefectRates {
+            duplicate: 0.02113,
+            irrelevant: 0.05634,
+            multipath: 0.0,
+            reversed: 0.0,
+            incomplete: 0.05634,
+        },
         // Trustico: 108 (mechanism-driven reversal, see GoGetSSL).
-        CaDefectRates { duplicate: 0.00926, irrelevant: 0.00926, multipath: 0.0, reversed: 0.0, incomplete: 0.03704 },
+        CaDefectRates {
+            duplicate: 0.00926,
+            irrelevant: 0.00926,
+            multipath: 0.0,
+            reversed: 0.0,
+            incomplete: 0.03704,
+        },
         // Other CAs: 386,085 — rates chosen so Table 5 totals match.
-        CaDefectRates { duplicate: 0.00302, irrelevant: 0.00343, multipath: 0.000124, reversed: 0.01006, incomplete: 0.01616 },
+        CaDefectRates {
+            duplicate: 0.00302,
+            irrelevant: 0.00343,
+            multipath: 0.000124,
+            reversed: 0.01006,
+            incomplete: 0.01616,
+        },
     ];
     profiles.into_iter().zip(rates).collect()
 }
@@ -252,10 +306,8 @@ impl Corpus {
             .iter()
             .enumerate()
             .map(|(i, root)| {
-                let kp = KeyPair::from_seed(
-                    g,
-                    format!("corpus-subca/{}/{i}", spec.seed).as_bytes(),
-                );
+                let kp =
+                    KeyPair::from_seed(g, format!("corpus-subca/{}/{i}", spec.seed).as_bytes());
                 let dn = ccc_x509::DistinguishedName::cn_o(
                     format!("{} Sub CA", root.name),
                     root.name.clone(),
@@ -274,8 +326,7 @@ impl Corpus {
         for (ri, root) in universe.roots.iter().enumerate() {
             root_index_by_subject.insert(root.cert.subject().clone(), ri);
             for int in &root.intermediates {
-                int_keys_by_subject
-                    .insert(int.cert.subject().clone(), int.keypair.clone());
+                int_keys_by_subject.insert(int.cert.subject().clone(), int.keypair.clone());
             }
         }
         Corpus {
@@ -396,7 +447,8 @@ impl Corpus {
         // Map the plan to an administrator behaviour + assembly. A plan
         // the server's upload checks reject is *realized* as a compliant
         // deployment (the admin fixes it), so `planned` is downgraded.
-        let (mut served, rejected_by_server) = self.deploy(rank, &bundle, planned, server, &mut drbg);
+        let (mut served, rejected_by_server) =
+            self.deploy(rank, &bundle, planned, server, &mut drbg);
         let planned = if rejected_by_server {
             PlannedDefect::None
         } else {
@@ -412,7 +464,9 @@ impl Corpus {
         ) && served.last() == Some(&bundle.intermediate)
             && drbg.chance(self.spec.root_included_rate)
         {
-            let root_cert = self.universe.roots[self.root_index(&bundle.root)].cert.clone();
+            let root_cert = self.universe.roots[self.root_index(&bundle.root)]
+                .cert
+                .clone();
             served.push(root_cert);
         }
 
@@ -628,17 +682,18 @@ impl Corpus {
                     // neither the sub-CA nor the intermediate served.
                     let root_idx = self.root_index(&bundle.root);
                     let (sub_dn, sub_kp, _, sub_uri) = &self.sub_cas[root_idx];
-                    let leaf = b
-                        .aia_ca_issuers(sub_uri.clone())
-                        .issued_by(&kp.public, sub_dn.clone(), sub_kp);
+                    let leaf = b.aia_ca_issuers(sub_uri.clone()).issued_by(
+                        &kp.public,
+                        sub_dn.clone(),
+                        sub_kp,
+                    );
                     return (vec![leaf], false);
                 }
                 if variant == 3 {
                     b = b.aia_ca_issuers(format!("http://aia.sim/dead/{rank}.crt"));
                 }
                 let int_kp = self.intermediate_keypair(bundle);
-                let leaf =
-                    b.issued_by(&kp.public, bundle.intermediate.subject().clone(), int_kp);
+                let leaf = b.issued_by(&kp.public, bundle.intermediate.subject().clone(), int_kp);
                 return (vec![leaf], false);
             }
         }
@@ -652,8 +707,7 @@ impl Corpus {
             match &mut bundle.ca_bundle {
                 Some(cb) => cb.push(bundle.root.clone()),
                 None => {
-                    bundle.ca_bundle =
-                        Some(vec![bundle.intermediate.clone(), bundle.root.clone()])
+                    bundle.ca_bundle = Some(vec![bundle.intermediate.clone(), bundle.root.clone()])
                 }
             }
         }
@@ -673,7 +727,9 @@ impl Corpus {
         let files = assemble(&bundle, &behavior, server);
         match server.deploy(&files) {
             Ok(served) => (served, false),
-            Err(DeployError::DuplicateLeaf) | Err(DeployError::KeyMismatch) | Err(DeployError::NoCertificate) => {
+            Err(DeployError::DuplicateLeaf)
+            | Err(DeployError::KeyMismatch)
+            | Err(DeployError::NoCertificate) => {
                 // Admin sees the error and follows the guide instead.
                 let files = assemble(&bundle, &AdminBehavior::FollowGuide, server);
                 let served = server.deploy(&files).expect("guided deployment succeeds");
@@ -706,7 +762,10 @@ impl Corpus {
         // Re-issue the leaf under the cross-signed intermediate.
         let kp = &self.leaf_keys[drbg.below(self.leaf_keys.len() as u64) as usize];
         let leaf = CertificateBuilder::leaf_profile(&bundle.domain)
-            .validity(bundle.leaf.validity().not_before, bundle.leaf.validity().not_after)
+            .validity(
+                bundle.leaf.validity().not_before,
+                bundle.leaf.validity().not_after,
+            )
             .aia_ca_issuers(int.aia_uri.clone())
             .issued_by(&kp.public, int.cert.subject().clone(), &int.keypair);
         // Paper: cross certificates are mostly inserted at the wrong spot
@@ -738,7 +797,12 @@ impl Corpus {
             )
             .issued_by(&kp.public, sub_dn.clone(), sub_kp);
         if drbg.chance(0.25) {
-            vec![leaf, bundle.root.clone(), int0.cert.clone(), sub_cert.clone()]
+            vec![
+                leaf,
+                bundle.root.clone(),
+                int0.cert.clone(),
+                sub_cert.clone(),
+            ]
         } else {
             vec![leaf, int0.cert.clone(), sub_cert.clone()]
         }
@@ -768,8 +832,11 @@ impl Corpus {
         let gov = &self.universe.roots[gov_idx];
         let int = &gov.intermediates[drbg.below(gov.intermediates.len() as u64) as usize];
         let kp = &self.leaf_keys[drbg.below(self.leaf_keys.len() as u64) as usize];
-        let leaf = CertificateBuilder::leaf_profile(&format!("foreign{rank}.gov.sim"))
-            .issued_by(&kp.public, int.cert.subject().clone(), &int.keypair);
+        let leaf = CertificateBuilder::leaf_profile(&format!("foreign{rank}.gov.sim")).issued_by(
+            &kp.public,
+            int.cert.subject().clone(),
+            &int.keypair,
+        );
         vec![leaf, int.cert.clone(), gov.cert.clone()]
     }
 
@@ -823,7 +890,9 @@ impl Corpus {
     /// that scales with `spec.domains`; `collect` suits fixtures and
     /// benches that revisit a small fixed set of observations.
     pub fn collect(&self) -> Vec<DomainObservation> {
-        (0..self.spec.domains).map(|r| self.observation(r)).collect()
+        (0..self.spec.domains)
+            .map(|r| self.observation(r))
+            .collect()
     }
 }
 
@@ -988,8 +1057,13 @@ mod tests {
             });
             let org = org.unwrap_or_default();
             assert!(
-                ["Let's Encrypt Sim", "DigiCert Sim", "Sectigo Sim", "ZeroSSL Sim"]
-                    .contains(&org.as_str()),
+                [
+                    "Let's Encrypt Sim",
+                    "DigiCert Sim",
+                    "Sectigo Sim",
+                    "ZeroSSL Sim"
+                ]
+                .contains(&org.as_str()),
                 "unexpected cached org {org}"
             );
         }

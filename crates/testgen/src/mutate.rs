@@ -86,7 +86,11 @@ impl ChainMutation {
             }
             ChainMutation::TruncateToLeaf => served.truncate(1),
             ChainMutation::InsertIrrelevant(cert, i) => {
-                let idx = if served.is_empty() { 0 } else { 1 + i % served.len() };
+                let idx = if served.is_empty() {
+                    0
+                } else {
+                    1 + i % served.len()
+                };
                 let idx = idx.min(served.len());
                 served.insert(idx, cert.clone());
             }
@@ -127,7 +131,11 @@ impl Mutator {
 
     /// Draw a random mutation.
     pub fn random_mutation(&mut self) -> ChainMutation {
-        let choices = if self.irrelevant_pool.is_empty() { 9 } else { 10 };
+        let choices = if self.irrelevant_pool.is_empty() {
+            9
+        } else {
+            10
+        };
         match self.drbg.below(choices) {
             0 => ChainMutation::ShuffleTail,
             1 => ChainMutation::ReverseTail,
@@ -180,11 +188,8 @@ mod tests {
             root_dn,
             &root_kp,
         );
-        let leaf = CertificateBuilder::leaf_profile("mut.sim").issued_by(
-            &leaf_kp.public,
-            int_dn,
-            &int_kp,
-        );
+        let leaf =
+            CertificateBuilder::leaf_profile("mut.sim").issued_by(&leaf_kp.public, int_dn, &int_kp);
         vec![leaf, int, root]
     }
 

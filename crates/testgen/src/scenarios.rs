@@ -9,10 +9,10 @@
 //!   the validity-priority recommendation (§6.2).
 
 use ccc_asn1::Time;
+use ccc_crypto::{Group, KeyPair};
 use ccc_netsim::AiaRepository;
 use ccc_rootstore::RootStore;
 use ccc_x509::{Certificate, CertificateBuilder, DistinguishedName};
-use ccc_crypto::{Group, KeyPair};
 
 /// A named served-list scenario.
 #[derive(Clone, Debug)]
@@ -91,7 +91,12 @@ impl ScenarioSet {
         (cert, kp, dn)
     }
 
-    fn leaf(&self, domain: &str, issuer_dn: &DistinguishedName, issuer_kp: &KeyPair) -> Certificate {
+    fn leaf(
+        &self,
+        domain: &str,
+        issuer_dn: &DistinguishedName,
+        issuer_kp: &KeyPair,
+    ) -> Certificate {
         let g = Group::simulation_256();
         let kp = KeyPair::from_seed(g, format!("scenario-leaf/{domain}").as_bytes());
         CertificateBuilder::leaf_profile(domain).issued_by(&kp.public, issuer_dn.clone(), issuer_kp)
@@ -104,11 +109,8 @@ impl ScenarioSet {
         let g = Group::simulation_256();
         let i1_kp = KeyPair::from_seed(g, b"scenario-int/fig2a-1");
         let i1_dn = DistinguishedName::cn_o("Fig2a CA 1", "chain-chaos");
-        let i1 = CertificateBuilder::ca_profile(i1_dn.clone()).issued_by(
-            &i1_kp.public,
-            i2_dn,
-            &i2_kp,
-        );
+        let i1 =
+            CertificateBuilder::ca_profile(i1_dn.clone()).issued_by(&i1_kp.public, i2_dn, &i2_kp);
         let leaf = self.leaf("fig2a.sim", &i1_dn, &i1_kp);
         Scenario {
             name: "figure2a",
@@ -292,13 +294,21 @@ impl ScenarioSet {
                 Time::from_ymd(2021, 4, 14).expect("literal date is valid"),
                 Time::from_ymd(2031, 4, 13).expect("literal date is valid"),
             )
-            .issued_by(&shared_kp.public, self.trusted_root_dn.clone(), &self.trusted_root_kp);
+            .issued_by(
+                &shared_kp.public,
+                self.trusted_root_dn.clone(),
+                &self.trusted_root_kp,
+            );
         let candidate_b = CertificateBuilder::ca_profile(shared_dn.clone())
             .validity(
                 Time::from_ymd(2020, 9, 24).expect("literal date is valid"),
                 Time::from_ymd(2030, 9, 23).expect("literal date is valid"),
             )
-            .issued_by(&shared_kp.public, self.trusted_root_dn.clone(), &self.trusted_root_kp);
+            .issued_by(
+                &shared_kp.public,
+                self.trusted_root_dn.clone(),
+                &self.trusted_root_kp,
+            );
         let leaf = self.leaf("fig5.sim", &shared_dn, &shared_kp);
         let scenario = Scenario {
             name: "figure5",
@@ -329,10 +339,7 @@ mod tests {
     use ccc_core::topology::IssuanceChecker;
     use ccc_core::{analyze_order, CompletenessAnalyzer};
 
-    fn ctx<'a>(
-        set: &'a ScenarioSet,
-        checker: &'a IssuanceChecker,
-    ) -> BuildContext<'a> {
+    fn ctx<'a>(set: &'a ScenarioSet, checker: &'a IssuanceChecker) -> BuildContext<'a> {
         BuildContext {
             store: &set.store,
             aia: Some(&set.aia),
@@ -394,11 +401,17 @@ mod tests {
         let s = set.figure3();
         assert_eq!(s.served.len(), 17);
         let checker = IssuanceChecker::new();
-        let gnutls = ClientKind::GnuTls.engine().process(&s.served, &ctx(&set, &checker));
+        let gnutls = ClientKind::GnuTls
+            .engine()
+            .process(&s.served, &ctx(&set, &checker));
         assert_eq!(gnutls.verdict, Err(ClientError::TooManyCertificates));
-        let openssl = ClientKind::OpenSsl.engine().process(&s.served, &ctx(&set, &checker));
+        let openssl = ClientKind::OpenSsl
+            .engine()
+            .process(&s.served, &ctx(&set, &checker));
         assert!(openssl.accepted(), "{:?}", openssl.verdict);
-        let chrome = ClientKind::Chrome.engine().process(&s.served, &ctx(&set, &checker));
+        let chrome = ClientKind::Chrome
+            .engine()
+            .process(&s.served, &ctx(&set, &checker));
         assert!(chrome.accepted());
     }
 
@@ -407,9 +420,13 @@ mod tests {
         let set = ScenarioSet::new(5);
         let s = set.figure4();
         let checker = IssuanceChecker::new();
-        let openssl = ClientKind::OpenSsl.engine().process(&s.served, &ctx(&set, &checker));
+        let openssl = ClientKind::OpenSsl
+            .engine()
+            .process(&s.served, &ctx(&set, &checker));
         assert!(!openssl.accepted(), "greedy client walks into gov branch");
-        let capi = ClientKind::CryptoApi.engine().process(&s.served, &ctx(&set, &checker));
+        let capi = ClientKind::CryptoApi
+            .engine()
+            .process(&s.served, &ctx(&set, &checker));
         assert!(capi.accepted(), "{:?}", capi.verdict);
         // The recovered path ends at the trusted root.
         assert_eq!(capi.path.last().unwrap(), set.trusted_root());
@@ -418,11 +435,15 @@ mod tests {
         // comes first — the paper's observation that its "correct" moex
         // path was an accident of ordering. With the gov branch first it
         // fails; swap the branches and it succeeds.
-        let mbed = ClientKind::MbedTls.engine().process(&s.served, &ctx(&set, &checker));
+        let mbed = ClientKind::MbedTls
+            .engine()
+            .process(&s.served, &ctx(&set, &checker));
         assert!(!mbed.accepted());
         let mut swapped = s.served.clone();
         swapped.swap(1, 3); // by_trusted first, by_gov last
-        let mbed2 = ClientKind::MbedTls.engine().process(&swapped, &ctx(&set, &checker));
+        let mbed2 = ClientKind::MbedTls
+            .engine()
+            .process(&swapped, &ctx(&set, &checker));
         assert!(mbed2.accepted(), "{:?}", mbed2.verdict);
     }
 
@@ -433,12 +454,16 @@ mod tests {
         let checker = IssuanceChecker::new();
         // VP2 client prefers the newer candidate even though the older one
         // comes first in the list.
-        let chrome = ClientKind::Chrome.engine().process(&s.served, &ctx(&set, &checker));
+        let chrome = ClientKind::Chrome
+            .engine()
+            .process(&s.served, &ctx(&set, &checker));
         assert!(chrome.accepted());
         assert!(chrome.path.contains(&newer));
         assert!(!chrome.path.contains(&older));
         // VP1 client takes the first valid (the older one).
-        let openssl = ClientKind::OpenSsl.engine().process(&s.served, &ctx(&set, &checker));
+        let openssl = ClientKind::OpenSsl
+            .engine()
+            .process(&s.served, &ctx(&set, &checker));
         assert!(openssl.accepted());
         assert!(openssl.path.contains(&older));
     }

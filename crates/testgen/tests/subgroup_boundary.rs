@@ -56,8 +56,7 @@ fn crafted_order_two_element_is_caught() {
             .expect("p > 1")
             .to_bytes_be_padded(group.element_len)
             .expect("p - 1 fits the element length");
-        let outsider =
-            PublicKey::from_bytes(group, &bytes).expect("range check admits p - 1");
+        let outsider = PublicKey::from_bytes(group, &bytes).expect("range check admits p - 1");
         assert!(
             !outsider.is_subgroup_member(),
             "{:?}: order-2 element accepted as subgroup member",

@@ -37,7 +37,11 @@ impl Extension {
                 false
             };
             let value = ext.octet_string()?.to_vec();
-            Ok(Extension { oid, critical, value })
+            Ok(Extension {
+                oid,
+                critical,
+                value,
+            })
         })
     }
 }
@@ -55,17 +59,26 @@ pub struct BasicConstraints {
 impl BasicConstraints {
     /// A CA with unlimited path length.
     pub fn ca() -> BasicConstraints {
-        BasicConstraints { ca: true, path_len: None }
+        BasicConstraints {
+            ca: true,
+            path_len: None,
+        }
     }
 
     /// A CA with a specific path length constraint.
     pub fn ca_with_path_len(path_len: u32) -> BasicConstraints {
-        BasicConstraints { ca: true, path_len: Some(path_len) }
+        BasicConstraints {
+            ca: true,
+            path_len: Some(path_len),
+        }
     }
 
     /// A non-CA (end entity).
     pub fn end_entity() -> BasicConstraints {
-        BasicConstraints { ca: false, path_len: None }
+        BasicConstraints {
+            ca: false,
+            path_len: None,
+        }
     }
 
     /// Encode inner DER value.
@@ -129,7 +142,11 @@ pub struct KeyUsage {
 impl KeyUsage {
     /// Typical CA usage: keyCertSign + cRLSign.
     pub fn ca() -> KeyUsage {
-        KeyUsage { key_cert_sign: true, crl_sign: true, ..Default::default() }
+        KeyUsage {
+            key_cert_sign: true,
+            crl_sign: true,
+            ..Default::default()
+        }
     }
 
     /// Typical TLS server leaf usage.
@@ -144,7 +161,10 @@ impl KeyUsage {
     /// A usage set that is *wrong* for an issuing CA (no keyCertSign) —
     /// used by the paper's KeyUsage-priority test case.
     pub fn no_cert_sign() -> KeyUsage {
-        KeyUsage { digital_signature: true, ..Default::default() }
+        KeyUsage {
+            digital_signature: true,
+            ..Default::default()
+        }
     }
 
     fn bits(&self) -> [bool; 7] {
@@ -203,7 +223,9 @@ pub struct ExtendedKeyUsage {
 impl ExtendedKeyUsage {
     /// serverAuth only (typical TLS leaf).
     pub fn server_auth() -> ExtendedKeyUsage {
-        ExtendedKeyUsage { purposes: vec![oids::kp_server_auth().clone()] }
+        ExtendedKeyUsage {
+            purposes: vec![oids::kp_server_auth().clone()],
+        }
     }
 
     /// Whether serverAuth is present.
@@ -315,7 +337,10 @@ impl SubjectAltName {
     /// SAN with DNS entries.
     pub fn dns(names: &[&str]) -> SubjectAltName {
         SubjectAltName {
-            names: names.iter().map(|n| GeneralName::Dns(n.to_string())).collect(),
+            names: names
+                .iter()
+                .map(|n| GeneralName::Dns(n.to_string()))
+                .collect(),
         }
     }
 
@@ -549,19 +574,26 @@ mod tests {
         };
         let v = san.encode_value();
         assert_eq!(SubjectAltName::decode_value(&v).unwrap(), san);
-        assert_eq!(san.dns_names().collect::<Vec<_>>(), vec!["example.com", "*.example.com"]);
+        assert_eq!(
+            san.dns_names().collect::<Vec<_>>(),
+            vec!["example.com", "*.example.com"]
+        );
     }
 
     #[test]
-    fn san_rejects_bad_ip_len()  {
-        let san = SubjectAltName { names: vec![GeneralName::Ip(vec![1, 2, 3])] };
+    fn san_rejects_bad_ip_len() {
+        let san = SubjectAltName {
+            names: vec![GeneralName::Ip(vec![1, 2, 3])],
+        };
         let v = san.encode_value();
         assert!(SubjectAltName::decode_value(&v).is_err());
     }
 
     #[test]
     fn akid_roundtrip() {
-        let akid = AuthorityKeyIdentifier { key_id: Some(vec![1, 2, 3, 4]) };
+        let akid = AuthorityKeyIdentifier {
+            key_id: Some(vec![1, 2, 3, 4]),
+        };
         let v = akid.encode_value();
         assert_eq!(AuthorityKeyIdentifier::decode_value(&v).unwrap(), akid);
 
@@ -633,7 +665,13 @@ mod tests {
     #[test]
     fn general_name_display() {
         assert_eq!(GeneralName::Dns("a.b".into()).to_string(), "DNS:a.b");
-        assert_eq!(GeneralName::Ip(vec![10, 0, 0, 1]).to_string(), "IP:10.0.0.1");
-        assert_eq!(GeneralName::Uri("http://x/".into()).to_string(), "URI:http://x/");
+        assert_eq!(
+            GeneralName::Ip(vec![10, 0, 0, 1]).to_string(),
+            "IP:10.0.0.1"
+        );
+        assert_eq!(
+            GeneralName::Uri("http://x/".into()).to_string(),
+            "URI:http://x/"
+        );
     }
 }

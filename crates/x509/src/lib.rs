@@ -23,13 +23,13 @@ pub mod pem;
 pub mod spki;
 
 pub use builder::{key_identifier, CertificateBuilder, KidMode};
-pub use fphash::{FingerprintBuildHasher, FingerprintMap, FingerprintSet};
 pub use cert::{Certificate, CertificateFingerprint, TbsCertificate, Validity};
 pub use error::X509Error;
 pub use extensions::{
-    AccessDescription, AccessMethod, AuthorityInfoAccess, AuthorityKeyIdentifier,
-    BasicConstraints, Extension, ExtendedKeyUsage, GeneralName, KeyUsage, SubjectAltName,
+    AccessDescription, AccessMethod, AuthorityInfoAccess, AuthorityKeyIdentifier, BasicConstraints,
+    ExtendedKeyUsage, Extension, GeneralName, KeyUsage, SubjectAltName,
 };
+pub use fphash::{FingerprintBuildHasher, FingerprintMap, FingerprintSet};
 pub use name::{AttributeType, DistinguishedName};
 pub use pem::PemError;
 pub use spki::{KeyAlgorithm, SubjectPublicKeyInfo};

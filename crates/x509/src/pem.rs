@@ -177,7 +177,11 @@ mod tests {
         assert_eq!(base64_decode("Zm9vYmFy").unwrap(), b"foobar");
         assert_eq!(base64_decode("Zg==").unwrap(), b"f");
         assert_eq!(base64_decode("Zm8=").unwrap(), b"fo");
-        assert_eq!(base64_decode("Z m 8 =").unwrap(), b"fo", "whitespace tolerated");
+        assert_eq!(
+            base64_decode("Z m 8 =").unwrap(),
+            b"fo",
+            "whitespace tolerated"
+        );
         assert!(base64_decode("Z!8=").is_none());
         assert!(base64_decode("Zg==Zm9v").is_none(), "data after padding");
         assert!(base64_decode("Zg==!!!").is_none(), "junk after padding");
@@ -209,7 +213,11 @@ mod tests {
 
     #[test]
     fn chain_roundtrip_preserves_order() {
-        let chain = vec![cert("A", b"pem-a"), cert("B", b"pem-b"), cert("C", b"pem-c")];
+        let chain = vec![
+            cert("A", b"pem-a"),
+            cert("B", b"pem-b"),
+            cert("C", b"pem-c"),
+        ];
         let pem = encode_chain(&chain);
         assert_eq!(decode_chain(&pem).unwrap(), chain);
     }
@@ -226,7 +234,10 @@ mod tests {
 
     #[test]
     fn errors_reported() {
-        assert_eq!(decode_chain("no pem here"), Err(PemError::NoCertificateBlock));
+        assert_eq!(
+            decode_chain("no pem here"),
+            Err(PemError::NoCertificateBlock)
+        );
         assert_eq!(
             decode_chain("-----BEGIN CERTIFICATE-----\nZm9v\n"),
             Err(PemError::UnterminatedBlock)
@@ -246,7 +257,10 @@ mod tests {
         // Two certificates' base64 in one block: the first one's padding
         // must not end the block and drop the second.
         let first = base64_encode(cert("A", b"pem-a").to_der());
-        assert!(first.ends_with('='), "precondition: the first encoding is padded");
+        assert!(
+            first.ends_with('='),
+            "precondition: the first encoding is padded"
+        );
         let merged = format!(
             "-----BEGIN CERTIFICATE-----\n{first}\n{}\n-----END CERTIFICATE-----\n",
             base64_encode(cert("B", b"pem-b").to_der())

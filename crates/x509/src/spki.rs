@@ -108,28 +108,29 @@ impl SubjectPublicKeyInfo {
 
     /// Decode from a parser positioned at the SPKI SEQUENCE.
     pub fn decode(parser: &mut Parser<'_>) -> Result<SubjectPublicKeyInfo, X509Error> {
-        parser.sequence(|spki| {
-            let algorithm = spki.sequence(|alg| {
-                let oid = alg.oid()?;
-                if !alg.is_done() {
-                    alg.null()?;
+        parser
+            .sequence(|spki| {
+                let algorithm = spki.sequence(|alg| {
+                    let oid = alg.oid()?;
+                    if !alg.is_done() {
+                        alg.null()?;
+                    }
+                    Ok(oid)
+                })?;
+                let (unused, key_bytes) = spki.bit_string()?;
+                if unused != 0 {
+                    return Err(ccc_asn1::Error::InvalidValue("SPKI key with unused bits"));
                 }
-                Ok(oid)
-            })?;
-            let (unused, key_bytes) = spki.bit_string()?;
-            if unused != 0 {
-                return Err(ccc_asn1::Error::InvalidValue("SPKI key with unused bits"));
-            }
-            Ok((algorithm, key_bytes.to_vec()))
-        })
-        .map_err(X509Error::from)
-        .and_then(|(oid, key_bytes)| {
-            let algorithm = KeyAlgorithm::from_key_oid(&oid)
-                .ok_or_else(|| X509Error::UnsupportedAlgorithm(oid.to_string()))?;
-            let key = PublicKey::from_bytes(algorithm.group(), &key_bytes)
-                .ok_or(X509Error::InvalidKey)?;
-            Ok(SubjectPublicKeyInfo { algorithm, key })
-        })
+                Ok((algorithm, key_bytes.to_vec()))
+            })
+            .map_err(X509Error::from)
+            .and_then(|(oid, key_bytes)| {
+                let algorithm = KeyAlgorithm::from_key_oid(&oid)
+                    .ok_or_else(|| X509Error::UnsupportedAlgorithm(oid.to_string()))?;
+                let key = PublicKey::from_bytes(algorithm.group(), &key_bytes)
+                    .ok_or(X509Error::InvalidKey)?;
+                Ok(SubjectPublicKeyInfo { algorithm, key })
+            })
     }
 }
 

@@ -32,20 +32,67 @@ fn main() {
                 suite.evaluate(&k.engine())
             })
             .collect();
-        let col =
-            |f: &dyn Fn(&chain_chaos::testgen::CapabilityRow) -> String| -> Vec<String> {
-                evaluated.iter().map(f).collect()
-            };
+        let col = |f: &dyn Fn(&chain_chaos::testgen::CapabilityRow) -> String| -> Vec<String> {
+            evaluated.iter().map(f).collect()
+        };
         vec![
-            [vec!["Order Reorganization".to_string()], col(&|r| check(r.order_reorganization).to_string())].concat(),
-            [vec!["Redundancy Elimination".to_string()], col(&|r| check(r.redundancy_elimination).to_string())].concat(),
-            [vec!["AIA Completion".to_string()], col(&|r| check(r.aia_completion).to_string())].concat(),
-            [vec!["Validity Priority".to_string()], col(&|r| r.validity_priority.label().to_string())].concat(),
-            [vec!["KID Matching Priority".to_string()], col(&|r| r.kid_priority.label().to_string())].concat(),
-            [vec!["KeyUsage Correctness Priority".to_string()], col(&|r| if r.key_usage_priority { "KUP".into() } else { "-".into() })].concat(),
-            [vec!["Basic Constraints Priority".to_string()], col(&|r| if r.basic_constraints_priority { "BP".into() } else { "-".into() })].concat(),
-            [vec!["Path Length Constraint".to_string()], col(&|r| r.max_path_len.label())].concat(),
-            [vec!["Self-signed Leaf Certificate".to_string()], col(&|r| check(r.self_signed_leaf).to_string())].concat(),
+            [
+                vec!["Order Reorganization".to_string()],
+                col(&|r| check(r.order_reorganization).to_string()),
+            ]
+            .concat(),
+            [
+                vec!["Redundancy Elimination".to_string()],
+                col(&|r| check(r.redundancy_elimination).to_string()),
+            ]
+            .concat(),
+            [
+                vec!["AIA Completion".to_string()],
+                col(&|r| check(r.aia_completion).to_string()),
+            ]
+            .concat(),
+            [
+                vec!["Validity Priority".to_string()],
+                col(&|r| r.validity_priority.label().to_string()),
+            ]
+            .concat(),
+            [
+                vec!["KID Matching Priority".to_string()],
+                col(&|r| r.kid_priority.label().to_string()),
+            ]
+            .concat(),
+            [
+                vec!["KeyUsage Correctness Priority".to_string()],
+                col(&|r| {
+                    if r.key_usage_priority {
+                        "KUP".into()
+                    } else {
+                        "-".into()
+                    }
+                }),
+            ]
+            .concat(),
+            [
+                vec!["Basic Constraints Priority".to_string()],
+                col(&|r| {
+                    if r.basic_constraints_priority {
+                        "BP".into()
+                    } else {
+                        "-".into()
+                    }
+                }),
+            ]
+            .concat(),
+            [
+                vec!["Path Length Constraint".to_string()],
+                col(&|r| r.max_path_len.label()),
+            ]
+            .concat(),
+            [
+                vec!["Self-signed Leaf Certificate".to_string()],
+                col(&|r| check(r.self_signed_leaf).to_string()),
+            ]
+            .concat(),
         ]
     };
     for row in rows {

@@ -49,7 +49,11 @@ fn recommend(findings: &[NonCompliance]) -> Vec<&'static str> {
 fn diagnose(set: &ScenarioSet, scenario: &Scenario) {
     println!("────────────────────────────────────────────────────────────");
     println!("{} — {}", scenario.name, scenario.description);
-    println!("domain: {}   served: {} certificates", scenario.domain, scenario.served.len());
+    println!(
+        "domain: {}   served: {} certificates",
+        scenario.domain,
+        scenario.served.len()
+    );
 
     let checker = IssuanceChecker::new();
     let graph = TopologyGraph::build(&scenario.served, &checker);

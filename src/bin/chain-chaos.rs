@@ -123,11 +123,8 @@ fn cmd_demo_pki(args: &Args) -> Result<(), String> {
             Time::from_ymd(2040, 1, 1).expect("valid"),
         )
         .self_signed(&root_kp);
-    let int = CertificateBuilder::ca_profile(int_dn.clone()).issued_by(
-        &int_kp.public,
-        root_dn,
-        &root_kp,
-    );
+    let int =
+        CertificateBuilder::ca_profile(int_dn.clone()).issued_by(&int_kp.public, root_dn, &root_kp);
     let leaf = CertificateBuilder::leaf_profile("demo.example").issued_by(
         &leaf_kp.public,
         int_dn,
@@ -176,9 +173,18 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
             "  [{i}] subject={} issuer={}{}",
             cert.subject(),
             cert.issuer(),
-            if cert.is_self_issued() { " (self-issued)" } else { "" }
+            if cert.is_self_issued() {
+                " (self-issued)"
+            } else {
+                ""
+            }
         );
-        println!("      validity {} .. {}  fp={}", v.not_before, v.not_after, cert.fingerprint().short());
+        println!(
+            "      validity {} .. {}  fp={}",
+            v.not_before,
+            v.not_after,
+            cert.fingerprint().short()
+        );
     }
 
     let graph = TopologyGraph::build(&served, &checker);
@@ -190,7 +196,11 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
         order.irrelevant,
         order.path_count,
         order.reversed_paths,
-        if order.is_compliant() { "COMPLIANT" } else { "NON-COMPLIANT" }
+        if order.is_compliant() {
+            "COMPLIANT"
+        } else {
+            "NON-COMPLIANT"
+        }
     );
 
     if let Some(domain) = args.opt("domain") {
@@ -291,7 +301,10 @@ fn cmd_matrix(args: &Args) -> Result<(), String> {
     let store = load_store(args)?;
     let generation = gen_start.elapsed();
     let now = parse_time(args)?;
-    let mut table = TextTable::new("Client verdicts", &["Client", "Verdict", "Constructed path"]);
+    let mut table = TextTable::new(
+        "Client verdicts",
+        &["Client", "Verdict", "Constructed path"],
+    );
     // One shared signature cache across all eight client profiles: each
     // (issuer, subject) pair is verified once, later clients hit the cache.
     let checker = IssuanceChecker::new();
@@ -306,7 +319,12 @@ fn cmd_matrix(args: &Args) -> Result<(), String> {
     // same on every run.
     eprintln!(
         "{}",
-        chain_chaos::core::report::render_phase_split(generation, analysis, 1, ClientKind::ALL.len())
+        chain_chaos::core::report::render_phase_split(
+            generation,
+            analysis,
+            1,
+            ClientKind::ALL.len()
+        )
     );
     let stats = checker.snapshot_stats();
     println!("{}", chain_chaos::core::report::render_cache_stats(&stats));
@@ -360,16 +378,15 @@ fn cmd_lint(args: &Args) -> Result<ExitCode, String> {
 
     if let Some(out) = args.opt("write-baseline") {
         let baseline = Baseline::from_findings(findings.iter());
-        std::fs::write(out, baseline.to_json())
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
+        std::fs::write(out, baseline.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
         eprintln!("wrote {} suppression(s) to {out}", baseline.len());
         return Ok(ExitCode::SUCCESS);
     }
 
     let baseline = match args.opt("baseline") {
         Some(bpath) => {
-            let text = std::fs::read_to_string(bpath)
-                .map_err(|e| format!("cannot read {bpath}: {e}"))?;
+            let text =
+                std::fs::read_to_string(bpath).map_err(|e| format!("cannot read {bpath}: {e}"))?;
             Baseline::parse(&text).map_err(|e| format!("{bpath}: {e}"))?
         }
         None => Baseline::empty(),
@@ -410,7 +427,10 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     };
     let pipeline = Pipeline::from_env()?;
 
-    eprintln!("chaos-sweeping {domains} synthetic domains across {} fault scenario(s)…", rates.len());
+    eprintln!(
+        "chaos-sweeping {domains} synthetic domains across {} fault scenario(s)…",
+        rates.len()
+    );
     let corpus = scan_corpus(domains);
     let scenarios = FaultScenario::sweep(&corpus, &rates, fault_seed);
 

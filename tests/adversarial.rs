@@ -24,21 +24,12 @@ fn cyclic_cross_sign() -> Vec<Certificate> {
     let leaf_kp = KeyPair::from_seed(g, b"cycle-leaf");
     let a_dn = DistinguishedName::cn("Cycle CA A");
     let b_dn = DistinguishedName::cn("Cycle CA B");
-    let a_by_b = CertificateBuilder::ca_profile(a_dn.clone()).issued_by(
-        &a_kp.public,
-        b_dn.clone(),
-        &b_kp,
-    );
-    let b_by_a = CertificateBuilder::ca_profile(b_dn.clone()).issued_by(
-        &b_kp.public,
-        a_dn.clone(),
-        &a_kp,
-    );
-    let leaf = CertificateBuilder::leaf_profile("cycle.sim").issued_by(
-        &leaf_kp.public,
-        a_dn,
-        &a_kp,
-    );
+    let a_by_b =
+        CertificateBuilder::ca_profile(a_dn.clone()).issued_by(&a_kp.public, b_dn.clone(), &b_kp);
+    let b_by_a =
+        CertificateBuilder::ca_profile(b_dn.clone()).issued_by(&b_kp.public, a_dn.clone(), &a_kp);
+    let leaf =
+        CertificateBuilder::leaf_profile("cycle.sim").issued_by(&leaf_kp.public, a_dn, &a_kp);
     vec![leaf, a_by_b, b_by_a]
 }
 
@@ -73,7 +64,11 @@ fn cyclic_cross_signing_terminates_everywhere() {
     };
     for kind in ClientKind::ALL {
         let outcome = kind.engine().process(&served, &ctx);
-        assert!(!outcome.accepted(), "{} accepted a rootless cycle", kind.name());
+        assert!(
+            !outcome.accepted(),
+            "{} accepted a rootless cycle",
+            kind.name()
+        );
     }
 }
 
@@ -87,8 +82,11 @@ fn cyclic_cross_signing_with_trusted_escape() {
     let root_dn = DistinguishedName::cn("Cycle Root");
     let root = CertificateBuilder::ca_profile(root_dn.clone()).self_signed(&root_kp);
     let a_kp = KeyPair::from_seed(g, b"cycle-a");
-    let a_by_root = CertificateBuilder::ca_profile(DistinguishedName::cn("Cycle CA A"))
-        .issued_by(&a_kp.public, root_dn, &root_kp);
+    let a_by_root = CertificateBuilder::ca_profile(DistinguishedName::cn("Cycle CA A")).issued_by(
+        &a_kp.public,
+        root_dn,
+        &root_kp,
+    );
     served.push(a_by_root);
 
     let checker = IssuanceChecker::new();
@@ -223,5 +221,9 @@ fn same_subject_many_keys_candidate_storm() {
     assert!(chrome.accepted(), "{:?}", chrome.verdict);
     // KID priority should steer Chrome straight to the right candidate
     // (the leaf's AKID names intermediate #7's key).
-    assert!(chrome.stats.candidates_considered <= 6, "{:?}", chrome.stats);
+    assert!(
+        chrome.stats.candidates_considered <= 6,
+        "{:?}",
+        chrome.stats
+    );
 }

@@ -29,8 +29,15 @@ fn demo_pki_analyze_and_matrix_roundtrip() {
     let out = dir.to_str().unwrap();
 
     // Generate the demo PKI.
-    let output = bin().args(["demo-pki", "--out", out]).output().expect("run");
-    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    let output = bin()
+        .args(["demo-pki", "--out", out])
+        .output()
+        .expect("run");
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
     for file in [
         "root.pem",
         "intermediate.pem",
@@ -78,7 +85,15 @@ fn demo_pki_analyze_and_matrix_roundtrip() {
     };
     let first = matrix();
     let text = String::from_utf8_lossy(&first);
-    for client in ["OpenSSL", "GnuTLS", "MbedTLS", "CryptoAPI", "Chrome", "Safari", "Firefox"] {
+    for client in [
+        "OpenSSL",
+        "GnuTLS",
+        "MbedTLS",
+        "CryptoAPI",
+        "Chrome",
+        "Safari",
+        "Firefox",
+    ] {
         assert!(text.contains(client), "missing {client}: {text}");
     }
     assert_eq!(first, matrix(), "matrix stdout differs between two runs");
@@ -90,7 +105,10 @@ fn demo_pki_analyze_and_matrix_roundtrip() {
 fn build_detects_untrusted_and_hostname_issues() {
     let dir = tempdir("build");
     let out = dir.to_str().unwrap();
-    bin().args(["demo-pki", "--out", out]).output().expect("run");
+    bin()
+        .args(["demo-pki", "--out", out])
+        .output()
+        .expect("run");
     let chain = dir.join("fullchain.pem");
     let root = dir.join("root.pem");
 
@@ -156,7 +174,10 @@ fn build_detects_untrusted_and_hostname_issues() {
 fn lint_reports_findings_and_respects_baselines() {
     let dir = tempdir("lint");
     let out = dir.to_str().unwrap();
-    bin().args(["demo-pki", "--out", out]).output().expect("run");
+    bin()
+        .args(["demo-pki", "--out", out])
+        .output()
+        .expect("run");
     let reversed = dir.join("reversed-chain.pem");
     let root = dir.join("root.pem");
 

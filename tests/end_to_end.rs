@@ -96,7 +96,11 @@ fn reversed_reseller_delivery_surfaces_on_the_wire() {
         false,
     );
     // A naive merge of reversed files on Apache.
-    let files = assemble(&bundle, &AdminBehavior::NaiveMerge, HttpServerKind::ApacheOld);
+    let files = assemble(
+        &bundle,
+        &AdminBehavior::NaiveMerge,
+        HttpServerKind::ApacheOld,
+    );
     let deployed = HttpServerKind::ApacheOld.deploy(&files).expect("deploys");
     let received = loopback_roundtrip(&deployed).expect("handshake");
 
@@ -143,8 +147,14 @@ fn azure_blocks_duplicate_leaf_end_to_end() {
     assert!(HttpServerKind::AzureAppGateway.deploy(&files).is_err());
     // The same files sail through Apache, and the duplicate reaches
     // clients.
-    let files = assemble(&bundle, &AdminBehavior::LeafInChainFile, HttpServerKind::ApacheOld);
-    let deployed = HttpServerKind::ApacheOld.deploy(&files).expect("apache accepts");
+    let files = assemble(
+        &bundle,
+        &AdminBehavior::LeafInChainFile,
+        HttpServerKind::ApacheOld,
+    );
+    let deployed = HttpServerKind::ApacheOld
+        .deploy(&files)
+        .expect("apache accepts");
     let received = loopback_roundtrip(&deployed).expect("handshake");
     let order = chain_chaos::core::analyze_order(&received, &w.checker);
     assert_eq!(order.duplicates.leaf, 1);
