@@ -8,13 +8,19 @@ use std::collections::HashMap;
 /// Provides the three lookups chain construction needs: exact membership
 /// (fingerprint), SKID match (for AKID→SKID issuer location), and subject
 /// DN match (for issuer-DN location when KIDs are absent).
+///
+/// Subjects are keyed by [`DistinguishedName`] itself, so a lookup encodes
+/// nothing. That is the same relation as keying by the DER:
+/// [`DistinguishedName::encode`] writes each (type, value) pair as one OID
+/// and one UTF8String, so two names encode to the same bytes exactly when
+/// they are equal.
 #[derive(Clone, Debug, Default)]
 pub struct RootStore {
     name: String,
     roots: Vec<Certificate>,
     by_fingerprint: FingerprintSet,
     by_skid: HashMap<Vec<u8>, Vec<usize>>,
-    by_subject: HashMap<Vec<u8>, Vec<usize>>,
+    by_subject: HashMap<DistinguishedName, Vec<usize>>,
 }
 
 impl RootStore {
@@ -40,7 +46,7 @@ impl RootStore {
             self.by_skid.entry(skid.to_vec()).or_default().push(idx);
         }
         self.by_subject
-            .entry(cert.subject().to_der())
+            .entry(cert.subject().clone())
             .or_default()
             .push(idx);
         self.roots.push(cert);
@@ -91,7 +97,7 @@ impl RootStore {
     /// Roots whose subject DN equals `subject`.
     pub fn find_by_subject(&self, subject: &DistinguishedName) -> Vec<&Certificate> {
         self.by_subject
-            .get(&subject.to_der())
+            .get(subject)
             .map(|idxs| idxs.iter().map(|&i| &self.roots[i]).collect())
             .unwrap_or_default()
     }
