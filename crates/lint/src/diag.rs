@@ -1,7 +1,7 @@
 //! Diagnostic primitives: severity ladder, findings, and the per-chain
 //! evaluation context handed to every rule.
 
-use ccc_asn1::{Encoder, Time};
+use ccc_asn1::{Parser, Tag, Time};
 use ccc_core::{ComplianceReport, IssuanceChecker, TopologyGraph};
 use ccc_x509::Certificate;
 use std::fmt;
@@ -233,24 +233,28 @@ impl<'a> ChainContext<'a> {
 }
 
 /// Locate the `Validity` SEQUENCE of a certificate inside its own DER by
-/// re-encoding the parsed window and searching for the byte pattern
-/// (validity encodings are long and high-entropy enough that the first
-/// match is the field itself). Returns `(offset, length)`.
+/// walking its TLVs: the Certificate SEQUENCE, then the TBSCertificate
+/// that opens it, then past the optional `[0]` version, the serial number,
+/// the signature algorithm and the issuer. Returns `(offset, length)`, or
+/// `None` when the DER does not have that shape.
 pub fn validity_byte_range(cert: &Certificate) -> Option<(usize, usize)> {
-    let v = cert.validity();
-    let mut enc = Encoder::new();
-    enc.sequence(|val| {
-        val.time(v.not_before);
-        val.time(v.not_after);
-    });
-    let pattern = enc.finish();
     let der = cert.to_der();
-    if pattern.is_empty() || pattern.len() > der.len() {
-        return None;
+    // The Certificate SEQUENCE fills the DER, so its content ends the DER.
+    let (_, cert_body) = Parser::new(der).read_any().ok()?;
+    let (_, tbs) = Parser::new(cert_body).read_any_raw().ok()?;
+    let (_, tbs_body) = Parser::new(tbs).read_any().ok()?;
+    let mut fields = Parser::new(tbs_body);
+    if fields.peek_tag().ok()? == Tag::context_constructed(0) {
+        fields.read_any().ok()?;
     }
-    der.windows(pattern.len())
-        .position(|w| w == pattern)
-        .map(|start| (start, pattern.len()))
+    for _ in 0..3 {
+        fields.read_any().ok()?;
+    }
+    let offset = (der.len() - cert_body.len())
+        + (tbs.len() - tbs_body.len())
+        + (tbs_body.len() - fields.remaining());
+    let (tag, validity) = fields.read_any_raw().ok()?;
+    (tag == Tag::SEQUENCE).then_some((offset, validity.len()))
 }
 
 #[cfg(test)]
@@ -287,5 +291,68 @@ mod tests {
         assert!(start + len <= der.len());
         // The region is a SEQUENCE (0x30).
         assert_eq!(der[start], 0x30);
+    }
+
+    /// `cert` with its Validity rewritten as GeneralizedTime, which DER
+    /// reserves for years outside 1950–2049 but the decoder accepts for
+    /// any year; the signature is copied, not remade.
+    fn with_generalized_validity(cert: &Certificate) -> Certificate {
+        let generalized = |t: Time| {
+            let d = t.to_datetime();
+            format!(
+                "{:04}{:02}{:02}{:02}{:02}{:02}Z",
+                d.year, d.month, d.day, d.hour, d.minute, d.second
+            )
+        };
+        let (_, body) = Parser::new(cert.to_der()).read_any().unwrap();
+        let mut body = Parser::new(body);
+        let (_, tbs) = body.read_any_raw().unwrap();
+        let (_, tbs) = Parser::new(tbs).read_any().unwrap();
+        let mut fields = Parser::new(tbs);
+        let mut enc = ccc_asn1::Encoder::new();
+        enc.sequence(|c| {
+            c.sequence(|t| {
+                // Version, serial, signature algorithm and issuer come
+                // before the Validity.
+                let mut index = 0;
+                while !fields.is_done() {
+                    let (_, field) = fields.read_any_raw().unwrap();
+                    if index == 4 {
+                        let v = cert.validity();
+                        t.sequence(|val| {
+                            val.write_tlv(
+                                Tag::GENERALIZED_TIME,
+                                generalized(v.not_before).as_bytes(),
+                            );
+                            val.write_tlv(
+                                Tag::GENERALIZED_TIME,
+                                generalized(v.not_after).as_bytes(),
+                            );
+                        });
+                    } else {
+                        t.write_raw(field);
+                    }
+                    index += 1;
+                }
+            });
+            while !body.is_done() {
+                c.write_raw(body.read_any_raw().unwrap().1);
+            }
+        });
+        Certificate::from_der(&enc.finish()).unwrap()
+    }
+
+    #[test]
+    fn validity_range_found_when_generalized_time_holds_a_utc_year() {
+        let kp = ccc_crypto::KeyPair::from_seed(ccc_crypto::Group::simulation_256(), b"diag");
+        let built = ccc_x509::CertificateBuilder::leaf_profile("diag.sim").self_signed(&kp);
+        let cert = with_generalized_validity(&built);
+        assert_eq!(cert.validity(), built.validity());
+        assert_ne!(cert.to_der(), built.to_der());
+        // Re-encoding the window gives UTCTime, which this DER does not
+        // contain, so only a walk of the TLVs finds the field.
+        assert_eq!(validity_byte_range(&cert), Some((68, 36)));
+        assert_eq!(cert.to_der()[68..72], [0x30, 34, 0x18, 15]);
+        assert_eq!(validity_byte_range(&built), Some((68, 32)));
     }
 }
