@@ -145,13 +145,6 @@ impl DistinguishedName {
         })?;
         Ok(DistinguishedName { attributes })
     }
-
-    /// Encode standalone to bytes (convenience for hashing/maps).
-    pub fn to_der(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        self.encode(&mut enc);
-        enc.finish()
-    }
 }
 
 impl fmt::Display for DistinguishedName {
@@ -173,11 +166,17 @@ impl fmt::Display for DistinguishedName {
 mod tests {
     use super::*;
 
+    fn to_der(dn: &DistinguishedName) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        dn.encode(&mut enc);
+        enc.finish()
+    }
+
     #[test]
     fn roundtrip() {
         let dn = DistinguishedName::cn_o("Example CA", "Example Trust Services")
             .with(AttributeType::OrganizationalUnit, "Issuing");
-        let der = dn.to_der();
+        let der = to_der(&dn);
         let mut p = Parser::new(&der);
         let decoded = DistinguishedName::decode(&mut p).unwrap();
         p.expect_done().unwrap();
@@ -187,7 +186,7 @@ mod tests {
     #[test]
     fn empty_dn_roundtrip() {
         let dn = DistinguishedName::empty();
-        let der = dn.to_der();
+        let der = to_der(&dn);
         assert_eq!(der, vec![0x30, 0x00]);
         let mut p = Parser::new(&der);
         assert_eq!(DistinguishedName::decode(&mut p).unwrap(), dn);
