@@ -8,14 +8,14 @@ use chain_chaos::core::{
     analyze_compliance, CompletenessAnalyzer, DifferentialHarness, IssuanceChecker, TopologyGraph,
 };
 use chain_chaos::crypto::sha256::Sha256;
-use chain_chaos::crypto::{Group, KeyPair};
+use chain_chaos::crypto::{Group, KeyPair, PublicKey};
 use chain_chaos::rootstore::RootProgram;
 use chain_chaos::testgen::corpus::scan_time;
 use chain_chaos::testgen::scenarios::ScenarioSet;
 use chain_chaos::testgen::{Corpus, CorpusSpec, PlannedDefect};
 use chain_chaos::x509::{
-    AuthorityInfoAccess, BasicConstraints, Certificate, CertificateBuilder, DistinguishedName,
-    KidMode, SubjectAltName,
+    AuthorityInfoAccess, AuthorityKeyIdentifier, BasicConstraints, Certificate, CertificateBuilder,
+    DistinguishedName, ExtendedKeyUsage, KeyUsage, KidMode, SubjectAltName, Validity,
 };
 
 fn corpus(n: usize) -> Corpus {
@@ -201,9 +201,47 @@ fn corpus_streaming_matches_collect() {
 const CERTIFICATE_BYTES_SHA256: &str =
     "214922797d4ebfe1d0fe3f59e0b4c47ad5371981f57151fbd022d26fec71a274";
 
+/// Hash `cert`'s DER and TBS, and check that decoding its DER gives the
+/// view it was built with.
 fn absorb(h: &mut Sha256, cert: &Certificate) {
     h.update(cert.to_der());
     h.update(cert.tbs_der());
+    let decoded = Certificate::from_der(cert.to_der()).expect("a generated certificate decodes");
+    assert_eq!(view(&decoded), view(cert), "{cert}");
+}
+
+/// Every field a certificate's readers use.
+#[allow(clippy::type_complexity)]
+fn view(
+    c: &Certificate,
+) -> (
+    &DistinguishedName,
+    &DistinguishedName,
+    &[u8],
+    Validity,
+    &PublicKey,
+    Option<&[u8]>,
+    Option<&AuthorityKeyIdentifier>,
+    Option<BasicConstraints>,
+    Option<KeyUsage>,
+    Option<&SubjectAltName>,
+    Option<&AuthorityInfoAccess>,
+    Option<&ExtendedKeyUsage>,
+) {
+    (
+        c.subject(),
+        c.issuer(),
+        c.serial(),
+        c.validity(),
+        c.public_key(),
+        c.skid(),
+        c.akid(),
+        c.basic_constraints(),
+        c.key_usage(),
+        c.san(),
+        c.aia(),
+        c.eku(),
+    )
 }
 
 /// Certificates that exercise the builder's knobs and the encoder's
