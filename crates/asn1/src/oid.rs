@@ -43,10 +43,12 @@ impl Oid {
                     return Err(Error::InvalidValue("non-minimal OID arc"));
                 }
                 any = true;
-                value = value
-                    .checked_shl(7)
-                    .and_then(|v| v.checked_add((b & 0x7f) as u64))
-                    .ok_or(Error::InvalidValue("OID arc overflow"))?;
+                // Shifting drops the top seven bits, so an arc wider than
+                // 64 bits must be caught before they are lost.
+                if value > u64::MAX >> 7 {
+                    return Err(Error::InvalidValue("OID arc overflow"));
+                }
+                value = (value << 7) | u64::from(b & 0x7f);
                 if b & 0x80 == 0 {
                     break;
                 }
@@ -190,6 +192,19 @@ mod tests {
         assert!(Oid::decode_content(&[0x2a, 0x80, 0x01]).is_err());
         // Truncated continuation.
         assert!(Oid::decode_content(&[0x2a, 0x86]).is_err());
+        // 2.5.29.(2^77 + 14), which wrapped to id-ce-subjectKeyIdentifier.
+        let mut wide = vec![0x55, 0x1d, 0x81];
+        wide.extend_from_slice(&[0x80; 10]);
+        wide.push(0x0e);
+        assert!(Oid::decode_content(&wide).is_err());
+        // A first subidentifier of 2^77 + 14, which wrapped to 0.14.
+        assert!(Oid::decode_content(&wide[2..]).is_err());
+        // An arc of u64::MAX fits.
+        let mut max = vec![0x2a, 0x81];
+        max.extend_from_slice(&[0xff; 8]);
+        max.push(0x7f);
+        let oid = Oid::decode_content(&max).unwrap();
+        assert_eq!(oid.arcs(), &[1, 2, u64::MAX]);
     }
 
     #[test]
