@@ -99,13 +99,6 @@ impl SubjectPublicKeyInfo {
         });
     }
 
-    /// Encode standalone to bytes.
-    pub fn to_der(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        self.encode(&mut enc);
-        enc.finish()
-    }
-
     /// Decode from a parser positioned at the SPKI SEQUENCE.
     pub fn decode(parser: &mut Parser<'_>) -> Result<SubjectPublicKeyInfo, X509Error> {
         parser
@@ -143,7 +136,9 @@ mod tests {
     fn roundtrip() {
         let kp = KeyPair::from_seed(Group::simulation_256(), b"spki-test");
         let spki = SubjectPublicKeyInfo::new(kp.public.clone());
-        let der = spki.to_der();
+        let mut enc = Encoder::new();
+        spki.encode(&mut enc);
+        let der = enc.finish();
         let mut p = Parser::new(&der);
         let decoded = SubjectPublicKeyInfo::decode(&mut p).unwrap();
         p.expect_done().unwrap();
@@ -155,7 +150,9 @@ mod tests {
     fn roundtrip_large_group() {
         let kp = KeyPair::from_seed(Group::rfc3526_1536(), b"spki-test-2");
         let spki = SubjectPublicKeyInfo::new(kp.public.clone());
-        let der = spki.to_der();
+        let mut enc = Encoder::new();
+        spki.encode(&mut enc);
+        let der = enc.finish();
         let mut p = Parser::new(&der);
         let decoded = SubjectPublicKeyInfo::decode(&mut p).unwrap();
         assert_eq!(decoded.algorithm, KeyAlgorithm::SchnorrRfc3526);
