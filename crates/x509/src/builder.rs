@@ -3,14 +3,14 @@
 //! mismatched key identifiers, wrong KeyUsage, bad path lengths, corrupt
 //! signatures, signing with the wrong key).
 
-use crate::cert::{Certificate, TbsCertificate, Validity};
+use crate::cert::{Certificate, Extensions, TbsCertificate, Validity};
 use crate::extensions::{
-    AuthorityInfoAccess, AuthorityKeyIdentifier, BasicConstraints, ExtendedKeyUsage, Extension,
-    KeyUsage, SubjectAltName,
+    AuthorityInfoAccess, AuthorityKeyIdentifier, BasicConstraints, ExtendedKeyUsage, KeyUsage,
+    SubjectAltName,
 };
 use crate::name::DistinguishedName;
 use crate::spki::SubjectPublicKeyInfo;
-use ccc_asn1::{oids, Encoder, Time};
+use ccc_asn1::{Encoder, Time};
 use ccc_crypto::{KeyPair, PrivateKey, PublicKey};
 
 /// How to populate the Subject Key Identifier extension.
@@ -23,6 +23,17 @@ pub enum KidMode {
     Absent,
     /// Use these exact bytes (for mismatch test cases).
     Custom(Vec<u8>),
+}
+
+impl KidMode {
+    /// The identifier bytes to write, derived from `key` in `Auto` mode.
+    fn key_id(self, key: &PublicKey) -> Option<Vec<u8>> {
+        match self {
+            KidMode::Auto => Some(key_identifier(key)),
+            KidMode::Absent => None,
+            KidMode::Custom(bytes) => Some(bytes),
+        }
+    }
 }
 
 /// Compute the canonical key identifier for a public key (SHA-1 of the key
@@ -193,57 +204,7 @@ impl CertificateBuilder {
         signing_key: &PrivateKey,
         akid_source_key: &PublicKey,
     ) -> Certificate {
-        // SAN, BasicConstraints, KeyUsage, EKU, SKID, AKID and AIA.
-        let mut extensions = Vec::with_capacity(7);
-        if let Some(san) = &self.san {
-            extensions.push(Extension {
-                oid: oids::subject_alt_name().clone(),
-                critical: false,
-                value: san.encode_value(),
-            });
-        }
-        if let Some(bc) = &self.basic_constraints {
-            extensions.push(Extension {
-                oid: oids::basic_constraints().clone(),
-                critical: true,
-                value: bc.encode_value(),
-            });
-        }
-        if let Some(ku) = &self.key_usage {
-            extensions.push(Extension {
-                oid: oids::key_usage().clone(),
-                critical: true,
-                value: ku.encode_value(),
-            });
-        }
-        if let Some(eku) = &self.eku {
-            extensions.push(Extension {
-                oid: oids::ext_key_usage().clone(),
-                critical: false,
-                value: eku.encode_value(),
-            });
-        }
-        match &self.skid_mode {
-            KidMode::Auto => extensions.push(skid_extension(&key_identifier(subject_key))),
-            KidMode::Custom(bytes) => extensions.push(skid_extension(bytes)),
-            KidMode::Absent => {}
-        }
-        match &self.akid_mode {
-            KidMode::Auto => {
-                extensions.push(akid_extension(&key_identifier(akid_source_key)));
-            }
-            KidMode::Custom(bytes) => extensions.push(akid_extension(bytes)),
-            KidMode::Absent => {}
-        }
-        if let Some(aia) = &self.aia {
-            extensions.push(Extension {
-                oid: oids::authority_info_access().clone(),
-                critical: false,
-                value: aia.encode_value(),
-            });
-        }
-
-        let serial = self.serial.clone().unwrap_or_else(|| {
+        let serial = self.serial.unwrap_or_else(|| {
             // Deterministic serial from the identifying fields: subject
             // and issuer DER, key and notBefore, written into one buffer.
             let key = subject_key.as_bytes();
@@ -270,7 +231,20 @@ impl CertificateBuilder {
             validity: self.validity,
             subject: self.subject,
             spki,
-            extensions,
+            extensions: Extensions {
+                san: self.san,
+                basic_constraints: self.basic_constraints,
+                key_usage: self.key_usage,
+                eku: self.eku,
+                skid: self.skid_mode.key_id(subject_key),
+                akid: self
+                    .akid_mode
+                    .key_id(akid_source_key)
+                    .map(|key_id| AuthorityKeyIdentifier {
+                        key_id: Some(key_id),
+                    }),
+                aia: self.aia,
+            },
         };
         let tbs_der = tbs.to_der();
         let mut signature = signing_key.sign(&tbs_der);
@@ -278,27 +252,6 @@ impl CertificateBuilder {
             signature.e[0] ^= 0x01;
         }
         Certificate::assemble(tbs, &tbs_der, &signature)
-    }
-}
-
-fn skid_extension(key_id: &[u8]) -> Extension {
-    let mut enc = Encoder::new();
-    enc.octet_string(key_id);
-    Extension {
-        oid: oids::subject_key_identifier().clone(),
-        critical: false,
-        value: enc.finish(),
-    }
-}
-
-fn akid_extension(key_id: &[u8]) -> Extension {
-    Extension {
-        oid: oids::authority_key_identifier().clone(),
-        critical: false,
-        value: AuthorityKeyIdentifier {
-            key_id: Some(key_id.to_vec()),
-        }
-        .encode_value(),
     }
 }
 

@@ -3,49 +3,6 @@
 use ccc_asn1::{oids, Encoder, Error, Oid, Parser, Result as DerResult, Tag};
 use std::fmt;
 
-/// A raw extension: OID, criticality, and the DER value inside the
-/// extnValue OCTET STRING.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct Extension {
-    /// Extension OID.
-    pub oid: Oid,
-    /// Criticality flag.
-    pub critical: bool,
-    /// Inner DER value (content of the extnValue OCTET STRING).
-    pub value: Vec<u8>,
-}
-
-impl Extension {
-    /// Encode as the Extension SEQUENCE.
-    pub fn encode(&self, enc: &mut Encoder) {
-        enc.sequence(|ext| {
-            ext.oid(&self.oid);
-            if self.critical {
-                ext.boolean(true); // DEFAULT FALSE: only encode when true
-            }
-            ext.octet_string(&self.value);
-        });
-    }
-
-    /// Decode one Extension SEQUENCE.
-    pub fn decode(parser: &mut Parser<'_>) -> DerResult<Extension> {
-        parser.sequence(|ext| {
-            let oid = ext.oid()?;
-            let critical = if !ext.is_done() && ext.peek_tag()? == Tag::BOOLEAN {
-                ext.boolean()?
-            } else {
-                false
-            };
-            let value = ext.octet_string()?.to_vec();
-            Ok(Extension {
-                oid,
-                critical,
-                value,
-            })
-        })
-    }
-}
-
 /// BasicConstraints (RFC 5280 §4.2.1.9).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct BasicConstraints {
@@ -81,9 +38,8 @@ impl BasicConstraints {
         }
     }
 
-    /// Encode inner DER value.
-    pub fn encode_value(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+    /// Write the inner DER value.
+    pub fn encode(&self, enc: &mut Encoder) {
         enc.sequence(|s| {
             if self.ca {
                 s.boolean(true); // cA DEFAULT FALSE
@@ -92,7 +48,6 @@ impl BasicConstraints {
                 s.integer_i64(n as i64);
             }
         });
-        enc.finish()
     }
 
     /// Decode inner DER value.
@@ -179,11 +134,9 @@ impl KeyUsage {
         ]
     }
 
-    /// Encode inner DER value (named BIT STRING).
-    pub fn encode_value(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+    /// Write the inner DER value (named BIT STRING).
+    pub fn encode(&self, enc: &mut Encoder) {
         enc.bit_string_named(&self.bits());
-        enc.finish()
     }
 
     /// Decode inner DER value.
@@ -233,15 +186,13 @@ impl ExtendedKeyUsage {
         self.purposes.iter().any(|p| p == oids::kp_server_auth())
     }
 
-    /// Encode inner DER value.
-    pub fn encode_value(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+    /// Write the inner DER value.
+    pub fn encode(&self, enc: &mut Encoder) {
         enc.sequence(|s| {
             for p in &self.purposes {
                 s.oid(p);
             }
         });
-        enc.finish()
     }
 
     /// Decode inner DER value.
@@ -352,15 +303,13 @@ impl SubjectAltName {
         })
     }
 
-    /// Encode inner DER value.
-    pub fn encode_value(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+    /// Write the inner DER value.
+    pub fn encode(&self, enc: &mut Encoder) {
         enc.sequence(|s| {
             for n in &self.names {
                 n.encode(s);
             }
         });
-        enc.finish()
     }
 
     /// Decode inner DER value.
@@ -387,15 +336,13 @@ pub struct AuthorityKeyIdentifier {
 }
 
 impl AuthorityKeyIdentifier {
-    /// Encode inner DER value.
-    pub fn encode_value(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+    /// Write the inner DER value.
+    pub fn encode(&self, enc: &mut Encoder) {
         enc.sequence(|s| {
             if let Some(kid) = &self.key_id {
                 s.write_tlv(Tag::context(0), kid);
             }
         });
-        enc.finish()
     }
 
     /// Decode inner DER value. Ignores the (rare) issuer+serial form fields.
@@ -470,9 +417,8 @@ impl AuthorityInfoAccess {
             .map(|d| d.location.as_str())
     }
 
-    /// Encode inner DER value.
-    pub fn encode_value(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+    /// Write the inner DER value.
+    pub fn encode(&self, enc: &mut Encoder) {
         enc.sequence(|s| {
             for d in &self.descriptions {
                 s.sequence(|ad| {
@@ -481,7 +427,6 @@ impl AuthorityInfoAccess {
                 });
             }
         });
-        enc.finish()
     }
 
     /// Decode inner DER value. Unknown access methods are skipped.
@@ -522,6 +467,13 @@ impl AuthorityInfoAccess {
 mod tests {
     use super::*;
 
+    /// The DER that `encode` writes.
+    fn der(encode: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        encode(&mut enc);
+        enc.finish()
+    }
+
     #[test]
     fn basic_constraints_roundtrip() {
         for bc in [
@@ -530,7 +482,7 @@ mod tests {
             BasicConstraints::ca_with_path_len(3),
             BasicConstraints::end_entity(),
         ] {
-            let v = bc.encode_value();
+            let v = der(|e| bc.encode(e));
             assert_eq!(BasicConstraints::decode_value(&v).unwrap(), bc);
         }
     }
@@ -552,7 +504,7 @@ mod tests {
             KeyUsage::no_cert_sign(),
             KeyUsage::default(),
         ] {
-            let v = ku.encode_value();
+            let v = der(|e| ku.encode(e));
             assert_eq!(KeyUsage::decode_value(&v).unwrap(), ku, "{ku:?}");
         }
     }
@@ -572,7 +524,7 @@ mod tests {
                 GeneralName::Ip(vec![192, 0, 2, 1]),
             ],
         };
-        let v = san.encode_value();
+        let v = der(|e| san.encode(e));
         assert_eq!(SubjectAltName::decode_value(&v).unwrap(), san);
         assert_eq!(
             san.dns_names().collect::<Vec<_>>(),
@@ -585,7 +537,7 @@ mod tests {
         let san = SubjectAltName {
             names: vec![GeneralName::Ip(vec![1, 2, 3])],
         };
-        let v = san.encode_value();
+        let v = der(|e| san.encode(e));
         assert!(SubjectAltName::decode_value(&v).is_err());
     }
 
@@ -594,11 +546,11 @@ mod tests {
         let akid = AuthorityKeyIdentifier {
             key_id: Some(vec![1, 2, 3, 4]),
         };
-        let v = akid.encode_value();
+        let v = der(|e| akid.encode(e));
         assert_eq!(AuthorityKeyIdentifier::decode_value(&v).unwrap(), akid);
 
         let empty = AuthorityKeyIdentifier { key_id: None };
-        let v = empty.encode_value();
+        let v = der(|e| empty.encode(e));
         assert_eq!(AuthorityKeyIdentifier::decode_value(&v).unwrap(), empty);
     }
 
@@ -616,7 +568,7 @@ mod tests {
                 },
             ],
         };
-        let v = aia.encode_value();
+        let v = der(|e| aia.encode(e));
         let decoded = AuthorityInfoAccess::decode_value(&v).unwrap();
         assert_eq!(decoded, aia);
         assert_eq!(decoded.ca_issuers_uri(), Some("http://aia.sim/issuer.crt"));
@@ -625,41 +577,10 @@ mod tests {
     #[test]
     fn eku_roundtrip() {
         let eku = ExtendedKeyUsage::server_auth();
-        let v = eku.encode_value();
+        let v = der(|e| eku.encode(e));
         let decoded = ExtendedKeyUsage::decode_value(&v).unwrap();
         assert_eq!(decoded, eku);
         assert!(decoded.allows_server_auth());
-    }
-
-    #[test]
-    fn extension_wrapper_roundtrip() {
-        let ext = Extension {
-            oid: oids::basic_constraints().clone(),
-            critical: true,
-            value: BasicConstraints::ca().encode_value(),
-        };
-        let mut enc = Encoder::new();
-        ext.encode(&mut enc);
-        let der = enc.finish();
-        let mut p = Parser::new(&der);
-        let decoded = Extension::decode(&mut p).unwrap();
-        assert_eq!(decoded, ext);
-    }
-
-    #[test]
-    fn extension_default_criticality_not_encoded() {
-        let ext = Extension {
-            oid: oids::subject_key_identifier().clone(),
-            critical: false,
-            value: vec![0x04, 0x00],
-        };
-        let mut enc = Encoder::new();
-        ext.encode(&mut enc);
-        let der = enc.finish();
-        // No BOOLEAN byte should be present.
-        assert!(!der.windows(2).any(|w| w == [0x01, 0x01]));
-        let mut p = Parser::new(&der);
-        assert_eq!(Extension::decode(&mut p).unwrap(), ext);
     }
 
     #[test]

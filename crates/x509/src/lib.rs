@@ -23,11 +23,11 @@ pub mod pem;
 pub mod spki;
 
 pub use builder::{key_identifier, CertificateBuilder, KidMode};
-pub use cert::{Certificate, CertificateFingerprint, TbsCertificate, Validity};
+pub use cert::{Certificate, CertificateFingerprint, Validity};
 pub use error::X509Error;
 pub use extensions::{
     AccessDescription, AccessMethod, AuthorityInfoAccess, AuthorityKeyIdentifier, BasicConstraints,
-    ExtendedKeyUsage, Extension, GeneralName, KeyUsage, SubjectAltName,
+    ExtendedKeyUsage, GeneralName, KeyUsage, SubjectAltName,
 };
 pub use fphash::{FingerprintBuildHasher, FingerprintMap, FingerprintSet};
 pub use name::{AttributeType, DistinguishedName};
