@@ -187,10 +187,9 @@ impl<'a> Parser<'a> {
         self.read_expected(Tag::OCTET_STRING)
     }
 
-    /// Read an OBJECT IDENTIFIER.
-    pub fn oid(&mut self) -> Result<Oid> {
-        let content = self.read_expected(Tag::OID)?;
-        Oid::decode_content(content)
+    /// Read an OBJECT IDENTIFIER, borrowing its content octets.
+    pub fn oid(&mut self) -> Result<Oid<'a>> {
+        Oid::from_content(self.read_expected(Tag::OID)?)
     }
 
     /// Read any of the supported string types, returning its text.
@@ -273,7 +272,7 @@ mod tests {
             s.integer_i64(42);
             s.boolean(true);
             s.octet_string(b"hello");
-            s.oid(&Oid::new(&[2, 5, 29, 14]));
+            s.oid(crate::oids::SUBJECT_KEY_IDENTIFIER);
             s.utf8_string("example.com");
             s.null();
         });

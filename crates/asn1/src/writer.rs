@@ -162,18 +162,9 @@ impl Encoder {
         self.write_tlv(Tag::OCTET_STRING, data);
     }
 
-    /// Append an OBJECT IDENTIFIER: the first two arcs share one
-    /// subidentifier (`40·a + b`), and each subidentifier is written
-    /// base 128, most significant group first, with the high bit set on
-    /// every octet but the last.
-    pub fn oid(&mut self, oid: &Oid) {
-        let arcs = oid.arcs();
-        let start = self.open(Tag::OID);
-        push_base128(&mut self.out, arcs[0] * 40 + arcs[1]);
-        for &arc in &arcs[2..] {
-            push_base128(&mut self.out, arc);
-        }
-        self.close(start);
+    /// Append an OBJECT IDENTIFIER.
+    pub fn oid(&mut self, oid: Oid<'_>) {
+        self.write_tlv(Tag::OID, oid.as_bytes());
     }
 
     /// Append a UTF8String.
@@ -262,27 +253,6 @@ impl Encoder {
         self.out.resize(end + sig.len(), 0);
         self.out.copy_within(start..end, start + sig.len());
         self.out[start..start + sig.len()].copy_from_slice(sig);
-    }
-}
-
-/// Append one OID subidentifier in base 128.
-fn push_base128(out: &mut Vec<u8>, mut value: u64) {
-    let mut stack = [0u8; 10];
-    let mut n = 0;
-    loop {
-        stack[n] = (value & 0x7f) as u8;
-        value >>= 7;
-        n += 1;
-        if value == 0 {
-            break;
-        }
-    }
-    for i in (0..n).rev() {
-        let mut b = stack[i];
-        if i != 0 {
-            b |= 0x80;
-        }
-        out.push(b);
     }
 }
 

@@ -5,7 +5,7 @@ use crate::extensions::{
     SubjectAltName,
 };
 use crate::name::DistinguishedName;
-use crate::spki::{KeyAlgorithm, SubjectPublicKeyInfo};
+use crate::spki::{read_algorithm, write_algorithm, KeyAlgorithm, SubjectPublicKeyInfo};
 use crate::X509Error;
 use ccc_asn1::{oids, Encoder, Oid, Parser, Tag, Time};
 use ccc_crypto::{PublicKey, Signature};
@@ -77,10 +77,7 @@ impl TbsCertificate {
             // version [0] EXPLICIT INTEGER { v3(2) }
             tbs.explicit(0, |v| v.integer_i64(2));
             tbs.integer_unsigned(&self.serial);
-            tbs.sequence(|alg| {
-                alg.oid(self.signature_algorithm.signature_oid());
-                alg.null();
-            });
+            write_algorithm(tbs, self.signature_algorithm.signature_oid());
             self.issuer.encode(tbs);
             tbs.sequence(|val| {
                 val.time(self.validity.not_before);
@@ -120,31 +117,29 @@ impl Extensions {
         tbs.explicit(3, |wrapper| {
             wrapper.sequence(|list| {
                 if let Some(san) = &self.san {
-                    write_extension(list, oids::subject_alt_name(), false, |v| san.encode(v));
+                    write_extension(list, oids::SUBJECT_ALT_NAME, false, |v| san.encode(v));
                 }
                 if let Some(bc) = &self.basic_constraints {
-                    write_extension(list, oids::basic_constraints(), true, |v| bc.encode(v));
+                    write_extension(list, oids::BASIC_CONSTRAINTS, true, |v| bc.encode(v));
                 }
                 if let Some(ku) = &self.key_usage {
-                    write_extension(list, oids::key_usage(), true, |v| ku.encode(v));
+                    write_extension(list, oids::KEY_USAGE, true, |v| ku.encode(v));
                 }
                 if let Some(eku) = &self.eku {
-                    write_extension(list, oids::ext_key_usage(), false, |v| eku.encode(v));
+                    write_extension(list, oids::EXT_KEY_USAGE, false, |v| eku.encode(v));
                 }
                 if let Some(skid) = &self.skid {
-                    write_extension(list, oids::subject_key_identifier(), false, |v| {
+                    write_extension(list, oids::SUBJECT_KEY_IDENTIFIER, false, |v| {
                         v.octet_string(skid)
                     });
                 }
                 if let Some(akid) = &self.akid {
-                    write_extension(list, oids::authority_key_identifier(), false, |v| {
+                    write_extension(list, oids::AUTHORITY_KEY_IDENTIFIER, false, |v| {
                         akid.encode(v)
                     });
                 }
                 if let Some(aia) = &self.aia {
-                    write_extension(list, oids::authority_info_access(), false, |v| {
-                        aia.encode(v)
-                    });
+                    write_extension(list, oids::AUTHORITY_INFO_ACCESS, false, |v| aia.encode(v));
                 }
             });
         });
@@ -155,26 +150,27 @@ impl Extensions {
     /// Lenient, as permissive clients are with junk extensions: an
     /// unparseable value reads as absent, except that an unparseable SKID
     /// leaves an earlier one in place, and an unknown OID is skipped.
-    fn read(&mut self, oid: &Oid, value: &[u8]) {
-        if oid == oids::subject_key_identifier() {
-            let mut p = Parser::new(value);
-            if let Ok(v) = p.octet_string() {
-                if p.is_done() {
-                    self.skid = Some(v.to_vec());
+    fn read(&mut self, oid: Oid<'_>, value: &[u8]) {
+        match oid {
+            oids::SUBJECT_KEY_IDENTIFIER => {
+                let mut p = Parser::new(value);
+                if let Ok(v) = p.octet_string() {
+                    if p.is_done() {
+                        self.skid = Some(v.to_vec());
+                    }
                 }
             }
-        } else if oid == oids::authority_key_identifier() {
-            self.akid = AuthorityKeyIdentifier::decode_value(value).ok();
-        } else if oid == oids::basic_constraints() {
-            self.basic_constraints = BasicConstraints::decode_value(value).ok();
-        } else if oid == oids::key_usage() {
-            self.key_usage = KeyUsage::decode_value(value).ok();
-        } else if oid == oids::subject_alt_name() {
-            self.san = SubjectAltName::decode_value(value).ok();
-        } else if oid == oids::authority_info_access() {
-            self.aia = AuthorityInfoAccess::decode_value(value).ok();
-        } else if oid == oids::ext_key_usage() {
-            self.eku = ExtendedKeyUsage::decode_value(value).ok();
+            oids::AUTHORITY_KEY_IDENTIFIER => {
+                self.akid = AuthorityKeyIdentifier::decode_value(value).ok()
+            }
+            oids::BASIC_CONSTRAINTS => {
+                self.basic_constraints = BasicConstraints::decode_value(value).ok()
+            }
+            oids::KEY_USAGE => self.key_usage = KeyUsage::decode_value(value).ok(),
+            oids::SUBJECT_ALT_NAME => self.san = SubjectAltName::decode_value(value).ok(),
+            oids::AUTHORITY_INFO_ACCESS => self.aia = AuthorityInfoAccess::decode_value(value).ok(),
+            oids::EXT_KEY_USAGE => self.eku = ExtendedKeyUsage::decode_value(value).ok(),
+            _ => {}
         }
     }
 }
@@ -182,7 +178,7 @@ impl Extensions {
 /// Write one Extension SEQUENCE whose extnValue `value` writes.
 fn write_extension(
     list: &mut Encoder,
-    oid: &Oid,
+    oid: Oid<'_>,
     critical: bool,
     value: impl FnOnce(&mut Encoder),
 ) {
@@ -278,10 +274,7 @@ impl Certificate {
         let mut enc = Encoder::with_capacity(tbs_der.len() + sig_bytes.len() + 32);
         enc.sequence(|cert| {
             cert.write_raw(tbs_der);
-            cert.sequence(|alg| {
-                alg.oid(tbs.signature_algorithm.signature_oid());
-                alg.null();
-            });
+            write_algorithm(cert, tbs.signature_algorithm.signature_oid());
             cert.bit_string(&sig_bytes);
         });
         Certificate::from_parts(tbs, enc.finish(), tbs_der.len(), sig_bytes.len())
@@ -329,14 +322,8 @@ impl Certificate {
             return Err(X509Error::Profile("TBSCertificate must be a SEQUENCE"));
         }
         let tbs = Self::decode_tbs(tbs_der)?;
-        let outer_sig_oid = body.sequence(|alg| {
-            let oid = alg.oid()?;
-            if !alg.is_done() {
-                alg.null()?;
-            }
-            Ok(oid)
-        })?;
-        if KeyAlgorithm::from_signature_oid(&outer_sig_oid).is_none() {
+        let outer_sig_oid = read_algorithm(&mut body)?;
+        if KeyAlgorithm::from_signature_oid(outer_sig_oid).is_none() {
             return Err(X509Error::UnsupportedAlgorithm(outer_sig_oid.to_string()));
         }
         let (unused, sig_bytes) = body.bit_string()?;
@@ -365,13 +352,7 @@ impl Certificate {
                 ));
             }
             let serial = tbs.integer_unsigned()?.to_vec();
-            let sig_oid = tbs.sequence(|alg| {
-                let oid = alg.oid()?;
-                if !alg.is_done() {
-                    alg.null()?;
-                }
-                Ok(oid)
-            })?;
+            let sig_oid = read_algorithm(tbs)?;
             let issuer = DistinguishedName::decode(tbs)?;
             let validity = tbs.sequence(|val| {
                 Ok(Validity {
@@ -400,7 +381,7 @@ impl Certificate {
                                 if !ext.is_done() && ext.peek_tag()? == Tag::BOOLEAN {
                                     ext.boolean()?;
                                 }
-                                extensions.read(&oid, ext.octet_string()?);
+                                extensions.read(oid, ext.octet_string()?);
                                 Ok(())
                             })?;
                         }
@@ -414,7 +395,7 @@ impl Certificate {
         })?;
         p.expect_done()?;
         let (serial, sig_oid, issuer, validity, subject, spki_raw, extensions) = tbs;
-        let signature_algorithm = KeyAlgorithm::from_signature_oid(&sig_oid)
+        let signature_algorithm = KeyAlgorithm::from_signature_oid(sig_oid)
             .ok_or_else(|| X509Error::UnsupportedAlgorithm(sig_oid.to_string()))?;
         let mut spki_parser = Parser::new(spki_raw);
         let spki = SubjectPublicKeyInfo::decode(&mut spki_parser)?;
@@ -569,7 +550,6 @@ impl fmt::Display for Certificate {
 mod tests {
     use super::*;
     use crate::builder::CertificateBuilder;
-    use ccc_asn1::Oid;
     use ccc_crypto::{Group, KeyPair};
 
     /// A leaf with all seven extensions the builder writes: SAN,
@@ -584,7 +564,7 @@ mod tests {
     }
 
     /// One Extension SEQUENCE.
-    fn extension(oid: &Oid, critical: bool, value: &[u8]) -> Vec<u8> {
+    fn extension(oid: Oid<'_>, critical: bool, value: &[u8]) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.sequence(|ext| {
             ext.oid(oid);
@@ -597,7 +577,7 @@ mod tests {
     }
 
     /// The Extension SEQUENCEs of `cert`'s `[3]` block, each with its OID.
-    fn extensions_of(cert: &Certificate) -> Vec<(Oid, &[u8])> {
+    fn extensions_of(cert: &Certificate) -> Vec<(Oid<'_>, &[u8])> {
         let (_, body) = Parser::new(cert.to_der()).read_any().unwrap();
         let (_, tbs) = Parser::new(body).read_any().unwrap();
         let mut fields = Parser::new(tbs);
@@ -647,10 +627,10 @@ mod tests {
 
     /// `cert`'s extension list with the one under `oid` replaced by
     /// `replacement`.
-    fn replaced(cert: &Certificate, oid: &Oid, replacement: &[u8]) -> Vec<u8> {
+    fn replaced(cert: &Certificate, oid: Oid<'_>, replacement: &[u8]) -> Vec<u8> {
         let mut list = Vec::new();
         for (ext_oid, tlv) in extensions_of(cert) {
-            list.extend_from_slice(if &ext_oid == oid { replacement } else { tlv });
+            list.extend_from_slice(if ext_oid == oid { replacement } else { tlv });
         }
         list
     }
@@ -708,8 +688,8 @@ mod tests {
         let (_, _, _, _, _, skid, akid, bc, ku, aia, eku) = view_but_san(&built);
         assert!(skid.is_some() && akid.is_some() && bc.is_some() && ku.is_some());
         assert!(aia.is_some() && eku.is_some() && built.san().is_some());
-        let san = extension(oids::subject_alt_name(), false, JUNK);
-        let list = replaced(&built, oids::subject_alt_name(), &san);
+        let san = extension(oids::SUBJECT_ALT_NAME, false, JUNK);
+        let list = replaced(&built, oids::SUBJECT_ALT_NAME, &san);
         let cert = with_extensions(&built, &list).expect("a junk value is not an error");
         assert_eq!(cert.san(), None);
         assert_eq!(view_but_san(&cert), view_but_san(&built));
@@ -718,7 +698,7 @@ mod tests {
     #[test]
     fn unknown_extension_is_skipped() {
         let built = leaf();
-        let unknown = extension(&Oid::new(&[1, 2, 3, 4]), true, JUNK);
+        let unknown = extension(Oid::from_content(&[0x2a, 0x03, 0x04]).unwrap(), true, JUNK);
         let cert = with_extensions(&built, &appended(&built, &unknown)).unwrap();
         assert_eq!(view_but_san(&cert), view_but_san(&built));
         assert_eq!(cert.san(), built.san());
@@ -727,7 +707,7 @@ mod tests {
     #[test]
     fn unparseable_later_akid_replaces_the_earlier_one() {
         let built = leaf();
-        let akid = extension(oids::authority_key_identifier(), false, JUNK);
+        let akid = extension(oids::AUTHORITY_KEY_IDENTIFIER, false, JUNK);
         let cert = with_extensions(&built, &appended(&built, &akid)).unwrap();
         assert!(built.akid_key_id().is_some());
         assert_eq!(cert.akid(), None);
@@ -738,7 +718,7 @@ mod tests {
     #[test]
     fn unparseable_later_skid_keeps_the_earlier_one() {
         let built = leaf();
-        let skid = |value: &[u8]| extension(oids::subject_key_identifier(), false, value);
+        let skid = |value: &[u8]| extension(oids::SUBJECT_KEY_IDENTIFIER, false, value);
         let cert = with_extensions(&built, &appended(&built, &skid(JUNK))).unwrap();
         assert!(built.skid().is_some());
         assert_eq!(cert.skid(), built.skid());
@@ -750,7 +730,7 @@ mod tests {
 
         // An OCTET STRING with anything after it does not parse.
         let trailing = skid(&[0x04, 0x01, 9, 0x05, 0x00]);
-        let list = replaced(&built, oids::subject_key_identifier(), &trailing);
+        let list = replaced(&built, oids::SUBJECT_KEY_IDENTIFIER, &trailing);
         assert_eq!(with_extensions(&built, &list).unwrap().skid(), None);
     }
 
@@ -765,7 +745,9 @@ mod tests {
         // OID 1.2.3.4, then an empty OCTET STRING.
         let oid: &[u8] = &[0x06, 0x03, 0x2a, 0x03, 0x04];
         let well_formed = sequence(&[oid, &[0x04, 0x00]].concat());
-        assert_eq!(well_formed, extension(&Oid::new(&[1, 2, 3, 4]), false, &[]));
+        let oid_1234 = Oid::from_content(&oid[2..]).unwrap();
+        assert_eq!(oid_1234.to_string(), "1.2.3.4");
+        assert_eq!(well_formed, extension(oid_1234, false, &[]));
         assert!(with_extensions(&built, &appended(&built, &well_formed)).is_ok());
         for (what, content) in [
             ("no OCTET STRING", oid.to_vec()),
@@ -782,7 +764,7 @@ mod tests {
             let ext = sequence(&content);
             for list in [
                 appended(&built, &ext),
-                replaced(&built, oids::subject_alt_name(), &ext),
+                replaced(&built, oids::SUBJECT_ALT_NAME, &ext),
             ] {
                 assert!(with_extensions(&built, &list).is_err(), "{what}");
             }

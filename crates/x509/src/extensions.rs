@@ -169,28 +169,31 @@ impl KeyUsage {
 /// Extended key usage: a list of purpose OIDs.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ExtendedKeyUsage {
-    /// Purpose OIDs in order.
-    pub purposes: Vec<Oid>,
+    /// Each purpose OID's content octets, in order: the one OID a decoded
+    /// certificate keeps, so it owns them. Only [`Self::server_auth`] and
+    /// [`Self::decode_value`] fill it, so each entry is a checked OID.
+    purposes: Vec<Box<[u8]>>,
 }
 
 impl ExtendedKeyUsage {
     /// serverAuth only (typical TLS leaf).
     pub fn server_auth() -> ExtendedKeyUsage {
         ExtendedKeyUsage {
-            purposes: vec![oids::kp_server_auth().clone()],
+            purposes: vec![oids::KP_SERVER_AUTH.as_bytes().into()],
         }
     }
 
     /// Whether serverAuth is present.
     pub fn allows_server_auth(&self) -> bool {
-        self.purposes.iter().any(|p| p == oids::kp_server_auth())
+        let server_auth = oids::KP_SERVER_AUTH.as_bytes();
+        self.purposes.iter().any(|p| **p == *server_auth)
     }
 
     /// Write the inner DER value.
     pub fn encode(&self, enc: &mut Encoder) {
         enc.sequence(|s| {
             for p in &self.purposes {
-                s.oid(p);
+                s.write_tlv(Tag::OID, p);
             }
         });
     }
@@ -201,7 +204,7 @@ impl ExtendedKeyUsage {
         let purposes = p.sequence(|s| {
             let mut v = Vec::new();
             while !s.is_done() {
-                v.push(s.oid()?);
+                v.push(s.oid()?.as_bytes().into());
             }
             Ok(v)
         })?;
@@ -374,10 +377,10 @@ pub enum AccessMethod {
 }
 
 impl AccessMethod {
-    fn oid(self) -> &'static Oid {
+    fn oid(self) -> Oid<'static> {
         match self {
-            AccessMethod::CaIssuers => oids::ad_ca_issuers(),
-            AccessMethod::Ocsp => oids::ad_ocsp(),
+            AccessMethod::CaIssuers => oids::AD_CA_ISSUERS,
+            AccessMethod::Ocsp => oids::AD_OCSP,
         }
     }
 }
@@ -445,12 +448,10 @@ impl AuthorityInfoAccess {
                     let location = std::str::from_utf8(content)
                         .map_err(|_| Error::InvalidValue("non-UTF8 AIA URI"))?
                         .to_string();
-                    let method = if &oid == oids::ad_ca_issuers() {
-                        AccessMethod::CaIssuers
-                    } else if &oid == oids::ad_ocsp() {
-                        AccessMethod::Ocsp
-                    } else {
-                        return Ok(());
+                    let method = match oid {
+                        oids::AD_CA_ISSUERS => AccessMethod::CaIssuers,
+                        oids::AD_OCSP => AccessMethod::Ocsp,
+                        _ => return Ok(()),
                     };
                     v.push(AccessDescription { method, location });
                     Ok(())

@@ -19,12 +19,12 @@ pub enum AttributeType {
 
 impl AttributeType {
     /// The attribute's OID.
-    pub fn oid(self) -> &'static Oid {
+    pub fn oid(self) -> Oid<'static> {
         match self {
-            AttributeType::CommonName => oids::common_name(),
-            AttributeType::Country => oids::country_name(),
-            AttributeType::Organization => oids::organization_name(),
-            AttributeType::OrganizationalUnit => oids::organizational_unit_name(),
+            AttributeType::CommonName => oids::COMMON_NAME,
+            AttributeType::Country => oids::COUNTRY_NAME,
+            AttributeType::Organization => oids::ORGANIZATION_NAME,
+            AttributeType::OrganizationalUnit => oids::ORGANIZATIONAL_UNIT_NAME,
         }
     }
 
@@ -38,15 +38,14 @@ impl AttributeType {
         }
     }
 
-    fn from_oid(oid: &Oid) -> Option<AttributeType> {
-        [
-            AttributeType::CommonName,
-            AttributeType::Country,
-            AttributeType::Organization,
-            AttributeType::OrganizationalUnit,
-        ]
-        .into_iter()
-        .find(|t| t.oid() == oid)
+    fn from_oid(oid: Oid<'_>) -> Option<AttributeType> {
+        match oid {
+            oids::COMMON_NAME => Some(AttributeType::CommonName),
+            oids::COUNTRY_NAME => Some(AttributeType::Country),
+            oids::ORGANIZATION_NAME => Some(AttributeType::Organization),
+            oids::ORGANIZATIONAL_UNIT_NAME => Some(AttributeType::OrganizationalUnit),
+            _ => None,
+        }
     }
 }
 
@@ -134,7 +133,7 @@ impl DistinguishedName {
                     set.sequence(|attr| {
                         let oid = attr.oid()?;
                         let value = attr.any_string()?.to_string();
-                        let ty = AttributeType::from_oid(&oid)
+                        let ty = AttributeType::from_oid(oid)
                             .ok_or(Error::InvalidValue("unsupported DN attribute type"))?;
                         attributes.push((ty, value));
                         Ok(())

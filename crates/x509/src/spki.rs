@@ -32,42 +32,58 @@ impl KeyAlgorithm {
     }
 
     /// Public key algorithm OID.
-    pub fn key_oid(self) -> &'static Oid {
+    pub fn key_oid(self) -> Oid<'static> {
         match self {
-            KeyAlgorithm::SchnorrSim256 => oids::schnorr_sim256_key(),
-            KeyAlgorithm::SchnorrRfc3526 => oids::schnorr_rfc3526_key(),
+            KeyAlgorithm::SchnorrSim256 => oids::SCHNORR_SIM256_KEY,
+            KeyAlgorithm::SchnorrRfc3526 => oids::SCHNORR_RFC3526_KEY,
         }
     }
 
     /// Signature algorithm OID (SHA-256 + Schnorr over the same group).
-    pub fn signature_oid(self) -> &'static Oid {
+    pub fn signature_oid(self) -> Oid<'static> {
         match self {
-            KeyAlgorithm::SchnorrSim256 => oids::schnorr_sim256_sig(),
-            KeyAlgorithm::SchnorrRfc3526 => oids::schnorr_rfc3526_sig(),
+            KeyAlgorithm::SchnorrSim256 => oids::SCHNORR_SIM256_SIG,
+            KeyAlgorithm::SchnorrRfc3526 => oids::SCHNORR_RFC3526_SIG,
         }
     }
 
     /// Resolve a key algorithm from its OID.
-    pub fn from_key_oid(oid: &Oid) -> Option<KeyAlgorithm> {
-        if oid == oids::schnorr_sim256_key() {
-            Some(KeyAlgorithm::SchnorrSim256)
-        } else if oid == oids::schnorr_rfc3526_key() {
-            Some(KeyAlgorithm::SchnorrRfc3526)
-        } else {
-            None
+    pub fn from_key_oid(oid: Oid<'_>) -> Option<KeyAlgorithm> {
+        match oid {
+            oids::SCHNORR_SIM256_KEY => Some(KeyAlgorithm::SchnorrSim256),
+            oids::SCHNORR_RFC3526_KEY => Some(KeyAlgorithm::SchnorrRfc3526),
+            _ => None,
         }
     }
 
     /// Resolve a key algorithm from its signature OID.
-    pub fn from_signature_oid(oid: &Oid) -> Option<KeyAlgorithm> {
-        if oid == oids::schnorr_sim256_sig() {
-            Some(KeyAlgorithm::SchnorrSim256)
-        } else if oid == oids::schnorr_rfc3526_sig() {
-            Some(KeyAlgorithm::SchnorrRfc3526)
-        } else {
-            None
+    pub fn from_signature_oid(oid: Oid<'_>) -> Option<KeyAlgorithm> {
+        match oid {
+            oids::SCHNORR_SIM256_SIG => Some(KeyAlgorithm::SchnorrSim256),
+            oids::SCHNORR_RFC3526_SIG => Some(KeyAlgorithm::SchnorrRfc3526),
+            _ => None,
         }
     }
+}
+
+/// Write an AlgorithmIdentifier: `oid` with NULL parameters.
+pub(crate) fn write_algorithm(enc: &mut Encoder, oid: Oid<'_>) {
+    enc.sequence(|alg| {
+        alg.oid(oid);
+        alg.null();
+    });
+}
+
+/// Read an AlgorithmIdentifier: its OID, then parameters that are absent
+/// or NULL.
+pub(crate) fn read_algorithm<'a>(parser: &mut Parser<'a>) -> ccc_asn1::Result<Oid<'a>> {
+    parser.sequence(|alg| {
+        let oid = alg.oid()?;
+        if !alg.is_done() {
+            alg.null()?;
+        }
+        Ok(oid)
+    })
 }
 
 /// A parsed SubjectPublicKeyInfo.
@@ -91,10 +107,7 @@ impl SubjectPublicKeyInfo {
     /// Encode as the SPKI SEQUENCE.
     pub fn encode(&self, enc: &mut Encoder) {
         enc.sequence(|spki| {
-            spki.sequence(|alg| {
-                alg.oid(self.algorithm.key_oid());
-                alg.null();
-            });
+            write_algorithm(spki, self.algorithm.key_oid());
             spki.bit_string(self.key.as_bytes());
         });
     }
@@ -103,24 +116,18 @@ impl SubjectPublicKeyInfo {
     pub fn decode(parser: &mut Parser<'_>) -> Result<SubjectPublicKeyInfo, X509Error> {
         parser
             .sequence(|spki| {
-                let algorithm = spki.sequence(|alg| {
-                    let oid = alg.oid()?;
-                    if !alg.is_done() {
-                        alg.null()?;
-                    }
-                    Ok(oid)
-                })?;
+                let algorithm = read_algorithm(spki)?;
                 let (unused, key_bytes) = spki.bit_string()?;
                 if unused != 0 {
                     return Err(ccc_asn1::Error::InvalidValue("SPKI key with unused bits"));
                 }
-                Ok((algorithm, key_bytes.to_vec()))
+                Ok((algorithm, key_bytes))
             })
             .map_err(X509Error::from)
             .and_then(|(oid, key_bytes)| {
-                let algorithm = KeyAlgorithm::from_key_oid(&oid)
+                let algorithm = KeyAlgorithm::from_key_oid(oid)
                     .ok_or_else(|| X509Error::UnsupportedAlgorithm(oid.to_string()))?;
-                let key = PublicKey::from_bytes(algorithm.group(), &key_bytes)
+                let key = PublicKey::from_bytes(algorithm.group(), key_bytes)
                     .ok_or(X509Error::InvalidKey)?;
                 Ok(SubjectPublicKeyInfo { algorithm, key })
             })
@@ -162,11 +169,10 @@ mod tests {
     #[test]
     fn unknown_algorithm_rejected() {
         let mut enc = Encoder::new();
+        // sha256WithRSAEncryption, 1.2.840.113549.1.1.11.
+        let content = [0x2a, 0x86, 0x48, 0x86, 0xf7, 0x0d, 0x01, 0x01, 0x0b];
         enc.sequence(|spki| {
-            spki.sequence(|alg| {
-                alg.oid(&ccc_asn1::Oid::new(&[1, 2, 840, 113549, 1, 1, 11]));
-                alg.null();
-            });
+            write_algorithm(spki, Oid::from_content(&content).unwrap());
             spki.bit_string(&[0u8; 32]);
         });
         let der = enc.finish();
@@ -183,10 +189,7 @@ mod tests {
     fn invalid_key_material_rejected() {
         let mut enc = Encoder::new();
         enc.sequence(|spki| {
-            spki.sequence(|alg| {
-                alg.oid(oids::schnorr_sim256_key());
-                alg.null();
-            });
+            write_algorithm(spki, oids::SCHNORR_SIM256_KEY);
             spki.bit_string(&[0u8; 32]); // y = 0: invalid
         });
         let der = enc.finish();
@@ -200,11 +203,11 @@ mod tests {
     #[test]
     fn signature_oid_mapping() {
         assert_eq!(
-            KeyAlgorithm::from_signature_oid(oids::schnorr_sim256_sig()),
+            KeyAlgorithm::from_signature_oid(oids::SCHNORR_SIM256_SIG),
             Some(KeyAlgorithm::SchnorrSim256)
         );
         assert_eq!(
-            KeyAlgorithm::from_signature_oid(oids::schnorr_sim256_key()),
+            KeyAlgorithm::from_signature_oid(oids::SCHNORR_SIM256_KEY),
             None
         );
     }
