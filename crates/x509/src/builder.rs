@@ -9,7 +9,7 @@ use crate::extensions::{
     SubjectAltName,
 };
 use crate::name::DistinguishedName;
-use crate::spki::SubjectPublicKeyInfo;
+use crate::spki::{KeyAlgorithm, SubjectPublicKeyInfo};
 use ccc_asn1::{Encoder, Time};
 use ccc_crypto::{KeyPair, PrivateKey, PublicKey};
 
@@ -223,14 +223,14 @@ impl CertificateBuilder {
             serial
         });
 
-        let spki = SubjectPublicKeyInfo::new(subject_key.clone());
         let tbs = TbsCertificate {
             serial,
-            signature_algorithm: spki.algorithm,
+            // The signing key's algorithm, which the subject's need not be.
+            signature_algorithm: KeyAlgorithm::from_group(signing_key.group().id),
             issuer: issuer_dn,
             validity: self.validity,
             subject: self.subject,
-            spki,
+            spki: SubjectPublicKeyInfo::new(subject_key.clone()),
             extensions: Extensions {
                 san: self.san,
                 basic_constraints: self.basic_constraints,
@@ -258,6 +258,8 @@ impl CertificateBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spki::read_algorithm;
+    use ccc_asn1::Parser;
     use ccc_crypto::Group;
 
     fn group() -> &'static Group {
@@ -419,6 +421,32 @@ mod tests {
         assert!(!cert
             .validity()
             .contains(Time::from_ymd(2022, 1, 1).unwrap()));
+    }
+
+    #[test]
+    fn signature_is_labelled_with_the_signing_key_algorithm() {
+        let issuer = KeyPair::from_seed(Group::rfc3526_1536(), b"ca-10");
+        let subject = KeyPair::from_seed(group(), b"leaf-10");
+        let cert = CertificateBuilder::leaf_profile("mixed.sim").issued_by(
+            &subject.public,
+            DistinguishedName::cn("CA 10"),
+            &issuer,
+        );
+        // The TBS's signature algorithm follows its version and serial;
+        // the outer one follows the TBS.
+        let (_, body) = Parser::new(cert.to_der()).read_any().unwrap();
+        let mut body = Parser::new(body);
+        let (_, tbs) = body.read_any().unwrap();
+        let mut tbs = Parser::new(tbs);
+        tbs.read_any().unwrap();
+        tbs.read_any().unwrap();
+        let rfc3526 = KeyAlgorithm::SchnorrRfc3526.signature_oid();
+        assert_eq!(read_algorithm(&mut tbs), Ok(rfc3526));
+        assert_eq!(read_algorithm(&mut body), Ok(rfc3526));
+
+        let decoded = Certificate::from_der(cert.to_der()).unwrap();
+        assert_eq!(decoded.public_key(), &subject.public);
+        assert!(decoded.verify_signature_with(&issuer.public));
     }
 
     #[test]
