@@ -100,10 +100,7 @@ impl Time {
 
     /// Decode UTCTime content octets (YYMMDDHHMMSSZ).
     pub fn decode_utc_time(content: &[u8]) -> Result<Time> {
-        if content.len() != 13 || content[12] != b'Z' {
-            return Err(Error::InvalidValue("UTCTime must be YYMMDDHHMMSSZ"));
-        }
-        let d = parse_digits(&content[..12])?;
+        let d: [i64; 12] = parse_digits(content, "UTCTime must be YYMMDDHHMMSSZ")?;
         let yy = d[0] * 10 + d[1];
         // RFC 5280: 00..=49 → 20xx, 50..=99 → 19xx.
         let year = if yy <= 49 { 2000 + yy } else { 1900 + yy };
@@ -112,28 +109,26 @@ impl Time {
 
     /// Decode GeneralizedTime content octets (YYYYMMDDHHMMSSZ).
     pub fn decode_generalized_time(content: &[u8]) -> Result<Time> {
-        if content.len() != 15 || content[14] != b'Z' {
-            return Err(Error::InvalidValue(
-                "GeneralizedTime must be YYYYMMDDHHMMSSZ",
-            ));
-        }
-        let d = parse_digits(&content[..14])?;
+        let d: [i64; 14] = parse_digits(content, "GeneralizedTime must be YYYYMMDDHHMMSSZ")?;
         let year = d[0] * 1000 + d[1] * 100 + d[2] * 10 + d[3];
         build_time(year as i32, &d[4..])
     }
 }
 
-fn parse_digits(bytes: &[u8]) -> Result<Vec<i64>> {
-    bytes
-        .iter()
-        .map(|&b| {
-            if b.is_ascii_digit() {
-                Ok((b - b'0') as i64)
-            } else {
-                Err(Error::InvalidValue("non-digit in time"))
-            }
-        })
-        .collect()
+/// The `N` digits of a time's content octets, which must be exactly those
+/// digits and a trailing `Z`; `shape` names the form when they are not.
+fn parse_digits<const N: usize>(content: &[u8], shape: &'static str) -> Result<[i64; N]> {
+    if content.len() != N + 1 || content[N] != b'Z' {
+        return Err(Error::InvalidValue(shape));
+    }
+    let mut digits = [0; N];
+    for (digit, &b) in digits.iter_mut().zip(content) {
+        if !b.is_ascii_digit() {
+            return Err(Error::InvalidValue("non-digit in time"));
+        }
+        *digit = i64::from(b - b'0');
+    }
+    Ok(digits)
 }
 
 fn build_time(year: i32, rest: &[i64]) -> Result<Time> {
@@ -271,12 +266,22 @@ mod tests {
 
     #[test]
     fn decode_rejects_malformed() {
-        assert!(Time::decode_utc_time(b"240315").is_err());
-        assert!(Time::decode_utc_time(b"2403150000000").is_err());
-        assert!(Time::decode_utc_time(b"24031500000xZ").is_err());
-        assert!(Time::decode_utc_time(b"241315000000Z").is_err()); // month 13
-        assert!(Time::decode_generalized_time(b"20240315000000").is_err());
-        assert!(Time::decode_generalized_time(b"20240230000000Z").is_err()); // Feb 30
+        let invalid = |what| Err(Error::InvalidValue(what));
+        let utc = invalid("UTCTime must be YYMMDDHHMMSSZ");
+        assert_eq!(Time::decode_utc_time(b"240315"), utc);
+        assert_eq!(Time::decode_utc_time(b"2403150000000"), utc);
+        assert_eq!(Time::decode_utc_time(b"240315000000ZZ"), utc);
+        let digit = invalid("non-digit in time");
+        assert_eq!(Time::decode_utc_time(b"24031500000xZ"), digit);
+        let date = invalid("invalid calendar date in time");
+        assert_eq!(Time::decode_utc_time(b"241315000000Z"), date); // month 13
+        let generalized = invalid("GeneralizedTime must be YYYYMMDDHHMMSSZ");
+        assert_eq!(
+            Time::decode_generalized_time(b"20240315000000"),
+            generalized
+        );
+        assert_eq!(Time::decode_generalized_time(b"2024031500000+Z"), digit);
+        assert_eq!(Time::decode_generalized_time(b"20240230000000Z"), date); // Feb 30
     }
 
     #[test]
