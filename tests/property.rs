@@ -9,8 +9,9 @@ use chain_chaos::crypto::{sha256, Drbg, Group, KeyPair};
 use chain_chaos::netsim::tlsmsg;
 use chain_chaos::rootstore::{CaUniverse, RootPrograms};
 use chain_chaos::testgen::Mutator;
-use chain_chaos::x509::{Certificate, CertificateBuilder, DistinguishedName};
+use chain_chaos::x509::{Certificate, CertificateBuilder, DistinguishedName, X509Error};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -125,6 +126,94 @@ proptest! {
             sig.s[idx - 32] ^= 1 << flip_bit;
         }
         prop_assert!(!kp.public.verify(b"property message", &sig));
+    }
+}
+
+/// The DER of one leaf with all seven extensions the builder writes (SAN,
+/// BasicConstraints, KeyUsage, EKU, SKID, AKID and AIA), built once.
+fn seven_extension_leaf() -> &'static [u8] {
+    static LEAF: OnceLock<Vec<u8>> = OnceLock::new();
+    LEAF.get_or_init(|| {
+        let ca = KeyPair::from_seed(Group::simulation_256(), b"prop-mutant-ca");
+        let key = KeyPair::from_seed(Group::simulation_256(), b"prop-mutant-leaf");
+        CertificateBuilder::leaf_profile("mutant.sim")
+            .aia_ca_issuers("http://aia.sim/mutant-ca.crt")
+            .issued_by(&key.public, DistinguishedName::cn("Mutant CA"), &ca)
+            .to_der()
+            .to_vec()
+    })
+}
+
+/// True when `s` is an OID in dotted decimal: two or more arcs, each a
+/// `u64` in minimal decimal, the first at most 2, and the second below 40
+/// when the first is 0 or 1.
+fn is_dotted_oid(s: &str) -> bool {
+    let arcs: Vec<Option<u64>> = s
+        .split('.')
+        .map(|arc| {
+            let minimal = arc == "0" || !arc.starts_with('0');
+            let digits = !arc.is_empty() && arc.bytes().all(|b| b.is_ascii_digit());
+            (minimal && digits).then(|| arc.parse().ok()).flatten()
+        })
+        .collect();
+    match arcs[..] {
+        [Some(first), Some(second), ref rest @ ..] => {
+            first <= 2 && (first == 2 || second < 40) && rest.iter().all(Option::is_some)
+        }
+        _ => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    // Random bytes rarely get past the outer SEQUENCE; a valid leaf cut
+    // short (one case in four) or with one to four octets overwritten
+    // reaches the inner fields, the OID validator and the unknown-algorithm
+    // message.
+    #[test]
+    fn certificate_parser_never_panics_near_valid(
+        truncate in 0u8..4,
+        positions in proptest::collection::vec(any::<usize>(), 1..5),
+        octets in proptest::collection::vec(any::<u8>(), 4..5),
+    ) {
+        let mut der = seven_extension_leaf().to_vec();
+        let len = der.len();
+        if truncate == 0 {
+            der.truncate(positions[0] % len);
+        } else {
+            for (&at, &octet) in positions.iter().zip(&octets) {
+                der[at % len] = octet;
+            }
+        }
+        if let Err(X509Error::UnsupportedAlgorithm(oid)) = Certificate::from_der(&der) {
+            prop_assert!(is_dotted_oid(&oid), "not a dotted OID: {:?}", oid);
+        }
+    }
+}
+
+#[test]
+fn dotted_oid_check() {
+    for good in [
+        "1.2.840.113549",
+        "2.999.3",
+        "0.39",
+        "1.2.18446744073709551615",
+    ] {
+        assert!(is_dotted_oid(good), "{good}");
+    }
+    for bad in [
+        "",
+        "1",
+        "3.1",
+        "1.40",
+        "1..2",
+        "1.02",
+        "1.2.",
+        "1.2.18446744073709551616",
+        "1.x",
+    ] {
+        assert!(!is_dotted_oid(bad), "{bad}");
     }
 }
 
