@@ -514,8 +514,6 @@ impl CachePool {
 /// - **store candidates**: the roots related to a given certificate
 ///   (subject/SKID lookups filtered by identity match) depend only on
 ///   that certificate and the store;
-/// - **base issuer indices**: which base-pool entries identity-match as
-///   issuers of a given certificate depends only on the certificates;
 /// - **validations**: [`validate_path`] verdicts — every policy validates
 ///   a finished path under the same (all-checks-on) options, so the
 ///   verdict is a function of the path, the store, and the clock.
@@ -526,7 +524,6 @@ impl CachePool {
 #[derive(Debug, Default)]
 pub(crate) struct RunScratch {
     store_candidates: RefCell<FingerprintMap<Vec<Candidate>>>,
-    base_issuers: RefCell<FingerprintMap<Vec<u32>>>,
     validations: RefCell<
         HashMap<Vec<CertificateFingerprint>, Result<(), ClientError>, FingerprintBuildHasher>,
     >,
@@ -831,31 +828,9 @@ impl Search<'_, '_, '_> {
 
         match p.scope {
             SearchScope::FullList => {
-                // Base-pool identity matches come from the cross-engine
-                // memo (index order == pool order); per-engine extras are
-                // scanned directly. Together this reproduces the old
-                // base-then-extra filtered scan exactly.
-                let fp = current.fingerprint();
-                if !self.scratch.base_issuers.borrow().contains_key(&fp) {
-                    let idxs: Vec<u32> = self
-                        .base
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| IssuanceChecker::identity_match(&c.cert, current))
-                        .map(|(i, _)| i as u32)
-                        .collect();
-                    self.scratch.base_issuers.borrow_mut().insert(fp, idxs);
-                }
-                let memo = self.scratch.base_issuers.borrow();
-                for &idx in memo.get(&fp).expect("inserted above") {
-                    let cand = &self.base[idx as usize];
-                    if on_path.contains(&cand.cert.fingerprint()) {
-                        continue;
-                    }
-                    out.push(cand.clone());
-                }
-                drop(memo);
-                for cand in &self.extra {
+                // Every pool entry whose subject DN or SKID identifies it
+                // as an issuer of `current`, in pool order.
+                for cand in self.pool_iter() {
                     if on_path.contains(&cand.cert.fingerprint()) {
                         continue;
                     }

@@ -10,10 +10,11 @@ use std::collections::HashMap;
 /// DN match (for issuer-DN location when KIDs are absent).
 ///
 /// Subjects are keyed by [`DistinguishedName`] itself, so a lookup encodes
-/// nothing. That is the same relation as keying by the DER:
-/// [`DistinguishedName::encode`] writes each (type, value) pair as one OID
-/// and one UTF8String, so two names encode to the same bytes exactly when
-/// they are equal.
+/// nothing. That is the same relation as keying by the DER: a name holds
+/// its RDNSequence's content octets and compares them, and
+/// [`DistinguishedName::encode`] writes those octets behind one SEQUENCE
+/// header, so two names encode to the same bytes exactly when they are
+/// equal.
 #[derive(Clone, Debug, Default)]
 pub struct RootStore {
     name: String,

@@ -30,6 +30,6 @@ pub use extensions::{
     ExtendedKeyUsage, GeneralName, KeyUsage, SubjectAltName,
 };
 pub use fphash::{FingerprintBuildHasher, FingerprintMap, FingerprintSet};
-pub use name::{AttributeType, DistinguishedName};
+pub use name::DistinguishedName;
 pub use pem::PemError;
 pub use spki::{KeyAlgorithm, SubjectPublicKeyInfo};
