@@ -323,8 +323,15 @@ impl Certificate {
         }
         let tbs = Self::decode_tbs(tbs_der)?;
         let outer_sig_oid = read_algorithm(&mut body)?;
-        if KeyAlgorithm::from_signature_oid(outer_sig_oid).is_none() {
-            return Err(X509Error::UnsupportedAlgorithm(outer_sig_oid.to_string()));
+        // RFC 5280 §4.1.1.2: the outer algorithm must equal the TBS's.
+        match KeyAlgorithm::from_signature_oid(outer_sig_oid) {
+            None => return Err(X509Error::UnsupportedAlgorithm(outer_sig_oid.to_string())),
+            Some(outer) if outer != tbs.signature_algorithm => {
+                return Err(X509Error::Profile(
+                    "outer signatureAlgorithm differs from the TBS signature",
+                ));
+            }
+            Some(_) => {}
         }
         let (unused, sig_bytes) = body.bit_string()?;
         if unused != 0 {
@@ -769,6 +776,30 @@ mod tests {
                 assert!(with_extensions(&built, &list).is_err(), "{what}");
             }
         }
+    }
+
+    #[test]
+    fn outer_algorithm_must_match_the_tbs() {
+        let built = leaf();
+        let mut der = built.to_der().to_vec();
+        // The outer AlgorithmIdentifier follows the TBS, so it holds the
+        // last copy of the signature OID; make it the RFC 3526 one.
+        let sig = oids::SCHNORR_SIM256_SIG.as_bytes();
+        let at = der.windows(sig.len()).rposition(|w| w == sig).unwrap();
+        der[at + sig.len() - 1] = 0x02;
+        assert_eq!(
+            &der[at..at + sig.len()],
+            oids::SCHNORR_RFC3526_SIG.as_bytes()
+        );
+        assert!(der
+            .windows(built.tbs_der().len())
+            .any(|w| w == built.tbs_der()));
+        assert_eq!(
+            Certificate::from_der(&der),
+            Err(X509Error::Profile(
+                "outer signatureAlgorithm differs from the TBS signature"
+            ))
+        );
     }
 
     fn window(nb: i64, na: i64) -> Validity {
