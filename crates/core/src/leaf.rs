@@ -1,6 +1,6 @@
 //! Leaf certificate placement classification (paper §3.1 / Table 3).
 
-use ccc_x509::Certificate;
+use ccc_x509::{Certificate, GeneralName};
 
 /// Placement classes from the paper's Table 3.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -47,40 +47,36 @@ impl LeafPlacement {
     }
 }
 
-/// All identity strings of a certificate: CN plus SAN DNS/IP entries.
-fn identity_strings(cert: &Certificate) -> Vec<String> {
-    let mut out = Vec::new();
-    if let Some(cn) = cert.subject().common_name() {
-        out.push(cn.to_string());
+/// Whether `test` holds for any identity string of a certificate: its CN,
+/// then its SAN DNS names and IPv4 addresses, in order.
+fn any_identity(cert: &Certificate, mut test: impl FnMut(&str) -> bool) -> bool {
+    if cert.subject().common_name().is_some_and(&mut test) {
+        return true;
     }
-    if let Some(san) = cert.san() {
-        for name in &san.names {
-            out.push(match name {
-                ccc_x509::GeneralName::Dns(d) => d.clone(),
-                ccc_x509::GeneralName::Ip(b) if b.len() == 4 => {
-                    format!("{}.{}.{}.{}", b[0], b[1], b[2], b[3])
-                }
-                ccc_x509::GeneralName::Ip(_) => continue,
-                ccc_x509::GeneralName::Uri(_) => continue,
-            });
-        }
-    }
-    out
+    cert.san().is_some_and(|san| {
+        san.names.iter().any(|name| match name {
+            GeneralName::Dns(d) => test(d),
+            GeneralName::Ip(b) if b.len() == 4 => {
+                test(&format!("{}.{}.{}.{}", b[0], b[1], b[2], b[3]))
+            }
+            GeneralName::Ip(_) | GeneralName::Uri(_) => false,
+        })
+    })
 }
 
 /// Case-insensitive hostname match with single-label wildcard support
 /// (`*.example.com` matches `www.example.com` but not `example.com` or
-/// `a.b.example.com`).
+/// `a.b.example.com`). Only ASCII letters fold.
 pub fn hostname_matches(pattern: &str, domain: &str) -> bool {
-    let pattern = pattern.to_ascii_lowercase();
-    let domain = domain.to_ascii_lowercase();
     if let Some(suffix) = pattern.strip_prefix("*.") {
         match domain.split_once('.') {
-            Some((first_label, rest)) => !first_label.is_empty() && rest == suffix,
+            Some((first_label, rest)) => {
+                !first_label.is_empty() && rest.eq_ignore_ascii_case(suffix)
+            }
             None => false,
         }
     } else {
-        pattern == domain
+        pattern.eq_ignore_ascii_case(domain)
     }
 }
 
@@ -102,10 +98,8 @@ pub fn is_domain_like(s: &str) -> bool {
 
 /// Heuristic: does `s` look like an IPv4 address?
 pub fn is_ip_like(s: &str) -> bool {
-    let parts: Vec<&str> = s.split('.').collect();
-    parts.len() == 4
-        && parts
-            .iter()
+    s.split('.').count() == 4
+        && s.split('.')
             .all(|p| !p.is_empty() && p.parse::<u8>().is_ok())
 }
 
@@ -113,11 +107,7 @@ pub fn is_ip_like(s: &str) -> bool {
 /// when present; otherwise the CN is consulted (legacy behaviour).
 pub fn cert_covers_domain(cert: &Certificate, domain: &str) -> bool {
     if let Some(san) = cert.san() {
-        if san
-            .names
-            .iter()
-            .any(|n| matches!(n, ccc_x509::GeneralName::Dns(_)))
-        {
+        if san.names.iter().any(|n| matches!(n, GeneralName::Dns(_))) {
             return san
                 .dns_names()
                 .any(|pattern| hostname_matches(pattern, domain));
@@ -130,15 +120,11 @@ pub fn cert_covers_domain(cert: &Certificate, domain: &str) -> bool {
 }
 
 fn cert_matches_domain(cert: &Certificate, domain: &str) -> bool {
-    identity_strings(cert)
-        .iter()
-        .any(|id| hostname_matches(id, domain))
+    any_identity(cert, |id| hostname_matches(id, domain))
 }
 
 fn cert_is_host_shaped(cert: &Certificate) -> bool {
-    identity_strings(cert)
-        .iter()
-        .any(|id| is_domain_like(id) || is_ip_like(id))
+    any_identity(cert, |id| is_domain_like(id) || is_ip_like(id))
 }
 
 /// Classify the leaf placement of a served list for `domain` (Table 3).
@@ -167,7 +153,7 @@ pub fn classify_leaf_placement(domain: &str, served: &[Certificate]) -> LeafPlac
 mod tests {
     use super::*;
     use ccc_crypto::{Group, KeyPair};
-    use ccc_x509::{CertificateBuilder, DistinguishedName};
+    use ccc_x509::{CertificateBuilder, DistinguishedName, SubjectAltName};
 
     fn leaf_for(domain: &str, seed: &[u8]) -> Certificate {
         let g = Group::simulation_256();
@@ -189,6 +175,9 @@ mod tests {
         assert!(!hostname_matches("*.example.com", "example.com"));
         assert!(!hostname_matches("*.example.com", "a.b.example.com"));
         assert!(!hostname_matches("other.com", "example.com"));
+        assert!(hostname_matches("*.EXAMPLE.com", "WWW.example.COM"));
+        // Only ASCII folds: É and é stay different.
+        assert!(!hostname_matches("É.sim", "é.sim"));
     }
 
     #[test]
@@ -209,6 +198,21 @@ mod tests {
         let served = vec![leaf_for("good.sim", b"lp-1")];
         assert_eq!(
             classify_leaf_placement("good.sim", &served),
+            LeafPlacement::CorrectlyPlacedMatched
+        );
+    }
+
+    #[test]
+    fn ipv4_san_matches_its_address() {
+        let kp = KeyPair::from_seed(Group::simulation_256(), b"lp-ip");
+        let ip = SubjectAltName {
+            names: vec![GeneralName::Ip(vec![192, 0, 2, 1])],
+        };
+        let served = vec![CertificateBuilder::new(DistinguishedName::empty())
+            .san(Some(ip))
+            .self_signed(&kp)];
+        assert_eq!(
+            classify_leaf_placement("192.0.2.1", &served),
             LeafPlacement::CorrectlyPlacedMatched
         );
     }
