@@ -152,6 +152,36 @@ proptest! {
             ctx.modpow(&base, &exp)
         );
     }
+
+    #[test]
+    fn four_limb_moduli_agree_with_the_schoolbook_path(
+        a in proptest::collection::vec(any::<u8>(), 0..41),
+        b in proptest::collection::vec(any::<u8>(), 0..41),
+        exp in proptest::collection::vec(any::<u8>(), 0..41),
+        modulus in proptest::collection::vec(any::<u8>(), 25..33),
+    ) {
+        // The simulation group's width: 25–32 bytes with a non-zero top
+        // byte is 193–256 bits, four 64-bit limbs. Operands run past the
+        // modulus (40 bytes) and exponents past the 256-bit tables below,
+        // so the beyond-table-width fallback runs too.
+        let mut modulus = modulus;
+        modulus[0] = modulus[0].max(1);
+        let modulus = odd_modulus(&modulus);
+        let (a, b, exp) = (uint(&a), uint(&b), uint(&exp));
+        let ctx = MontgomeryCtx::new(&modulus).unwrap();
+        prop_assert_eq!(ctx.limbs(), 4);
+        let (am, bm) = (ctx.to_montgomery(&a), ctx.to_montgomery(&b));
+        prop_assert_eq!(
+            ctx.from_montgomery(&ctx.mul(&am, &bm)),
+            a.mul_mod(&b, &modulus)
+        );
+        let expected = modpow_naive(&a, &exp, &modulus).unwrap();
+        prop_assert_eq!(ctx.modpow(&a, &exp), expected.clone());
+        for window in [4, 8] {
+            let table = FixedBaseTable::from_mont_with_window(&ctx, &am, 256, window);
+            prop_assert_eq!(table.pow(&ctx, &exp), expected.clone());
+        }
+    }
 }
 
 #[test]
@@ -168,6 +198,17 @@ fn r_boundary_values() {
         Uint::from_hex("ffffffffffffffffffffffef").unwrap(),
         // k = 3 with all-ones limbs: 2^192 - 237.
         Uint::from_hex("ffffffffffffffffffffffffffffffffffffffffffffff13").unwrap(),
+        // k = 4, the simulation group's width: 2^256 - 189, every limb
+        // all ones except the low byte.
+        Uint::from_hex(concat!(
+            "ffffffffffffffffffffffffffffffff",
+            "ffffffffffffffffffffffffffffff43"
+        ))
+        .unwrap(),
+        // k = 4: the simulation prime p itself.
+        Uint::from_hex("edb9229e9df73cb4f4a416fb005f7dae9ccae82ad2ba6b58e7e1c47ebc596f0b").unwrap(),
+        // k = 4 with a top limb of 1: 2^192 + 1.
+        Uint::one().shl(192).add(&Uint::one()),
     ] {
         assert!(modulus.is_odd(), "{modulus:?}");
         let ctx = MontgomeryCtx::new(&modulus).unwrap();
