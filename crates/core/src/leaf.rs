@@ -96,11 +96,21 @@ pub fn is_domain_like(s: &str) -> bool {
     })
 }
 
-/// Heuristic: does `s` look like an IPv4 address?
+/// Heuristic: is `s` a dotted-decimal IPv4 address? Four labels, each of
+/// 1–3 ASCII digits with a value of at most 255 and no leading zero unless
+/// the label is `0`: the form `inet_pton` accepts, so neither `+1` nor
+/// `001` is an octet.
 pub fn is_ip_like(s: &str) -> bool {
-    s.split('.').count() == 4
-        && s.split('.')
-            .all(|p| !p.is_empty() && p.parse::<u8>().is_ok())
+    let mut labels = 0;
+    s.split('.').all(|label| {
+        labels += 1;
+        let digits = label.as_bytes();
+        labels <= 4
+            && (1..=3).contains(&digits.len())
+            && (digits[0] != b'0' || digits.len() == 1)
+            && digits.iter().all(u8::is_ascii_digit)
+            && digits.iter().fold(0, |v, d| v * 10 + u32::from(d - b'0')) <= 255
+    }) && labels == 4
 }
 
 /// Does this certificate cover `domain`? SAN DNS entries are authoritative
@@ -189,8 +199,34 @@ mod tests {
         assert!(!is_domain_like("SophosApplianceCertificate_abc")); // no dot
         assert!(!is_domain_like(""));
         assert!(is_ip_like("192.0.2.1"));
+        assert!(is_ip_like("0.0.0.0"));
+        assert!(is_ip_like("255.255.255.255"));
         assert!(!is_ip_like("192.0.2.999"));
         assert!(!is_ip_like("example.com"));
+        // Only the form inet_pton accepts: no sign, no leading zero, four
+        // non-empty labels of at most 255.
+        for not_ipv4 in [
+            "+1.+2.+3.+4",
+            "001.02.3.4",
+            "1.2.3.04",
+            "256.1.1.1",
+            "1.2.3",
+            "1.2.3.4.5",
+            "1..3.4",
+        ] {
+            assert!(!is_ip_like(not_ipv4), "{not_ipv4}");
+        }
+    }
+
+    #[test]
+    fn signed_octets_are_not_host_shaped() {
+        // `+1` parses as a u8, but a CN of signed labels is neither a
+        // hostname nor an address.
+        let served = vec![weird_cert("+1.+2.+3.+4", b"lp-10")];
+        assert_eq!(
+            classify_leaf_placement("query.sim", &served),
+            LeafPlacement::Other
+        );
     }
 
     #[test]
