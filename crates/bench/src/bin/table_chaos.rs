@@ -11,8 +11,7 @@
 //! pure function of (fault seed, URI, attempt) and latency accrues on
 //! per-build simulated clocks. Timings go to stderr.
 
-use ccc_bench::{parse_domains, scan_corpus, FaultPass, FaultScenario, Pipeline};
-use ccc_core::IssuanceChecker;
+use ccc_bench::{chaos_sweep, parse_domains, FaultScenario, Pipeline};
 use std::process::ExitCode;
 
 /// Default corpus size for the chaos table (each domain costs scenarios ×
@@ -59,20 +58,7 @@ fn main() -> ExitCode {
         }
     };
 
-    eprintln!(
-        "chaos-sweeping {} synthetic domains across {} fault scenario(s)…",
-        args.domains,
-        args.rates.len()
-    );
-    let corpus = scan_corpus(args.domains);
-    let scenarios = FaultScenario::sweep(&corpus, &args.rates, args.fault_seed);
-
-    let checker = IssuanceChecker::new();
-    let (pass, stats) = args
-        .pipeline
-        .run(&corpus, &checker, FaultPass::new(scenarios));
-    let summary = pass.into_summary();
-
+    let (summary, stats) = chaos_sweep(args.pipeline, args.domains, &args.rates, args.fault_seed);
     println!("{}", summary.render_table());
     print!("{}", summary.render_totals());
     // Timings to stderr: stdout stays deterministic for output diffing.

@@ -36,7 +36,8 @@
 //! signature cache runs one `PublicKey::verify` (see DESIGN.md §14).
 
 use ccc_core::{
-    Completeness, DifferentialReport, DiscrepancyCause, IncompleteReason, LeafPlacement,
+    Completeness, DifferentialReport, DiscrepancyCause, IncompleteReason, IssuanceChecker,
+    LeafPlacement,
 };
 use ccc_rootstore::RootProgram;
 use ccc_testgen::{Corpus, CorpusSpec};
@@ -109,6 +110,28 @@ pub fn domains_from_args() -> Result<usize, String> {
 /// Build the standard scan corpus.
 pub fn scan_corpus(domains: usize) -> Corpus {
     Corpus::new(CorpusSpec::calibrated(SCAN_SEED, domains))
+}
+
+/// The I-4 chaos sweep behind `table_chaos` and `chain-chaos chaos`:
+/// build the scan corpus of `domains`, derive one [`FaultScenario`] per
+/// rate with [`FaultScenario::sweep`], and run them all through one
+/// [`FaultPass`] on `pipeline` with a fresh checker. Announces the sweep
+/// on stderr; printing the summary and the stats is the caller's.
+pub fn chaos_sweep(
+    pipeline: Pipeline,
+    domains: usize,
+    rates: &[f64],
+    fault_seed: Option<u64>,
+) -> (ChaosSummary, PipelineStats) {
+    eprintln!(
+        "chaos-sweeping {domains} synthetic domains across {} fault scenario(s)…",
+        rates.len()
+    );
+    let corpus = scan_corpus(domains);
+    let scenarios = FaultScenario::sweep(&corpus, rates, fault_seed);
+    let checker = IssuanceChecker::new();
+    let (pass, stats) = pipeline.run(&corpus, &checker, FaultPass::new(scenarios));
+    (pass.into_summary(), stats)
 }
 
 /// Per-(store, AIA) completeness tallies for Table 8.

@@ -411,10 +411,10 @@ fn cmd_lint(args: &Args) -> Result<ExitCode, String> {
 /// (fault scenario × client profile) pair and print the I-4 availability
 /// table. Output is byte-identical for any `CCC_THREADS` worker count.
 fn cmd_chaos(args: &Args) -> Result<(), String> {
-    use chain_chaos::bench::{scan_corpus, FaultPass, FaultScenario, Pipeline};
+    use chain_chaos::bench::{chaos_sweep, parse_domains, FaultScenario, Pipeline};
 
-    let domains: usize = match args.opt("domains") {
-        Some(v) => v.parse().map_err(|_| format!("bad --domains '{v}'"))?,
+    let domains = match args.opt("domains") {
+        Some(v) => parse_domains(v)?,
         None => 1_000,
     };
     let fault_seed: Option<u64> = match args.opt("fault-seed") {
@@ -425,18 +425,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         Some(v) => FaultScenario::parse_rates(v)?,
         None => FaultScenario::STANDARD_RATES.to_vec(),
     };
-    let pipeline = Pipeline::from_env()?;
-
-    eprintln!(
-        "chaos-sweeping {domains} synthetic domains across {} fault scenario(s)…",
-        rates.len()
-    );
-    let corpus = scan_corpus(domains);
-    let scenarios = FaultScenario::sweep(&corpus, &rates, fault_seed);
-
-    let checker = IssuanceChecker::new();
-    let (pass, stats) = pipeline.run(&corpus, &checker, FaultPass::new(scenarios));
-    let summary = pass.into_summary();
+    let (summary, stats) = chaos_sweep(Pipeline::from_env()?, domains, &rates, fault_seed);
 
     println!("{}", summary.render_table());
     print!("{}", summary.render_totals());

@@ -295,3 +295,18 @@ fn bad_inputs_produce_clean_errors() {
     assert!(!output.status.success());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn bad_chaos_domain_count_is_rejected() {
+    // The CLI reads `--domains` through the same parser as `table_chaos`:
+    // a count that is not a non-negative integer is an error naming it,
+    // not a sweep of some other size.
+    let output = bin()
+        .args(["chaos", "--domains", "5k"])
+        .output()
+        .expect("run");
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "exit {:?}: {err}", output.status);
+    assert!(err.contains("'5k'"), "{err}");
+    assert!(output.stdout.is_empty());
+}
