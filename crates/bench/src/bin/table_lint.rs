@@ -92,14 +92,14 @@ fn main() -> ExitCode {
     );
     for severity in Severity::ALL {
         for rule in registry().iter().filter(|r| r.severity() == severity) {
-            let hits = s.rule_hits.get(rule.id()).copied().unwrap_or(0);
-            let chains = s.chains_by_rule.get(rule.id()).copied().unwrap_or(0);
+            let hits = s.rule_hits.get(rule.id).copied().unwrap_or(0);
+            let chains = s.chains_by_rule.get(rule.id).copied().unwrap_or(0);
             table.row(&[
-                format!("{} {}", severity.label(), rule.id()),
-                rule.scope().label().to_string(),
+                format!("{} {}", severity.label(), rule.id),
+                rule.scope.label().to_string(),
                 group_thousands(hits),
                 count_pct(chains, s.total),
-                rule.citation().to_string(),
+                rule.citation.to_string(),
             ]);
         }
     }

@@ -1,6 +1,7 @@
 //! Diagnostic primitives: severity ladder, findings, and the per-chain
 //! evaluation context handed to every rule.
 
+use crate::rules::Rule;
 use ccc_asn1::{Parser, Tag, Time};
 use ccc_core::{ComplianceReport, IssuanceChecker, TopologyGraph};
 use ccc_x509::Certificate;
@@ -175,41 +176,32 @@ impl<'a> ChainContext<'a> {
     }
 
     /// Chain-level finding (no specific certificate).
-    pub fn finding(
-        &self,
-        rule: &dyn crate::rules::LintRule,
-        message: impl Into<String>,
-    ) -> Finding {
+    pub fn finding(&self, rule: &Rule, message: impl Into<String>) -> Finding {
         Finding {
-            rule_id: rule.id(),
+            rule_id: rule.id,
             severity: rule.severity(),
             domain: self.domain.to_string(),
             message: message.into(),
             cert_index: None,
             byte_offset: None,
             byte_length: None,
-            fingerprint: Finding::fingerprint_for(rule.id(), self.domain, "chain"),
+            fingerprint: Finding::fingerprint_for(rule.id, self.domain, "chain"),
         }
     }
 
     /// Finding attributed to `served[index]`, with byte-range provenance
     /// covering that certificate in the concatenated DER stream.
-    pub fn finding_at(
-        &self,
-        rule: &dyn crate::rules::LintRule,
-        index: usize,
-        message: impl Into<String>,
-    ) -> Finding {
+    pub fn finding_at(&self, rule: &Rule, index: usize, message: impl Into<String>) -> Finding {
         let site = format!("cert:{index}:{}", self.served[index].fingerprint());
         Finding {
-            rule_id: rule.id(),
+            rule_id: rule.id,
             severity: rule.severity(),
             domain: self.domain.to_string(),
             message: message.into(),
             cert_index: Some(index),
             byte_offset: Some(self.der_offsets[index]),
             byte_length: Some(self.der_offsets[index + 1] - self.der_offsets[index]),
-            fingerprint: Finding::fingerprint_for(rule.id(), self.domain, &site),
+            fingerprint: Finding::fingerprint_for(rule.id, self.domain, &site),
         }
     }
 
@@ -219,7 +211,7 @@ impl<'a> ChainContext<'a> {
     /// fallback is the whole certificate).
     pub fn finding_at_validity(
         &self,
-        rule: &dyn crate::rules::LintRule,
+        rule: &Rule,
         index: usize,
         message: impl Into<String>,
     ) -> Finding {

@@ -121,7 +121,7 @@ impl<'a> LintEngine<'a> {
         let ctx = ChainContext::new(domain, served, graph, report, self.now, self.checker);
         let mut findings = Vec::new();
         for rule in registry() {
-            rule.check(&ctx, &mut findings);
+            (rule.check)(rule, &ctx, &mut findings);
         }
         findings
     }
@@ -297,7 +297,7 @@ mod tests {
             let rule = rule_by_id(rule_for_noncompliance(nc))
                 .unwrap_or_else(|| panic!("{nc:?} maps to unregistered rule"));
             assert_eq!(rule.severity(), Severity::Error, "{nc:?}");
-            assert_eq!(rule.scope(), RuleScope::Chain, "{nc:?}");
+            assert_eq!(rule.scope, RuleScope::Chain, "{nc:?}");
         }
     }
 

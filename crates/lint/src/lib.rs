@@ -7,10 +7,11 @@
 //! does this deployment violate, where, and how severely. The shape is
 //! deliberately that of a static-analysis engine:
 //!
-//! - a [`LintRule`] trait plus a plain static [`registry`] (no inventory
-//!   magic — one slice of `&'static dyn LintRule`) with **stable rule
-//!   IDs** (`e_chain_reversed_order`, `w_root_included`, …), severities,
-//!   and RFC/CABF citations;
+//! - a plain static [`registry`] (no inventory magic, no trait — one
+//!   slice of [`Rule`] records, each an ID, a scope, a description, an
+//!   RFC/CABF citation and a check function) with **stable rule IDs**
+//!   (`e_chain_reversed_order`, `w_root_included`, …) whose prefix is the
+//!   severity;
 //! - a [`LintEngine`] that evaluates the registry against one served
 //!   chain, reusing the shared [`IssuanceChecker`](ccc_core::IssuanceChecker)
 //!   so signature-dependent rules never re-verify a (issuer, subject)
@@ -37,4 +38,4 @@ pub mod rules;
 pub use baseline::Baseline;
 pub use diag::{ChainContext, Finding, Severity};
 pub use engine::{rule_for_noncompliance, LintEngine, LintSummary};
-pub use rules::{registry, rule_by_id, LintRule, RuleScope};
+pub use rules::{registry, rule_by_id, Rule, RuleScope};

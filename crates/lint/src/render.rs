@@ -88,16 +88,16 @@ pub fn render_sarif(findings: &[Finding]) -> String {
         let _ = writeln!(
             out,
             "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}, \"defaultConfiguration\": {{\"level\": \"{}\"}}, \"properties\": {{\"citation\": \"{}\", \"scope\": \"{}\"}}}}{comma}",
-            escape(rule.id()),
-            escape(rule.description()),
+            escape(rule.id),
+            escape(rule.description),
             rule.severity().sarif_level(),
-            escape(rule.citation()),
-            rule.scope().label()
+            escape(rule.citation),
+            rule.scope.label()
         );
     }
     out.push_str("          ]\n        }\n      },\n      \"results\": [\n");
     for (i, f) in findings.iter().enumerate() {
-        let rule_index = rules.iter().position(|r| r.id() == f.rule_id).unwrap_or(0);
+        let rule_index = rules.iter().position(|r| r.id == f.rule_id).unwrap_or(0);
         let comma = if i + 1 < findings.len() { "," } else { "" };
         let mut location = format!(
             "{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"chain://{}\"}}",

@@ -118,7 +118,7 @@ fn sarif_output_validates_structurally() {
         .expect("rules[]");
     assert_eq!(rules.len(), registry().len());
     for (rule_meta, rule) in rules.iter().zip(registry()) {
-        assert_eq!(rule_meta.get("id").and_then(Value::as_str), Some(rule.id()));
+        assert_eq!(rule_meta.get("id").and_then(Value::as_str), Some(rule.id));
         assert!(rule_meta
             .get("shortDescription")
             .and_then(|d| d.get("text"))
