@@ -237,7 +237,7 @@ impl<'a> CompletenessAnalyzer<'a> {
 
     fn skid_match(&self, terminal: &Certificate) -> bool {
         match terminal.akid_key_id() {
-            Some(akid) => self.store.has_skid(akid),
+            Some(akid) => self.store.find_by_skid(akid).next().is_some(),
             None => false,
         }
     }

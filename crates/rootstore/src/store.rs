@@ -78,29 +78,21 @@ impl RootStore {
         self.by_fingerprint.contains(&cert.fingerprint())
     }
 
-    /// True when at least one root's SKID equals `key_id`.
-    ///
-    /// Allocation-free membership variant of [`RootStore::find_by_skid`]
-    /// for hot paths that only need the yes/no answer; index entries are
-    /// never empty, so key presence is the whole test.
-    pub fn has_skid(&self, key_id: &[u8]) -> bool {
-        self.by_skid.contains_key(key_id)
+    /// Roots whose SKID equals `key_id`, in insertion order, borrowed
+    /// from the index (nothing is allocated).
+    pub fn find_by_skid(&self, key_id: &[u8]) -> impl Iterator<Item = &Certificate> + '_ {
+        let idxs = self.by_skid.get(key_id).map_or(&[][..], Vec::as_slice);
+        idxs.iter().map(|&i| &self.roots[i])
     }
 
-    /// Roots whose SKID equals `key_id`.
-    pub fn find_by_skid(&self, key_id: &[u8]) -> Vec<&Certificate> {
-        self.by_skid
-            .get(key_id)
-            .map(|idxs| idxs.iter().map(|&i| &self.roots[i]).collect())
-            .unwrap_or_default()
-    }
-
-    /// Roots whose subject DN equals `subject`.
-    pub fn find_by_subject(&self, subject: &DistinguishedName) -> Vec<&Certificate> {
-        self.by_subject
-            .get(subject)
-            .map(|idxs| idxs.iter().map(|&i| &self.roots[i]).collect())
-            .unwrap_or_default()
+    /// Roots whose subject DN equals `subject`, in insertion order,
+    /// borrowed from the index (nothing is allocated).
+    pub fn find_by_subject(
+        &self,
+        subject: &DistinguishedName,
+    ) -> impl Iterator<Item = &Certificate> + '_ {
+        let idxs = self.by_subject.get(subject).map_or(&[][..], Vec::as_slice);
+        idxs.iter().map(|&i| &self.roots[i])
     }
 
     /// Union of this store and another (left name wins unless given).
@@ -138,10 +130,12 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert!(store.contains(&r1));
         assert!(!store.contains(&r3));
-        assert_eq!(store.find_by_skid(r1.skid().unwrap()), vec![&r1]);
-        assert!(store.find_by_skid(r3.skid().unwrap()).is_empty());
-        assert_eq!(store.find_by_subject(r2.subject()), vec![&r2]);
-        assert!(store.find_by_subject(r3.subject()).is_empty());
+        let found: Vec<&Certificate> = store.find_by_skid(r1.skid().unwrap()).collect();
+        assert_eq!(found, vec![&r1]);
+        assert!(store.find_by_skid(r3.skid().unwrap()).next().is_none());
+        let found: Vec<&Certificate> = store.find_by_subject(r2.subject()).collect();
+        assert_eq!(found, vec![&r2]);
+        assert!(store.find_by_subject(r3.subject()).next().is_none());
     }
 
     #[test]
