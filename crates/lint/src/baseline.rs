@@ -11,7 +11,7 @@ use crate::json::{self, Value};
 use std::collections::BTreeSet;
 
 /// Current on-disk format version.
-const VERSION: u64 = 1;
+const VERSION: f64 = 1.0;
 
 /// A set of suppressed `(rule-id, fingerprint)` pairs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -45,7 +45,7 @@ impl Baseline {
             .get("version")
             .and_then(Value::as_f64)
             .ok_or("baseline: missing 'version'")?;
-        if version as u64 != VERSION {
+        if version != VERSION {
             return Err(format!("baseline: unsupported version {version}"));
         }
         let items = doc
@@ -159,6 +159,22 @@ mod tests {
         assert!(baseline.is_empty());
         let reparsed = Baseline::parse(&baseline.to_json()).unwrap();
         assert!(reparsed.is_empty());
+    }
+
+    #[test]
+    fn version_must_be_exactly_one() {
+        for version in ["1.5", "1.9999", "2", "0"] {
+            let text = format!(r#"{{"version":{version},"suppressions":[]}}"#);
+            assert_eq!(
+                Baseline::parse(&text),
+                Err(format!("baseline: unsupported version {version}")),
+                "{text}"
+            );
+        }
+        for version in ["1", "1.0"] {
+            let text = format!(r#"{{"version":{version},"suppressions":[]}}"#);
+            assert_eq!(Baseline::parse(&text), Ok(Baseline::empty()), "{text}");
+        }
     }
 
     #[test]
