@@ -22,6 +22,9 @@
 //! `lint` exits non-zero iff Error-severity findings remain after baseline
 //! suppression, so it drops into CI pipelines directly.
 //!
+//! An option the subcommand does not read, or one given twice, is an
+//! error naming it, raised before any work runs.
+//!
 //! Every subcommand additionally accepts `--metrics <path>`: after the
 //! command finishes, the process-global `ccc-obs` registry is dumped to
 //! `<path>` — Prometheus text exposition by default, the no-serde JSON
@@ -75,6 +78,38 @@ impl Args {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// Reject, by name, an option `command` does not read (every command
+    /// also takes `--metrics`) or one given twice. An unknown command
+    /// passes, so that it gets the usage text.
+    fn check_options(&self, command: &str) -> Result<(), String> {
+        let reads: &[&str] = match command {
+            "demo-pki" => &["out"],
+            "analyze" => &["domain", "store"],
+            "build" => &["store", "client", "domain", "time"],
+            "matrix" => &["store", "domain", "time"],
+            "lint" => &[
+                "domain",
+                "store",
+                "format",
+                "time",
+                "baseline",
+                "write-baseline",
+            ],
+            "chaos" => &["domains", "fault-seed", "rates"],
+            "metrics" => &[],
+            _ => return Ok(()),
+        };
+        for (i, (name, _)) in self.options.iter().enumerate() {
+            if name != "metrics" && !reads.contains(&name.as_str()) {
+                return Err(format!("{command} does not take --{name}"));
+            }
+            if self.options[..i].iter().any(|(earlier, _)| earlier == name) {
+                return Err(format!("option --{name} given twice"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -470,6 +505,10 @@ fn main() -> ExitCode {
         }
     };
     let command = args.positional.first().map(String::as_str).unwrap_or("");
+    if let Err(e) = args.check_options(command) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let _span = match command {
         "demo-pki" => Some(chain_chaos::obs::span!("cmd.demo-pki")),
         "analyze" => Some(chain_chaos::obs::span!("cmd.analyze")),

@@ -310,3 +310,46 @@ fn bad_chaos_domain_count_is_rejected() {
     assert!(err.contains("'5k'"), "{err}");
     assert!(output.stdout.is_empty());
 }
+
+#[test]
+fn options_a_command_does_not_read_are_rejected() {
+    // Each case is refused before any work runs: nothing on stdout, and
+    // the lint case's chain file need not exist.
+    for (args, named) in [
+        (&["chaos", "--domain", "300"][..], "--domain"),
+        (&["lint", "missing.pem", "--fromat", "json"][..], "--fromat"),
+        (
+            &["analyze", "missing.pem", "--time", "2024-01-01"][..],
+            "--time",
+        ),
+        (
+            &["chaos", "--domains", "10", "--domains", "20"][..],
+            "--domains",
+        ),
+        (
+            &["chaos", "--metrics", "-", "--metrics", "-"][..],
+            "--metrics",
+        ),
+    ] {
+        let output = bin().args(args).output().expect("run");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            !output.status.success(),
+            "{args:?} exited {:?}",
+            output.status
+        );
+        assert!(err.contains(named), "{args:?}: {err}");
+        assert!(!err.contains("cannot read"), "{args:?} did work: {err}");
+        assert!(output.stdout.is_empty(), "{args:?} printed to stdout");
+    }
+    // `--metrics` is accepted by every command.
+    let output = bin()
+        .args(["chaos", "--domains", "0", "--metrics", "-"])
+        .output()
+        .expect("run");
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+}
