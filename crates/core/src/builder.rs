@@ -613,10 +613,7 @@ impl ChainEngine {
             }
         }
         let leaf = served[0].clone();
-        if !p.allow_self_signed_leaf
-            && leaf.is_self_issued()
-            && ctx.checker.signature_verifies(&leaf, &leaf)
-        {
+        if !p.allow_self_signed_leaf && ctx.checker.self_signed(&leaf) {
             return (vec![leaf], Err(ClientError::SelfSignedLeaf), false);
         }
 
@@ -731,7 +728,7 @@ impl Search<'_, '_, '_> {
         if self.ctx.store.contains(&current) {
             return self.finish(path);
         }
-        if current.is_self_issued() && self.ctx.checker.signature_verifies(&current, &current) {
+        if self.ctx.checker.self_signed(&current) {
             // Untrusted self-signed terminal: dead end.
             self.note_error(ClientError::UntrustedRoot);
             return None;

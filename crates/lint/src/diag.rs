@@ -168,13 +168,6 @@ impl<'a> ChainContext<'a> {
         }
     }
 
-    /// Cache-routed equivalent of [`Certificate::is_self_signed`]: same
-    /// predicate, but the Schnorr verification is memoized on the shared
-    /// checker under the `(cert, cert)` pair key.
-    pub fn is_self_signed(&self, cert: &Certificate) -> bool {
-        cert.is_self_issued() && self.checker.signature_verifies(cert, cert)
-    }
-
     /// Chain-level finding (no specific certificate).
     pub fn finding(&self, rule: &Rule, message: impl Into<String>) -> Finding {
         Finding {
