@@ -3,7 +3,7 @@
 //!
 //! `cargo run --release --bin figure2`
 
-use ccc_core::{analyze_order, IssuanceChecker, TopologyGraph};
+use ccc_core::{analyze_order_with_graph, IssuanceChecker, TopologyGraph};
 use ccc_testgen::scenarios::ScenarioSet;
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
         set.figure2d(),
     ] {
         let graph = TopologyGraph::build(&scenario.served, &checker);
-        let order = analyze_order(&scenario.served, &checker);
+        let order = analyze_order_with_graph(&graph);
         println!("{} — {}", scenario.name, scenario.description);
         println!("  served ({} certs):", scenario.served.len());
         for (i, cert) in scenario.served.iter().enumerate() {

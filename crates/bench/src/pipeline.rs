@@ -48,7 +48,7 @@ use ccc_core::{
 };
 use ccc_lint::{LintEngine, LintSummary};
 use ccc_netsim::{AiaTransport, FaultPlan, FaultyTransport};
-use ccc_rootstore::RootProgram;
+use ccc_rootstore::{RootProgram, RootPrograms};
 use ccc_testgen::corpus::scan_time;
 use ccc_testgen::{Corpus, DomainObservation};
 use std::cell::OnceCell;
@@ -445,18 +445,14 @@ fn run_chunk<'c, P: AnalysisPass<'c>>(
 // Pass implementations for the three corpus analyses.
 // ---------------------------------------------------------------------
 
-/// Worker-local analyzer set for the structural-compliance pass (built in
-/// `begin`, absent on the root accumulator).
+/// Worker-local state for the structural-compliance pass (built in
+/// `begin`, absent on the root accumulator): one analyzer (unified store,
+/// with AIA) answers Table 7 and, store by store, Table 8.
 #[derive(Debug)]
 struct ComplianceState<'c> {
     checker: &'c IssuanceChecker,
     analyzer: CompletenessAnalyzer<'c>,
-    no_aia_analyzer: CompletenessAnalyzer<'c>,
-    program_analyzers: Vec<(
-        RootProgram,
-        CompletenessAnalyzer<'c>,
-        CompletenessAnalyzer<'c>,
-    )>,
+    programs: &'c RootPrograms,
 }
 
 /// [`AnalysisPass`] computing [`CorpusSummary`] (Tables 3, 5, 7, 8, 10,
@@ -490,28 +486,11 @@ impl<'c> AnalysisPass<'c> for CompliancePass<'c> {
         let checker = ctx.checker;
         let analyzer =
             CompletenessAnalyzer::new(checker, corpus.programs.unified(), Some(&corpus.aia));
-        let no_aia_analyzer = CompletenessAnalyzer::new(checker, corpus.programs.unified(), None);
-        let program_analyzers: Vec<(RootProgram, CompletenessAnalyzer, CompletenessAnalyzer)> =
-            RootProgram::ALL
-                .iter()
-                .map(|&p| {
-                    (
-                        p,
-                        CompletenessAnalyzer::new(
-                            checker,
-                            corpus.programs.store(p),
-                            Some(&corpus.aia),
-                        ),
-                        CompletenessAnalyzer::new(checker, corpus.programs.store(p), None),
-                    )
-                })
-                .collect();
         CompliancePass {
             state: Some(ComplianceState {
                 checker,
                 analyzer,
-                no_aia_analyzer,
-                program_analyzers,
+                programs: &corpus.programs,
             }),
             summary: CorpusSummary::default(),
         }
@@ -583,20 +562,23 @@ impl<'c> AnalysisPass<'c> for CompliancePass<'c> {
             s.root_via_aia += 1;
         }
 
-        // Table 8 passes.
+        // Table 8: the same anchoring against each store, with and
+        // without AIA.
         let graph = memo.graph(obs, st.checker);
-        if !st.analyzer.client_complete(graph) {
+        let unified = st.programs.unified();
+        if !st.analyzer.client_complete(graph, unified, true) {
             s.unified_incomplete_with_aia += 1;
         }
-        if !st.no_aia_analyzer.client_complete(graph) {
+        if !st.analyzer.client_complete(graph, unified, false) {
             s.unified_incomplete_without_aia += 1;
         }
-        for (program, with_aia, without_aia) in &st.program_analyzers {
-            let entry = s.store_completeness.entry(*program).or_default();
-            if !with_aia.client_complete(graph) {
+        for program in RootProgram::ALL {
+            let store = st.programs.store(program);
+            let entry = s.store_completeness.entry(program).or_default();
+            if !st.analyzer.client_complete(graph, store, true) {
                 entry.incomplete_with_aia += 1;
             }
-            if !without_aia.client_complete(graph) {
+            if !st.analyzer.client_complete(graph, store, false) {
                 entry.incomplete_without_aia += 1;
             }
         }

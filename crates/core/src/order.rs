@@ -96,9 +96,8 @@ pub fn analyze_order_with_graph(graph: &TopologyGraph) -> OrderAnalysis {
     }
 
     let irrelevant = graph.irrelevant_nodes().len();
-    let paths = graph.leaf_paths(64);
-    let reversed: Vec<bool> = paths.iter().map(|p| graph.path_is_reversed(p)).collect();
-    let reversed_count = reversed.iter().filter(|&&r| r).count();
+    let paths = &graph.paths;
+    let reversed_count = paths.iter().filter(|p| graph.path_is_reversed(p)).count();
 
     // Strict adjacency: with one path and no noise, positions must be the
     // exact prefix 0,1,2,…; the root MAY be omitted so the path may stop

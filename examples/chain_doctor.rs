@@ -7,8 +7,8 @@
 use chain_chaos::core::clients::client_profiles;
 use chain_chaos::core::report::TextTable;
 use chain_chaos::core::{
-    analyze_compliance, BuildContext, CompletenessAnalyzer, IssuanceChecker, NonCompliance,
-    TopologyGraph,
+    analyze_compliance_with_graph, BuildContext, CompletenessAnalyzer, IssuanceChecker,
+    NonCompliance, TopologyGraph,
 };
 use chain_chaos::testgen::scenarios::{Scenario, ScenarioSet};
 
@@ -60,7 +60,8 @@ fn diagnose(set: &ScenarioSet, scenario: &Scenario) {
     println!("topology: {}", graph.describe());
 
     let analyzer = CompletenessAnalyzer::new(&checker, &set.store, Some(&set.aia));
-    let report = analyze_compliance(&scenario.domain, &scenario.served, &checker, &analyzer);
+    let report =
+        analyze_compliance_with_graph(&scenario.domain, &scenario.served, &graph, &analyzer);
     if report.findings.is_empty() {
         println!("findings: none (compliant)");
     } else {

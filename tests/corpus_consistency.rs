@@ -67,9 +67,8 @@ fn compliant_observations_accepted_by_every_client() {
 fn akid_absent_chains_need_aia_for_completeness() {
     let corpus = corpus(600);
     let checker = IssuanceChecker::new();
-    let with_aia =
-        CompletenessAnalyzer::new(&checker, corpus.programs.unified(), Some(&corpus.aia));
-    let without_aia = CompletenessAnalyzer::new(&checker, corpus.programs.unified(), None);
+    let unified = corpus.programs.unified();
+    let analyzer = CompletenessAnalyzer::new(&checker, unified, Some(&corpus.aia));
     let mut checked = 0;
     corpus.for_each(|obs| {
         if !obs.terminal_akid_absent || obs.planned != PlannedDefect::None {
@@ -86,9 +85,13 @@ fn akid_absent_chains_need_aia_for_completeness() {
             return;
         }
         let graph = TopologyGraph::build(&obs.served, &checker);
-        assert!(with_aia.client_complete(&graph), "{} with AIA", obs.domain);
         assert!(
-            !without_aia.client_complete(&graph),
+            analyzer.client_complete(&graph, unified, true),
+            "{} with AIA",
+            obs.domain
+        );
+        assert!(
+            !analyzer.client_complete(&graph, unified, false),
             "{} without AIA should be unanchorable",
             obs.domain
         );
@@ -161,21 +164,24 @@ fn regional_chains_are_store_sensitive() {
         }
         seen += 1;
         let graph = TopologyGraph::build(&obs.served, &checker);
-        let unified =
-            CompletenessAnalyzer::new(&checker, corpus.programs.unified(), Some(&corpus.aia));
-        let mozilla = CompletenessAnalyzer::new(
-            &checker,
-            corpus.programs.store(RootProgram::Mozilla),
-            Some(&corpus.aia),
+        let unified = corpus.programs.unified();
+        let analyzer = CompletenessAnalyzer::new(&checker, unified, Some(&corpus.aia));
+        let store = |p| corpus.programs.store(p);
+        assert!(
+            analyzer.client_complete(&graph, unified, true),
+            "{}",
+            obs.domain
         );
-        let microsoft = CompletenessAnalyzer::new(
-            &checker,
-            corpus.programs.store(RootProgram::Microsoft),
-            Some(&corpus.aia),
+        assert!(
+            !analyzer.client_complete(&graph, store(RootProgram::Mozilla), true),
+            "{}",
+            obs.domain
         );
-        assert!(unified.client_complete(&graph), "{}", obs.domain);
-        assert!(!mozilla.client_complete(&graph), "{}", obs.domain);
-        assert!(microsoft.client_complete(&graph), "{}", obs.domain);
+        assert!(
+            analyzer.client_complete(&graph, store(RootProgram::Microsoft), true),
+            "{}",
+            obs.domain
+        );
     });
     assert!(seen >= 5, "regional population missing: {seen}");
 }
