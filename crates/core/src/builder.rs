@@ -1252,17 +1252,57 @@ mod tests {
         assert_eq!(outcome.path.len(), 3);
     }
 
+    /// A leaf under `layers` layers of twin intermediates (same subject
+    /// and key, notBefore a day apart) and a served self-signed root that
+    /// no store holds: every layer doubles the issuer choices, and every
+    /// path dead-ends at the untrusted root.
+    fn twin_layers(layers: usize) -> Vec<Certificate> {
+        let g = Group::simulation_256();
+        let root_kp = KeyPair::from_seed(g, b"cap-root");
+        let root_dn = DistinguishedName::cn("Cap Root");
+        let root = CertificateBuilder::ca_profile(root_dn.clone()).self_signed(&root_kp);
+        let (mut issuer_dn, mut issuer_kp) = (root_dn, root_kp);
+        let mut intermediates = Vec::new();
+        for layer in 1..=layers {
+            let kp = KeyPair::from_seed(g, format!("cap-{layer}").as_bytes());
+            let dn = DistinguishedName::cn(format!("Cap Layer {layer}"));
+            for day in [1, 2] {
+                let not_before = Time::from_ymd(2023, 1, day).unwrap();
+                let not_after = Time::from_ymd(2033, 1, 1).unwrap();
+                intermediates.push(
+                    CertificateBuilder::ca_profile(dn.clone())
+                        .validity(not_before, not_after)
+                        .issued_by(&kp.public, issuer_dn.clone(), &issuer_kp),
+                );
+            }
+            (issuer_dn, issuer_kp) = (dn, kp);
+        }
+        let leaf_kp = KeyPair::from_seed(g, b"cap-leaf");
+        let leaf = CertificateBuilder::leaf_profile("cap.sim").issued_by(
+            &leaf_kp.public,
+            issuer_dn,
+            &issuer_kp,
+        );
+        let mut served = vec![leaf];
+        served.extend(intermediates.into_iter().rev());
+        served.push(root);
+        served
+    }
+
+    /// Eleven twin layers give 2^11 dead-end paths, which take 6,142
+    /// candidate expansions to exhaust. Under the default cap of 4,096 the
+    /// search stops a few expansions past it (each frame still open counts
+    /// its remaining siblings, which return at once) with the first error
+    /// it met. Chrome's policy is the full-capability one.
     #[test]
     fn expansion_cap_terminates_pathological_search() {
         let p = pki();
         let checker = IssuanceChecker::new();
-        let mut policy = BuilderPolicy::full_capability("t");
-        policy.max_candidate_expansions = 1;
-        let engine = ChainEngine::new(policy);
-        let served = vec![p.leaf.clone(), p.int.clone()];
-        let outcome = engine.process(&served, &ctx(&p, &checker));
-        // One expansion is not enough to finish leaf -> int -> root.
-        assert!(!outcome.accepted());
+        let engine = ClientKind::Chrome.engine();
+        let outcome = engine.process(&twin_layers(11), &ctx(&p, &checker));
+        assert_eq!(outcome.verdict, Err(ClientError::UntrustedRoot));
+        let considered = outcome.stats.candidates_considered;
+        assert!((4096..4120).contains(&considered), "{considered}");
     }
 
     #[test]

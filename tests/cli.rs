@@ -38,6 +38,63 @@ leaf placement for demo.example: Correctly Placed and Matched
 completeness (against 1 trusted roots): Complete Chain w/ Root
 ";
 
+/// Stdout of `chain-chaos matrix reversed-chain.pem --store root.pem --domain
+/// demo.example`, run inside the demo directory: every client accepts (the
+/// forward scan reaches the root through the store), and the shared
+/// checker verifies four pairs for all eight.
+const MATRIX_REVERSED: &str = "\
+== Client verdicts ==
+Client          Verdict   Constructed path
+-------------------------------------------------------------------------
+OpenSSL         accepted  demo.example <- Demo Issuing CA <- Demo Root CA
+GnuTLS          accepted  demo.example <- Demo Issuing CA <- Demo Root CA
+MbedTLS         accepted  demo.example <- Demo Issuing CA <- Demo Root CA
+CryptoAPI       accepted  demo.example <- Demo Issuing CA <- Demo Root CA
+Chrome          accepted  demo.example <- Demo Issuing CA <- Demo Root CA
+Microsoft Edge  accepted  demo.example <- Demo Issuing CA <- Demo Root CA
+Safari          accepted  demo.example <- Demo Issuing CA <- Demo Root CA
+Firefox         accepted  demo.example <- Demo Issuing CA <- Demo Root CA
+
+signature cache: 28 lookups, 24 hits (85.7%), 4 verified, 24 verifications saved
+";
+
+/// Stdout of `chain-chaos matrix lonely-leaf.pem --store root.pem`: the
+/// intermediate is neither served, cached nor fetchable, so every client
+/// stops at the leaf without asking the checker anything.
+const MATRIX_LONELY_LEAF: &str = "\
+== Client verdicts ==
+Client          Verdict                                     Constructed path
+----------------------------------------------------------------------------
+OpenSSL         REJECTED: no issuer found (unknown issuer)  demo.example
+GnuTLS          REJECTED: no issuer found (unknown issuer)  demo.example
+MbedTLS         REJECTED: no issuer found (unknown issuer)  demo.example
+CryptoAPI       REJECTED: no issuer found (unknown issuer)  demo.example
+Chrome          REJECTED: no issuer found (unknown issuer)  demo.example
+Microsoft Edge  REJECTED: no issuer found (unknown issuer)  demo.example
+Safari          REJECTED: no issuer found (unknown issuer)  demo.example
+Firefox         REJECTED: no issuer found (unknown issuer)  demo.example
+
+signature cache: 0 lookups, 0 hits (0.0%), 0 verified, 0 verifications saved
+";
+
+/// Stdout of `chain-chaos matrix fullchain.pem --store root.pem --domain
+/// other.example`: every client builds the chain, then rejects the name.
+const MATRIX_OTHER_DOMAIN: &str = "\
+== Client verdicts ==
+Client          Verdict                      Constructed path
+--------------------------------------------------------------------------------------------
+OpenSSL         REJECTED: hostname mismatch  demo.example <- Demo Issuing CA <- Demo Root CA
+GnuTLS          REJECTED: hostname mismatch  demo.example <- Demo Issuing CA <- Demo Root CA
+MbedTLS         REJECTED: hostname mismatch  demo.example <- Demo Issuing CA <- Demo Root CA
+CryptoAPI       REJECTED: hostname mismatch  demo.example <- Demo Issuing CA <- Demo Root CA
+Chrome          REJECTED: hostname mismatch  demo.example <- Demo Issuing CA <- Demo Root CA
+Microsoft Edge  REJECTED: hostname mismatch  demo.example <- Demo Issuing CA <- Demo Root CA
+Safari          REJECTED: hostname mismatch  demo.example <- Demo Issuing CA <- Demo Root CA
+Firefox         REJECTED: hostname mismatch  demo.example <- Demo Issuing CA <- Demo Root CA
+
+signature cache: 27 lookups, 24 hits (88.9%), 3 verified, 24 verifications saved
+";
+
 #[test]
 fn no_args_prints_usage_and_fails() {
     let output = bin().output().expect("run");
@@ -112,38 +169,33 @@ fn demo_pki_analyze_and_matrix_roundtrip() {
         .expect("run");
     assert!(output.status.success());
     assert_eq!(String::from_utf8_lossy(&output.stdout), ANALYZE_REVERSED);
-    let reversed = dir.join("reversed-chain.pem");
-    let root = dir.join("root.pem");
-
-    // Matrix: all eight clients appear, and stdout is the same on every
-    // run (the wall-clock phase split goes to stderr).
-    let matrix = || {
+    // Matrix: the whole stdout of each case, the same on every run (the
+    // wall-clock phase split goes to stderr).
+    for (args, expected) in [
+        (
+            &["reversed-chain.pem", "--domain", "demo.example"][..],
+            MATRIX_REVERSED,
+        ),
+        (&["lonely-leaf.pem"], MATRIX_LONELY_LEAF),
+        (
+            &["fullchain.pem", "--domain", "other.example"],
+            MATRIX_OTHER_DOMAIN,
+        ),
+    ] {
         let output = bin()
-            .args([
-                "matrix",
-                reversed.to_str().unwrap(),
-                "--store",
-                root.to_str().unwrap(),
-            ])
+            .current_dir(&dir)
+            .arg("matrix")
+            .args(args)
+            .args(["--store", "root.pem"])
             .output()
             .expect("run");
-        assert!(output.status.success());
-        output.stdout
-    };
-    let first = matrix();
-    let text = String::from_utf8_lossy(&first);
-    for client in [
-        "OpenSSL",
-        "GnuTLS",
-        "MbedTLS",
-        "CryptoAPI",
-        "Chrome",
-        "Safari",
-        "Firefox",
-    ] {
-        assert!(text.contains(client), "missing {client}: {text}");
+        assert!(output.status.success(), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&output.stdout),
+            expected,
+            "{args:?}"
+        );
     }
-    assert_eq!(first, matrix(), "matrix stdout differs between two runs");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
