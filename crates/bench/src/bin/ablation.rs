@@ -18,7 +18,7 @@ use ccc_testgen::DomainObservation;
 use ccc_x509::Certificate;
 
 fn variants() -> Vec<(&'static str, BuilderPolicy)> {
-    let full = BuilderPolicy::full_capability("full");
+    let full = BuilderPolicy::full_capability();
     vec![
         ("full capability", full.clone()),
         (
@@ -39,7 +39,6 @@ fn variants() -> Vec<(&'static str, BuilderPolicy)> {
             "no reordering (forward scan)",
             BuilderPolicy {
                 scope: SearchScope::ForwardOnly,
-                partial_validation: true,
                 ..full.clone()
             },
         ),
@@ -82,7 +81,6 @@ fn variants() -> Vec<(&'static str, BuilderPolicy)> {
             BuilderPolicy {
                 aia: false,
                 scope: SearchScope::ForwardOnly,
-                partial_validation: true,
                 ..full.clone()
             },
         ),

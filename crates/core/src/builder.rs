@@ -2,14 +2,14 @@
 //!
 //! One engine, many policies: every client the paper tests is expressed as
 //! a [`BuilderPolicy`] whose knobs correspond to the paper's nine
-//! capability dimensions (Table 2) plus the backtracking and
-//! partial-validation behaviours its §5.2 case studies expose:
+//! capability dimensions (Table 2) plus the backtracking behaviour its
+//! §5.2 case studies expose:
 //!
 //! - **search scope** — `FullList` clients reorder the served list at
 //!   will; `ForwardOnly` models MbedTLS's sequential parent scan, which
-//!   skips irrelevant certificates (redundancy elimination ✓) but cannot
-//!   reach an issuer that appears *before* its subject (order
-//!   reorganization ✗, the paper's I-1);
+//!   validates each candidate as it goes and skips irrelevant certificates
+//!   (redundancy elimination ✓) but cannot reach an issuer that appears
+//!   *before* its subject (order reorganization ✗, the paper's I-1);
 //! - **priority preferences** — KID matching (KP1/KP2), validity (VP1/
 //!   VP2), KeyUsage correctness, BasicConstraints path-length fit;
 //! - **restriction settings** — constructed-path length limits,
@@ -20,13 +20,11 @@
 //!   candidate) rolls back to try an alternative path (I-3).
 
 use crate::topology::IssuanceChecker;
-use crate::validate::validate_path;
+use crate::validate::{ca_fits, signs_certificates, validate_path};
 use ccc_asn1::Time;
 use ccc_netsim::{AiaTransport, FetchOutcome};
 use ccc_rootstore::RootStore;
-use ccc_x509::{
-    Certificate, CertificateFingerprint, FingerprintBuildHasher, FingerprintMap, FingerprintSet,
-};
+use ccc_x509::{Certificate, CertificateFingerprint, FingerprintBuildHasher, FingerprintMap};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -61,7 +59,9 @@ pub enum SearchScope {
     /// policy's priorities.
     FullList,
     /// Consider only certificates at later served positions than the
-    /// current one, in served order (the MbedTLS sequential scan).
+    /// current one, in served order, and skip any that fails the
+    /// in-construction checks: signature, validity, CA bits (the MbedTLS
+    /// sequential scan).
     ForwardOnly,
 }
 
@@ -120,8 +120,6 @@ impl Default for RetryPolicy {
 /// A client chain-construction policy.
 #[derive(Clone, Debug)]
 pub struct BuilderPolicy {
-    /// Display name.
-    pub name: String,
     /// Candidate enumeration mode.
     pub scope: SearchScope,
     /// AIA caIssuers fetching.
@@ -151,11 +149,6 @@ pub struct BuilderPolicy {
     pub allow_self_signed_leaf: bool,
     /// Whether dead ends roll back to alternatives.
     pub backtracking: bool,
-    /// Validate candidates (signature, validity, CA bits) during
-    /// construction and skip failures (the MbedTLS behaviour).
-    pub partial_validation: bool,
-    /// Safety valve on total candidate expansions.
-    pub max_candidate_expansions: usize,
     /// Reaction to transient AIA fetch failures (only relevant when
     /// `aia` is enabled and the transport injects faults).
     pub retry: RetryPolicy,
@@ -164,9 +157,8 @@ pub struct BuilderPolicy {
 impl BuilderPolicy {
     /// A permissive, fully capable baseline policy (useful in tests and as
     /// an ablation starting point).
-    pub fn full_capability(name: impl Into<String>) -> BuilderPolicy {
+    pub fn full_capability() -> BuilderPolicy {
         BuilderPolicy {
-            name: name.into(),
             scope: SearchScope::FullList,
             aia: true,
             use_intermediate_cache: false,
@@ -179,12 +171,13 @@ impl BuilderPolicy {
             max_list_len: None,
             allow_self_signed_leaf: false,
             backtracking: true,
-            partial_validation: false,
-            max_candidate_expansions: 4096,
             retry: RetryPolicy::retrying(3, 200, 30_000),
         }
     }
 }
+
+/// Safety valve on one build's candidate expansions.
+const MAX_CANDIDATE_EXPANSIONS: usize = 4096;
 
 /// Errors a client reports when construction or validation fails — the
 /// shared vocabulary the differential harness compares across clients.
@@ -433,7 +426,7 @@ impl CandidateOrigin {
 
 /// One candidate issuer under consideration.
 #[derive(Clone, Debug)]
-struct Candidate {
+pub(crate) struct Candidate {
     cert: Certificate,
     /// Provenance (drives the last-resort ordering tie-break).
     origin: CandidateOrigin,
@@ -441,66 +434,26 @@ struct Candidate {
     trusted: bool,
 }
 
-/// The policy-independent part of the candidate pool: the deduplicated
-/// served list with trust-store membership resolved.
+/// The policy-independent part of the candidate pool: the served list
+/// deduplicated in served order, with trust-store membership resolved.
 ///
-/// Every build over the same served list and store starts from the *same*
-/// base pool (dedup order and trusted flags depend only on the served list
-/// and the store), so a caller fanning one observation out to many builds —
-/// the differential harness runs eight engines under each of several
-/// transports — builds this once and lends it to every build instead of
-/// re-hashing and re-probing the store per build.
-#[derive(Clone, Debug)]
-pub(crate) struct PoolSeed {
-    pool: Vec<Candidate>,
-    seen: FingerprintSet,
-}
-
-impl PoolSeed {
-    /// Deduplicate the served list and resolve store membership. This is
-    /// the single source of truth for base-pool construction; a standalone
-    /// [`ChainEngine::process`] routes through it too.
-    pub(crate) fn build(served: &[Certificate], ctx: &BuildContext<'_>) -> PoolSeed {
-        let mut pool: Vec<Candidate> = Vec::new();
-        let mut seen = FingerprintSet::default();
-        for (pos, cert) in served.iter().enumerate() {
-            if seen.insert(cert.fingerprint()) {
-                pool.push(Candidate {
-                    trusted: ctx.store.contains(cert),
-                    cert: cert.clone(),
-                    origin: CandidateOrigin::Served { list_pos: pos },
-                });
-            }
-        }
-        PoolSeed { pool, seen }
-    }
-}
-
-/// Pre-resolved intermediate-cache candidates (origin
-/// [`CandidateOrigin::Cache`], trusted flags probed once).
-///
-/// The cache contents and the store don't change between observations, so
-/// a harness can build this once for its lifetime; at use the entries are
-/// still filtered against the per-observation `seen` set.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct CachePool {
-    entries: Vec<Candidate>,
-}
-
-impl CachePool {
-    /// Resolve the cache contents against the store.
-    pub(crate) fn build(cache: &[Certificate], store: &RootStore) -> CachePool {
-        CachePool {
-            entries: cache
-                .iter()
-                .map(|cert| Candidate {
-                    trusted: store.contains(cert),
-                    cert: cert.clone(),
-                    origin: CandidateOrigin::Cache,
-                })
-                .collect(),
+/// It depends only on the served list and the store, so a caller fanning
+/// one observation out to many builds — the differential harness runs
+/// eight engines under each of several transports — builds it once and
+/// lends it to every build. Served lists hold a handful of distinct
+/// certificates, so duplicates are found by scanning.
+pub(crate) fn base_pool(served: &[Certificate], store: &RootStore) -> Vec<Candidate> {
+    let mut pool: Vec<Candidate> = Vec::with_capacity(served.len());
+    for (pos, cert) in served.iter().enumerate() {
+        if !pool.iter().any(|c| c.cert == *cert) {
+            pool.push(Candidate {
+                trusted: store.contains(cert),
+                cert: cert.clone(),
+                origin: CandidateOrigin::Served { list_pos: pos },
+            });
         }
     }
+    pool
 }
 
 /// Per-served-list scratch shared across engines processing the same list
@@ -543,147 +496,110 @@ impl ChainEngine {
     }
 
     /// Process a served certificate list: construct a path and validate it.
-    /// A build session of one: seed, cache pool and scratch serve this
-    /// build alone.
+    /// A build session of one: the base pool and scratch serve this build
+    /// alone.
     pub fn process(&self, served: &[Certificate], ctx: &BuildContext<'_>) -> BuildOutcome {
-        let cache_pool = if self.policy.use_intermediate_cache {
-            CachePool::build(ctx.cache, ctx.store)
-        } else {
-            CachePool::default()
-        };
-        let seed = PoolSeed::build(served, ctx);
-        let (outcome, _) =
-            self.process_with_seed(served, ctx, &seed, &cache_pool, &RunScratch::default());
+        let base = base_pool(served, ctx.store);
+        let (outcome, _) = self.process_shared(served, ctx, &base, &RunScratch::default());
         record_build_metrics(&outcome);
         outcome
     }
 
     /// [`process`](Self::process) with a base pool and scratch shared
     /// across engines and transports. Bit-identical to a standalone build:
-    /// the seed is what [`PoolSeed::build`] returns for `(served, ctx)`
-    /// (it reads only the store), `cache_pool` resolves `ctx.cache`
-    /// against `ctx.store`, and the scratch only memoizes lookups
-    /// determined by certificates, store, clock and checker; the per-build
-    /// work that remains is the policy- and transport-dependent search
-    /// itself.
+    /// `base` is what [`base_pool`] returns for `served` and `ctx.store`,
+    /// and the scratch only memoizes lookups determined by certificates,
+    /// store, clock and checker; the per-build work that remains is the
+    /// cache preload and the policy- and transport-dependent search.
     ///
     /// The flag is true when the search reached the AIA step
     /// (`Search::try_aia`), even with no transport to fetch through. A
     /// build that never reached it read nothing of `ctx.aia`, so its
     /// outcome holds under any transport. The outcome is not recorded in
     /// the builder metrics; the caller records each outcome it hands out.
-    pub(crate) fn process_with_seed(
+    pub(crate) fn process_shared(
         &self,
         served: &[Certificate],
         ctx: &BuildContext<'_>,
-        seed: &PoolSeed,
-        cache_pool: &CachePool,
+        base: &[Candidate],
         scratch: &RunScratch,
     ) -> (BuildOutcome, bool) {
-        let mut stats = BuildStats::default();
-        let (path, verdict, reached_aia) =
-            self.construct(served, ctx, &mut stats, seed, cache_pool, scratch);
-        let outcome = BuildOutcome {
-            path,
-            verdict,
-            stats,
-        };
-        (outcome, reached_aia)
-    }
-
-    /// Construct and validate one path, counting work into `stats`. The
-    /// flag reports whether the search reached the AIA step.
-    fn construct(
-        &self,
-        served: &[Certificate],
-        ctx: &BuildContext<'_>,
-        stats: &mut BuildStats,
-        seed: &PoolSeed,
-        cache_pool: &CachePool,
-        scratch: &RunScratch,
-    ) -> (Vec<Certificate>, Result<(), ClientError>, bool) {
         let p = &self.policy;
-
+        let rejected = |path, error| {
+            let stats = BuildStats::default();
+            (
+                BuildOutcome {
+                    path,
+                    verdict: Err(error),
+                    stats,
+                },
+                false,
+            )
+        };
         if served.is_empty() {
-            return (Vec::new(), Err(ClientError::EmptyList), false);
+            return rejected(Vec::new(), ClientError::EmptyList);
         }
-        if let Some(limit) = p.max_list_len {
-            if served.len() > limit {
-                return (Vec::new(), Err(ClientError::TooManyCertificates), false);
-            }
+        if p.max_list_len.is_some_and(|limit| served.len() > limit) {
+            return rejected(Vec::new(), ClientError::TooManyCertificates);
         }
         let leaf = served[0].clone();
         if !p.allow_self_signed_leaf && ctx.checker.self_signed(&leaf) {
-            return (vec![leaf], Err(ClientError::SelfSignedLeaf), false);
-        }
-
-        // Candidate pool: the deduplicated served list is the borrowed
-        // `base` (built once per session), cache and AIA-fetched
-        // certificates join the per-build `extra` overflow. The search
-        // iterates base-then-extra, which reproduces the old single-Vec
-        // append order exactly.
-        let mut extra: Vec<Candidate> = Vec::new();
-        let mut seen: Option<FingerprintSet> = None;
-        if p.use_intermediate_cache {
-            let mut s = seed.seen.clone();
-            for cand in &cache_pool.entries {
-                if s.insert(cand.cert.fingerprint()) {
-                    extra.push(cand.clone());
-                }
-            }
-            seen = Some(s);
+            return rejected(vec![leaf], ClientError::SelfSignedLeaf);
         }
 
         let mut search = Search {
             engine: self,
             ctx,
-            base: &seed.pool,
-            base_seen: &seed.seen,
-            extra,
-            seen,
+            base,
+            extra: Vec::new(),
             scratch,
-            stats,
+            stats: BuildStats::default(),
             deepest: vec![leaf.clone()],
             first_error: None,
             expansions: 0,
             aia_memo: HashMap::new(),
             reached_aia: false,
         };
-        let mut on_path = FingerprintSet::default();
-        on_path.insert(leaf.fingerprint());
-        let mut path = vec![leaf];
-        let result = search.dfs(&mut path, &mut on_path);
-        let deepest = std::mem::take(&mut search.deepest);
-        let (first_error, reached_aia) = (search.first_error, search.reached_aia);
-
-        match result {
-            Some(success_path) => (success_path, Ok(()), reached_aia),
-            None => (
-                deepest,
-                Err(first_error.unwrap_or(ClientError::NoIssuerFound)),
-                reached_aia,
-            ),
+        if p.use_intermediate_cache {
+            for cert in ctx.cache {
+                search.admit(Candidate {
+                    trusted: ctx.store.contains(cert),
+                    cert: cert.clone(),
+                    origin: CandidateOrigin::Cache,
+                });
+            }
         }
+        let (path, verdict) = match search.dfs(&mut vec![leaf]) {
+            Some(path) => (path, Ok(())),
+            None => (
+                search.deepest,
+                Err(search.first_error.unwrap_or(ClientError::NoIssuerFound)),
+            ),
+        };
+        let stats = search.stats;
+        (
+            BuildOutcome {
+                path,
+                verdict,
+                stats,
+            },
+            search.reached_aia,
+        )
     }
 }
 
-/// DFS state for one `process` call.
-struct Search<'e, 'c, 's> {
+/// DFS state for one build.
+struct Search<'e, 'c> {
     engine: &'e ChainEngine,
     ctx: &'e BuildContext<'c>,
     /// The shared, immutable base pool (deduplicated served list).
     base: &'e [Candidate],
-    /// Fingerprints of the base pool (for dedup against additions).
-    base_seen: &'e FingerprintSet,
-    /// Per-engine pool overflow: cache candidates, then AIA fetches.
+    /// This build's additions to the pool: cache candidates, then AIA
+    /// fetches, none of them already pooled.
     extra: Vec<Candidate>,
-    /// `base_seen` ∪ `extra` fingerprints, materialized lazily — only
-    /// engines that actually add certificates (cache preload, successful
-    /// AIA fetch) pay for the set.
-    seen: Option<FingerprintSet>,
     /// Cross-engine memo for (certificate, store)-determined lookups.
     scratch: &'e RunScratch,
-    stats: &'s mut BuildStats,
+    stats: BuildStats,
     deepest: Vec<Certificate>,
     first_error: Option<ClientError>,
     expansions: usize,
@@ -698,7 +614,7 @@ struct Search<'e, 'c, 's> {
     reached_aia: bool,
 }
 
-impl Search<'_, '_, '_> {
+impl Search<'_, '_> {
     fn note_error(&mut self, e: ClientError) {
         if self.first_error.is_none() {
             self.first_error = Some(e);
@@ -712,14 +628,10 @@ impl Search<'_, '_, '_> {
     }
 
     /// Extend `path`; returns the successful full path if one is found.
-    fn dfs(
-        &mut self,
-        path: &mut Vec<Certificate>,
-        on_path: &mut FingerprintSet,
-    ) -> Option<Vec<Certificate>> {
+    fn dfs(&mut self, path: &mut Vec<Certificate>) -> Option<Vec<Certificate>> {
         let p = &self.engine.policy;
         self.note_depth(path);
-        if self.expansions >= p.max_candidate_expansions {
+        if self.expansions >= MAX_CANDIDATE_EXPANSIONS {
             return None;
         }
         let current = path.last().expect("path non-empty").clone();
@@ -735,7 +647,7 @@ impl Search<'_, '_, '_> {
         }
 
         // Gather candidates.
-        let mut candidates = self.candidates_for(&current, path.len(), on_path);
+        let mut candidates = self.candidates_for(&current, path);
         if candidates.is_empty() && p.aia {
             if let Some(fetched) = self.try_aia(&current) {
                 candidates = vec![fetched];
@@ -751,20 +663,16 @@ impl Search<'_, '_, '_> {
             self.expansions += 1;
             self.stats.candidates_considered += 1;
             // Path length limit: appending must stay within bounds.
-            if let Some(limit) = p.max_path_len {
-                if path.len() + 1 > limit {
-                    self.note_error(ClientError::PathLengthExceeded);
-                    if p.backtracking {
-                        self.stats.backtracks += 1;
-                        continue;
-                    }
-                    return None;
+            if p.max_path_len.is_some_and(|limit| path.len() + 1 > limit) {
+                self.note_error(ClientError::PathLengthExceeded);
+                if p.backtracking {
+                    self.stats.backtracks += 1;
+                    continue;
                 }
+                return None;
             }
-            path.push(cand.cert.clone());
-            on_path.insert(cand.cert.fingerprint());
-            let result = self.dfs(path, on_path);
-            on_path.remove(&cand.cert.fingerprint());
+            path.push(cand.cert);
+            let result = self.dfs(path);
             path.pop();
             match result {
                 Some(success) => return Some(success),
@@ -813,14 +721,12 @@ impl Search<'_, '_, '_> {
         self.base.iter().chain(self.extra.iter())
     }
 
-    /// Enumerate and rank candidate issuers for `current`.
-    fn candidates_for(
-        &self,
-        current: &Certificate,
-        path_len: usize,
-        on_path: &FingerprintSet,
-    ) -> Vec<Candidate> {
+    /// Enumerate and rank candidate issuers for `current`, the last
+    /// certificate of `path`.
+    fn candidates_for(&self, current: &Certificate, path: &[Certificate]) -> Vec<Candidate> {
         let p = &self.engine.policy;
+        // Intermediates that would sit between a candidate and the leaf.
+        let below = path.len() - 1;
         let mut out: Vec<Candidate> = Vec::new();
 
         match p.scope {
@@ -828,7 +734,7 @@ impl Search<'_, '_, '_> {
                 // Every pool entry whose subject DN or SKID identifies it
                 // as an issuer of `current`, in pool order.
                 for cand in self.pool_iter() {
-                    if on_path.contains(&cand.cert.fingerprint()) {
+                    if path.contains(&cand.cert) {
                         continue;
                     }
                     if IssuanceChecker::identity_match(&cand.cert, current) {
@@ -838,24 +744,21 @@ impl Search<'_, '_, '_> {
             }
             SearchScope::ForwardOnly => {
                 // Sequential scan: candidates strictly after the current
-                // certificate's served position, in order; the parent test
-                // is the signature itself (partial validation).
+                // certificate's served position, in order (the pool is in
+                // origin order); the parent test is the signature itself.
                 let current_key = self
                     .pool_iter()
                     .find(|c| c.cert == *current)
                     .map(|c| c.origin.order_key())
                     .unwrap_or((0, 0));
                 for cand in self.pool_iter() {
-                    if cand.origin.order_key() <= current_key
-                        || on_path.contains(&cand.cert.fingerprint())
-                    {
+                    if cand.origin.order_key() <= current_key || path.contains(&cand.cert) {
                         continue;
                     }
                     if self.ctx.checker.signature_verifies(&cand.cert, current) {
                         out.push(cand.clone());
                     }
                 }
-                out.sort_by_key(|c| c.origin.order_key());
             }
         }
 
@@ -866,29 +769,20 @@ impl Search<'_, '_, '_> {
         // memoized in the cross-engine scratch; the on-path and
         // already-pooled exclusions below stay per call.
         for sc in self.store_candidates_for(current) {
-            if on_path.contains(&sc.cert.fingerprint()) {
-                continue;
-            }
-            if out.iter().any(|c| c.cert == sc.cert) {
+            if path.contains(&sc.cert) || out.iter().any(|c| c.cert == sc.cert) {
                 continue;
             }
             out.push(sc);
         }
 
-        if p.partial_validation {
-            out.retain(|cand| self.partial_ok(cand, current, path_len));
-        }
-
-        if p.scope == SearchScope::FullList {
-            let now = self.ctx.now;
-            let mut keyed: Vec<(CandidateKey, Candidate)> = out
-                .into_iter()
-                .map(|cand| (self.rank(&cand, current, path_len, now), cand))
-                .collect();
-            // Stable by key — ties keep enumeration order, exactly as the
-            // old index sort did.
-            keyed.sort_by(|a, b| a.0.cmp(&b.0));
-            out = keyed.into_iter().map(|(_, cand)| cand).collect();
+        match p.scope {
+            SearchScope::FullList => {
+                // Stable by key: ties keep enumeration order.
+                out.sort_by_cached_key(|cand| self.rank(cand, current, below));
+            }
+            SearchScope::ForwardOnly => {
+                out.retain(|cand| self.fits_in_construction(cand, current, below));
+            }
         }
         out
     }
@@ -922,49 +816,19 @@ impl Search<'_, '_, '_> {
         gathered
     }
 
-    /// MbedTLS-style in-construction checks.
-    fn partial_ok(&self, cand: &Candidate, current: &Certificate, path_len: usize) -> bool {
-        if !self.ctx.checker.signature_verifies(&cand.cert, current) {
-            return false;
-        }
-        if !cand.cert.validity().contains(self.ctx.now) {
-            return false;
-        }
-        if let Some(ku) = cand.cert.key_usage() {
-            if !ku.key_cert_sign {
-                return false;
-            }
-        }
-        match cand.cert.basic_constraints() {
-            Some(bc) => {
-                if !bc.ca {
-                    return false;
-                }
-                if let Some(max) = bc.path_len {
-                    // Intermediates below the candidate (excluding leaf).
-                    if (path_len as i64 - 1) > max as i64 {
-                        return false;
-                    }
-                }
-            }
-            None => return false,
-        }
-        true
+    /// The forward scan's in-construction checks (the MbedTLS behaviour):
+    /// the candidate signs `current`, is valid now, and may sign a
+    /// certificate with `below` intermediates under it.
+    fn fits_in_construction(&self, cand: &Candidate, current: &Certificate, below: usize) -> bool {
+        self.ctx.checker.signature_verifies(&cand.cert, current)
+            && cand.cert.validity().contains(self.ctx.now)
+            && signs_certificates(&cand.cert)
+            && ca_fits(&cand.cert, below).is_ok()
     }
 
-    fn rank(
-        &self,
-        cand: &Candidate,
-        current: &Certificate,
-        path_len: usize,
-        now: Time,
-    ) -> CandidateKey {
+    fn rank(&self, cand: &Candidate, current: &Certificate, below: usize) -> CandidateKey {
         let p = &self.engine.policy;
-        let trusted_rank = if p.trusted_first && cand.trusted {
-            0
-        } else {
-            1
-        };
+        let trusted_rank = u8::from(!(p.trusted_first && cand.trusted));
 
         let kid_state = match (current.akid_key_id(), cand.cert.skid()) {
             (Some(akid), Some(skid)) => {
@@ -979,46 +843,14 @@ impl Search<'_, '_, '_> {
         };
         let kid_rank = match p.kid_priority {
             KidPriority::NoPreference => 0,
-            KidPriority::MatchOrAbsentFirst => {
-                if kid_state == 2 {
-                    1
-                } else {
-                    0
-                }
-            }
+            KidPriority::MatchOrAbsentFirst => u8::from(kid_state == 2),
             KidPriority::MatchFirst => kid_state,
         };
-
-        let ku_rank = if p.key_usage_priority {
-            match cand.cert.key_usage() {
-                Some(ku) if !ku.key_cert_sign => 1,
-                _ => 0,
-            }
-        } else {
-            0
-        };
-
-        let bc_rank = if p.basic_constraints_priority {
-            match cand.cert.basic_constraints() {
-                Some(bc) => {
-                    let violated = !bc.ca
-                        || bc
-                            .path_len
-                            .is_some_and(|max| (path_len as i64 - 1) > max as i64);
-                    if violated {
-                        1
-                    } else {
-                        0
-                    }
-                }
-                None => 1,
-            }
-        } else {
-            0
-        };
+        let ku_rank = u8::from(p.key_usage_priority && !signs_certificates(&cand.cert));
+        let bc_rank = u8::from(p.basic_constraints_priority && ca_fits(&cand.cert, below).is_err());
 
         let validity = cand.cert.validity();
-        let valid_now = validity.contains(now);
+        let valid_now = validity.contains(self.ctx.now);
         let validity_key: (i64, i64, i64) = match p.validity_priority {
             ValidityPriority::NoPreference => (0, 0, 0),
             ValidityPriority::FirstValid => (if valid_now { 0 } else { 1 }, 0, 0),
@@ -1093,7 +925,13 @@ impl Search<'_, '_, '_> {
                         // Wrong certificate served: useless as an issuer.
                         return None;
                     }
-                    return Some(self.admit_aia_candidate(fetched));
+                    let candidate = Candidate {
+                        trusted: self.ctx.store.contains(&fetched),
+                        cert: fetched,
+                        origin: CandidateOrigin::Aia,
+                    };
+                    self.admit(candidate.clone());
+                    return Some(candidate);
                 }
                 // Permanent failures: retrying cannot help.
                 FetchOutcome::Dead | FetchOutcome::Corrupt => return None,
@@ -1128,27 +966,13 @@ impl Search<'_, '_, '_> {
         }
     }
 
-    /// Add a successfully fetched issuer to the per-engine pool
-    /// (deduplicated) so later expansions can reuse the fetch.
-    fn admit_aia_candidate(&mut self, fetched: Certificate) -> Candidate {
-        let candidate = Candidate {
-            trusted: self.ctx.store.contains(&fetched),
-            cert: fetched,
-            origin: CandidateOrigin::Aia,
-        };
-        // The seen set is materialized on first need.
-        if self.seen.is_none() {
-            let mut s = self.base_seen.clone();
-            for cand in &self.extra {
-                s.insert(cand.cert.fingerprint());
-            }
-            self.seen = Some(s);
+    /// Append `candidate` to this build's pool unless the pool already
+    /// holds its certificate (the cache preload and AIA fetches both join
+    /// through here, so later expansions can reuse them).
+    fn admit(&mut self, candidate: Candidate) {
+        if !self.pool_iter().any(|c| c.cert == candidate.cert) {
+            self.extra.push(candidate);
         }
-        let seen = self.seen.as_mut().expect("materialized above");
-        if seen.insert(candidate.cert.fingerprint()) {
-            self.extra.push(candidate.clone());
-        }
-        candidate
     }
 }
 
@@ -1221,7 +1045,7 @@ mod tests {
     fn empty_list_is_reported() {
         let p = pki();
         let checker = IssuanceChecker::new();
-        let engine = ChainEngine::new(BuilderPolicy::full_capability("t"));
+        let engine = ChainEngine::new(BuilderPolicy::full_capability());
         let outcome = engine.process(&[], &ctx(&p, &checker));
         assert_eq!(outcome.verdict, Err(ClientError::EmptyList));
         assert!(outcome.path.is_empty());
@@ -1231,7 +1055,7 @@ mod tests {
     fn trusted_root_appended_from_store() {
         let p = pki();
         let checker = IssuanceChecker::new();
-        let engine = ChainEngine::new(BuilderPolicy::full_capability("t"));
+        let engine = ChainEngine::new(BuilderPolicy::full_capability());
         // Root omitted from the served list; the store completes it.
         let served = vec![p.leaf.clone(), p.int.clone()];
         let outcome = engine.process(&served, &ctx(&p, &checker));
@@ -1244,7 +1068,7 @@ mod tests {
     fn duplicates_deduplicated_in_pool() {
         let p = pki();
         let checker = IssuanceChecker::new();
-        let engine = ChainEngine::new(BuilderPolicy::full_capability("t"));
+        let engine = ChainEngine::new(BuilderPolicy::full_capability());
         let served = vec![p.leaf.clone(), p.int.clone(), p.int.clone(), p.int.clone()];
         let outcome = engine.process(&served, &ctx(&p, &checker));
         assert!(outcome.accepted());
@@ -1309,7 +1133,7 @@ mod tests {
     fn stats_track_candidates() {
         let p = pki();
         let checker = IssuanceChecker::new();
-        let engine = ChainEngine::new(BuilderPolicy::full_capability("t"));
+        let engine = ChainEngine::new(BuilderPolicy::full_capability());
         let served = vec![p.leaf.clone(), p.int.clone(), p.root.clone()];
         let outcome = engine.process(&served, &ctx(&p, &checker));
         assert!(outcome.accepted());
@@ -1321,7 +1145,7 @@ mod tests {
     fn deepest_path_reported_on_failure() {
         let p = pki();
         let checker = IssuanceChecker::new();
-        let engine = ChainEngine::new(BuilderPolicy::full_capability("t"));
+        let engine = ChainEngine::new(BuilderPolicy::full_capability());
         let empty_store = RootStore::new("none", vec![]);
         let served = vec![p.leaf.clone(), p.int.clone()];
         let ctx = BuildContext {
@@ -1356,7 +1180,7 @@ mod tests {
     fn repeat_build_is_served_from_the_signature_cache() {
         let p = pki();
         let checker = IssuanceChecker::new();
-        let engine = ChainEngine::new(BuilderPolicy::full_capability("t"));
+        let engine = ChainEngine::new(BuilderPolicy::full_capability());
         let served = vec![p.leaf.clone(), p.int.clone()];
         let before = checker.snapshot_stats();
         let first = engine.process(&served, &ctx(&p, &checker));
@@ -1390,13 +1214,13 @@ mod tests {
             now: Time::from_ymd(2024, 7, 1).unwrap(),
             checker: &checker,
         };
-        let mut with_cache = BuilderPolicy::full_capability("cache");
+        let mut with_cache = BuilderPolicy::full_capability();
         with_cache.aia = false;
         with_cache.use_intermediate_cache = true;
         let outcome = ChainEngine::new(with_cache).process(&served, &base_ctx);
         assert!(outcome.accepted(), "{:?}", outcome.verdict);
 
-        let mut without_cache = BuilderPolicy::full_capability("nocache");
+        let mut without_cache = BuilderPolicy::full_capability();
         without_cache.aia = false;
         without_cache.use_intermediate_cache = false;
         let outcome = ChainEngine::new(without_cache).process(&served, &base_ctx);
@@ -1451,7 +1275,7 @@ mod tests {
         // Nothing is published, so the URI is dead.
         let repo = AiaRepository::empty();
         let checker = IssuanceChecker::new();
-        let engine = ChainEngine::new(BuilderPolicy::full_capability("memo"));
+        let engine = ChainEngine::new(BuilderPolicy::full_capability());
         let served = vec![leaf, int_a, int_b];
         let outcome = engine.process(&served, &aia_ctx(&store, &repo, &checker));
 
@@ -1485,7 +1309,7 @@ mod tests {
                 DistinguishedName::cn("Engine Int"),
                 &pki_int_kp(),
             );
-        let engine = ChainEngine::new(BuilderPolicy::full_capability("acct"));
+        let engine = ChainEngine::new(BuilderPolicy::full_capability());
 
         // Dead URI: one attempt, zero successful fetches — but the
         // repository still saw the transfer attempt.
@@ -1565,7 +1389,7 @@ mod tests {
         let served = [leaf];
 
         // max_attempts 3 rides out two transient failures.
-        let mut policy = BuilderPolicy::full_capability("retry3");
+        let mut policy = BuilderPolicy::full_capability();
         policy.retry = RetryPolicy::retrying(3, 200, 30_000);
         let checker = IssuanceChecker::new();
         let ctx = BuildContext {
@@ -1585,7 +1409,7 @@ mod tests {
         assert!(!outcome.stats.aia_budget_exhausted);
 
         // A non-retrying profile loses the same chain.
-        let mut policy = BuilderPolicy::full_capability("retry1");
+        let mut policy = BuilderPolicy::full_capability();
         policy.retry = RetryPolicy::none();
         let checker = IssuanceChecker::new();
         let ctx = BuildContext {
@@ -1614,7 +1438,7 @@ mod tests {
             fail_first: 10,
             latency_ms: 300,
         };
-        let mut policy = BuilderPolicy::full_capability("budget");
+        let mut policy = BuilderPolicy::full_capability();
         policy.retry = RetryPolicy::retrying(5, 1_000, 500);
         let checker = IssuanceChecker::new();
         let ctx = BuildContext {
@@ -1649,7 +1473,7 @@ mod tests {
             fail_first: u32::MAX,
             latency_ms: 0,
         };
-        let mut policy = BuilderPolicy::full_capability("retry70");
+        let mut policy = BuilderPolicy::full_capability();
         policy.retry = RetryPolicy::retrying(70, 1, 50_000);
         let budget = policy.retry.budget_ms;
         let checker = IssuanceChecker::new();
@@ -1685,7 +1509,7 @@ mod tests {
             fail_first: u32::MAX,
             latency_ms: 0,
         };
-        let mut policy = BuilderPolicy::full_capability("retry70z");
+        let mut policy = BuilderPolicy::full_capability();
         policy.retry = RetryPolicy::retrying(70, 0, u64::MAX);
         let checker = IssuanceChecker::new();
         let ctx = BuildContext {
@@ -1715,7 +1539,7 @@ mod tests {
         let mut repo = AiaRepository::empty();
         repo.publish(uri, p.int.clone());
         let checker = IssuanceChecker::new();
-        let engine = ChainEngine::new(BuilderPolicy::full_capability("plain"));
+        let engine = ChainEngine::new(BuilderPolicy::full_capability());
         let outcome = engine.process(&[leaf], &aia_ctx(&p.store, &repo, &checker));
         assert!(outcome.accepted(), "{:?}", outcome.verdict);
         assert_eq!(outcome.stats.aia_retries, 0);
@@ -1723,13 +1547,11 @@ mod tests {
         assert!(!outcome.stats.aia_budget_exhausted);
     }
 
-    /// The flag `process_with_seed` returns for one build session of one.
+    /// The flag `process_shared` returns for one build session of one.
     fn reached_aia(engine: &ChainEngine, served: &[Certificate], ctx: &BuildContext<'_>) -> bool {
-        let seed = PoolSeed::build(served, ctx);
+        let base = base_pool(served, ctx.store);
         let scratch = RunScratch::default();
-        engine
-            .process_with_seed(served, ctx, &seed, &CachePool::default(), &scratch)
-            .1
+        engine.process_shared(served, ctx, &base, &scratch).1
     }
 
     /// The record the differential harness reuses outcomes on: clients

@@ -84,7 +84,6 @@ impl ClientKind {
     /// The Table 9 policy for this client.
     pub fn policy(&self) -> BuilderPolicy {
         let base = BuilderPolicy {
-            name: self.name().to_string(),
             scope: SearchScope::FullList,
             aia: false,
             use_intermediate_cache: false,
@@ -97,8 +96,6 @@ impl ClientKind {
             max_list_len: None,
             allow_self_signed_leaf: false,
             backtracking: false,
-            partial_validation: false,
-            max_candidate_expansions: 4096,
             retry: RetryPolicy::none(),
         };
         match self {
@@ -122,7 +119,6 @@ impl ClientKind {
                 basic_constraints_priority: true,
                 max_path_len: Some(10),
                 allow_self_signed_leaf: true,
-                partial_validation: true,
                 ..base
             },
             ClientKind::CryptoApi => BuilderPolicy {

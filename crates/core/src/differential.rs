@@ -6,8 +6,8 @@
 //! backtracking, I-4 missing AIA completion.
 
 use crate::builder::{
-    record_build_metrics, BuildContext, BuildOutcome, CachePool, ClientError, PoolSeed, RunScratch,
-    SearchScope,
+    base_pool, record_build_metrics, BuildContext, BuildOutcome, ChainEngine, ClientError,
+    RunScratch, SearchScope,
 };
 use crate::clients::{client_profiles, ClientKind};
 use crate::topology::IssuanceChecker;
@@ -157,7 +157,7 @@ impl DifferentialReport {
 /// The harness: eight engines plus the shared environment.
 #[derive(Debug)]
 pub struct DifferentialHarness<'a> {
-    clients: Vec<(ClientKind, crate::builder::ChainEngine)>,
+    clients: Vec<(ClientKind, ChainEngine)>,
     store: &'a RootStore,
     /// AIA transport [`run`](Self::run) builds with: a plain
     /// [`ccc_netsim::AiaRepository`] for the zero-fault path, or a
@@ -166,9 +166,6 @@ pub struct DifferentialHarness<'a> {
     aia: Option<&'a dyn AiaTransport>,
     /// Firefox-style intermediate cache contents.
     cache: Vec<Certificate>,
-    /// `cache` pre-resolved against `store` (built once; the cache and the
-    /// store don't change over the harness lifetime).
-    cache_pool: CachePool,
     now: Time,
     checker: &'a IssuanceChecker,
 }
@@ -182,13 +179,11 @@ impl<'a> DifferentialHarness<'a> {
         now: Time,
         checker: &'a IssuanceChecker,
     ) -> DifferentialHarness<'a> {
-        let cache_pool = CachePool::build(&cache, store);
         DifferentialHarness {
             clients: client_profiles(),
             store,
             aia,
             cache,
-            cache_pool,
             now,
             checker,
         }
@@ -261,7 +256,7 @@ impl<'a> DifferentialHarness<'a> {
             now: self.now,
             checker: self.checker,
         };
-        let seed = PoolSeed::build(served, &base);
+        let pool = base_pool(served, self.store);
         let scratch = RunScratch::default();
         let transports: Vec<_> = transports.into_iter().collect();
         let mut rows: Vec<Vec<(ClientKind, BuildOutcome)>> = transports
@@ -274,7 +269,7 @@ impl<'a> DifferentialHarness<'a> {
         for (kind, engine) in &self.clients {
             let build = |aia| {
                 let ctx = BuildContext { aia, ..base };
-                engine.process_with_seed(served, &ctx, &seed, &self.cache_pool, &scratch)
+                engine.process_shared(served, &ctx, &pool, &scratch)
             };
             let (outcome, reached_aia) = build(first);
             for (row, &aia) in rows[1..].iter_mut().zip(rest) {

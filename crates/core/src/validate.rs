@@ -33,23 +33,10 @@ pub fn validate_path(
         }
     }
     for (i, issuer) in path.iter().enumerate().skip(1) {
-        match issuer.basic_constraints() {
-            Some(bc) if bc.ca => {
-                if let Some(max) = bc.path_len {
-                    // Number of intermediates strictly between this
-                    // issuer and the leaf.
-                    let below = i as i64 - 1;
-                    if below > max as i64 {
-                        return Err(ClientError::PathLenConstraintViolated);
-                    }
-                }
-            }
-            _ => return Err(ClientError::NotACa),
-        }
-        if let Some(ku) = issuer.key_usage() {
-            if !ku.key_cert_sign {
-                return Err(ClientError::BadKeyUsage);
-            }
+        // Intermediates strictly between this issuer and the leaf.
+        ca_fits(issuer, i - 1)?;
+        if !signs_certificates(issuer) {
+            return Err(ClientError::BadKeyUsage);
         }
     }
     for w in path.windows(2) {
@@ -65,6 +52,25 @@ pub fn validate_path(
         return Err(ClientError::UntrustedRoot);
     }
     Ok(())
+}
+
+/// Whether `cert` may issue a certificate with `below` intermediates
+/// between it and the leaf: a CA whose pathLenConstraint, if any, admits
+/// them. Self-issued intermediates count too, as every client modeled
+/// here counts them.
+pub(crate) fn ca_fits(cert: &Certificate, below: usize) -> Result<(), ClientError> {
+    match cert.basic_constraints() {
+        Some(bc) if bc.ca => match bc.path_len {
+            Some(max) if below > max as usize => Err(ClientError::PathLenConstraintViolated),
+            _ => Ok(()),
+        },
+        _ => Err(ClientError::NotACa),
+    }
+}
+
+/// Whether `cert`'s KeyUsage, when present, permits certificate signing.
+pub(crate) fn signs_certificates(cert: &Certificate) -> bool {
+    cert.key_usage().map_or(true, |ku| ku.key_cert_sign)
 }
 
 #[cfg(test)]

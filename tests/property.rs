@@ -322,7 +322,7 @@ proptest! {
         // fully capable client.
         drbg.shuffle(&mut served[1..]);
         let engine = chain_chaos::core::ChainEngine::new(
-            chain_chaos::core::BuilderPolicy::full_capability("prop-full"),
+            chain_chaos::core::BuilderPolicy::full_capability(),
         );
         let aia = chain_chaos::netsim::AiaRepository::new(w.universe.aia_publications());
         let ctx = BuildContext {
