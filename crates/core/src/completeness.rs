@@ -69,8 +69,9 @@ pub enum RootResolution {
     IncludedSelfSigned,
     /// The terminal certificate's AKID matched a store root's SKID.
     StoreSkidMatch,
-    /// Resolved by AIA fetching (`fetches` downloads, the last of which
-    /// was self-signed).
+    /// Resolved by AIA fetching: the descent downloaded `fetches`
+    /// certificates and stopped at the last one, either a self-signed root
+    /// or an intermediate whose AKID a store root's SKID matches.
     AiaResolved {
         /// Number of certificates downloaded.
         fetches: usize,
@@ -105,10 +106,13 @@ pub struct CompletenessAnalyzer<'a> {
 enum TerminalOutcome {
     SelfSignedIncluded,
     SkidMatch,
-    /// AIA descent reached a self-signed root after `fetches` downloads;
-    /// `in_store` records whether that root is in the store asked about.
+    /// AIA descent anchored after `fetches` downloads, the last of them
+    /// the self-signed root when `root_fetched` and otherwise an
+    /// intermediate a store root SKID-matches; `in_store` records whether
+    /// that anchor is in the store asked about.
     AiaRoot {
         fetches: usize,
+        root_fetched: bool,
         in_store: bool,
     },
     Failed(IncompleteReason),
@@ -167,23 +171,26 @@ impl<'a> CompletenessAnalyzer<'a> {
                     aia_completable: true,
                     incomplete_reason: None,
                 },
-                TerminalOutcome::AiaRoot { fetches, .. } if fetches == 1 => {
-                    // Only the root itself was missing.
+                TerminalOutcome::AiaRoot {
+                    fetches,
+                    root_fetched,
+                    ..
+                } => {
+                    // Every download but the root was a missing
+                    // intermediate; with none, only the root was omitted.
+                    let missing = fetches - usize::from(root_fetched);
                     CompletenessAnalysis {
-                        completeness: Completeness::CompleteWithoutRoot,
+                        completeness: if missing == 0 {
+                            Completeness::CompleteWithoutRoot
+                        } else {
+                            Completeness::Incomplete
+                        },
                         resolution: Some(RootResolution::AiaResolved { fetches }),
-                        missing_intermediates: 0,
+                        missing_intermediates: missing,
                         aia_completable: true,
                         incomplete_reason: None,
                     }
                 }
-                TerminalOutcome::AiaRoot { fetches, .. } => CompletenessAnalysis {
-                    completeness: Completeness::Incomplete,
-                    resolution: Some(RootResolution::AiaResolved { fetches }),
-                    missing_intermediates: fetches - 1,
-                    aia_completable: true,
-                    incomplete_reason: None,
-                },
                 TerminalOutcome::Failed(reason) => CompletenessAnalysis {
                     completeness: Completeness::Incomplete,
                     resolution: None,
@@ -260,16 +267,19 @@ impl<'a> CompletenessAnalyzer<'a> {
                 return TerminalOutcome::Failed(IncompleteReason::AiaWrongCertificate);
             }
             if self.checker.self_signed(&fetched) {
-                let in_store = store.contains(&fetched);
-                return TerminalOutcome::AiaRoot { fetches, in_store };
+                return TerminalOutcome::AiaRoot {
+                    fetches,
+                    root_fetched: true,
+                    in_store: store.contains(&fetched),
+                };
             }
             // Also stop early if the fetched intermediate now SKID-matches
             // a store root (the client could anchor here).
             if skid_match(store, &fetched) {
-                let in_store = true;
                 return TerminalOutcome::AiaRoot {
-                    fetches: fetches + 1,
-                    in_store,
+                    fetches,
+                    root_fetched: false,
+                    in_store: true,
                 };
             }
             current = fetched;
@@ -396,6 +406,10 @@ mod tests {
         assert_eq!(a.completeness, Completeness::Incomplete);
         assert!(a.aia_completable);
         assert_eq!(a.missing_intermediates, 1);
+        assert_eq!(
+            a.resolution,
+            Some(RootResolution::AiaResolved { fetches: 1 })
+        );
 
         let analyzer_no_aia = CompletenessAnalyzer::new(&e.checker, e.programs.unified(), None);
         let a = analyzer_no_aia.analyze(&served);
