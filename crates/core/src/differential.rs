@@ -6,8 +6,8 @@
 //! backtracking, I-4 missing AIA completion.
 
 use crate::builder::{
-    base_pool, record_build_metrics, BuildContext, BuildOutcome, ChainEngine, ClientError,
-    RunScratch, SearchScope,
+    base_pool, record_build_metrics, BuildContext, BuildOutcome, BuilderPolicy, ChainEngine,
+    ClientError, RunScratch, SearchScope,
 };
 use crate::clients::{client_profiles, ClientKind};
 use crate::topology::IssuanceChecker;
@@ -217,7 +217,7 @@ impl<'a> DifferentialHarness<'a> {
             .run_under(served, [self.aia])
             .pop()
             .expect("one transport yields one row");
-        let causes = attribute_causes(&outcomes);
+        let causes = attribute_causes(&self.clients, &outcomes);
         DifferentialResult { outcomes, causes }
     }
 
@@ -288,21 +288,30 @@ impl<'a> DifferentialHarness<'a> {
     }
 }
 
-/// Infer discrepancy causes from the verdict pattern.
-fn attribute_causes(outcomes: &[(ClientKind, BuildOutcome)]) -> Vec<DiscrepancyCause> {
+/// Infer discrepancy causes from the verdict pattern and the capabilities
+/// of the policies behind it: `outcomes[i]` is what `clients[i]` built.
+fn attribute_causes(
+    clients: &[(ClientKind, ChainEngine)],
+    outcomes: &[(ClientKind, BuildOutcome)],
+) -> Vec<DiscrepancyCause> {
+    type Verdict = Result<(), ClientError>;
+    /// Chain completion: AIA fetching or an intermediate cache.
+    fn completes(p: &BuilderPolicy) -> bool {
+        p.aia || p.use_intermediate_cache
+    }
     let any_pass = outcomes.iter().any(|(_, o)| o.accepted());
     let any_fail = outcomes.iter().any(|(_, o)| !o.accepted());
     if !(any_pass && any_fail) {
         return Vec::new();
     }
-    let mut causes = Vec::new();
-    let get = |kind: ClientKind| -> &BuildOutcome {
-        &outcomes
+    // Whether some client whose policy is `capable` ended in `verdict`.
+    let some = |capable: fn(&BuilderPolicy) -> bool, verdict: fn(&Verdict) -> bool| {
+        clients
             .iter()
-            .find(|(k, _)| *k == kind)
-            .expect("all clients present")
-            .1
+            .zip(outcomes)
+            .any(|((_, engine), (_, o))| capable(&engine.policy) && verdict(&o.verdict))
     };
+    let mut causes = Vec::new();
 
     // I-2: any client rejected the list outright for its length.
     if outcomes
@@ -312,61 +321,48 @@ fn attribute_causes(outcomes: &[(ClientKind, BuildOutcome)]) -> Vec<DiscrepancyC
         causes.push(DiscrepancyCause::ListLengthLimit);
     }
 
-    // I-1: the forward-only client failed to find an issuer while some
-    // full-list client without AIA succeeded (so reordering alone was the
-    // differentiator).
-    let mbed = get(ClientKind::MbedTls);
-    let mbed_policy_forward = ClientKind::MbedTls.policy().scope == SearchScope::ForwardOnly;
-    if mbed_policy_forward
-        && !mbed.accepted()
-        && matches!(
-            mbed.verdict,
-            Err(ClientError::NoIssuerFound) | Err(ClientError::BadSignature)
-        )
-        && (get(ClientKind::OpenSsl).accepted() || get(ClientKind::GnuTls).accepted())
-    {
+    // I-1: a forward-only client failed to find an issuer while some
+    // reordering client without completion succeeded (so reordering alone
+    // was the differentiator).
+    if some(
+        |p| p.scope == SearchScope::ForwardOnly,
+        |v| {
+            matches!(
+                v,
+                Err(ClientError::NoIssuerFound | ClientError::BadSignature)
+            )
+        },
+    ) && some(
+        |p| p.scope == SearchScope::FullList && !completes(p),
+        Result::is_ok,
+    ) {
         causes.push(DiscrepancyCause::OrderReorganization);
     }
 
-    // I-4: an AIA-or-cache client passed while some no-AIA client failed
-    // with an unknown-issuer style error.
-    let aia_clients = [
-        ClientKind::CryptoApi,
-        ClientKind::Chrome,
-        ClientKind::Edge,
-        ClientKind::Safari,
-        ClientKind::Firefox,
-    ];
-    let no_aia_clients = [ClientKind::OpenSsl, ClientKind::GnuTls, ClientKind::MbedTls];
-    let aia_pass = aia_clients.iter().any(|&k| get(k).accepted());
-    let no_aia_unknown_issuer = no_aia_clients
-        .iter()
-        .any(|&k| matches!(get(k).verdict, Err(ClientError::NoIssuerFound)));
-    if aia_pass && no_aia_unknown_issuer {
+    // I-4: a client with completion passed while some client without it
+    // failed with an unknown-issuer style error.
+    if some(completes, Result::is_ok)
+        && some(|p| !completes(p), |v| *v == Err(ClientError::NoIssuerFound))
+    {
         causes.push(DiscrepancyCause::AiaCompletion);
     }
 
     // I-3: a backtracking client passed while a non-backtracking client
     // committed to an untrusted/invalid path.
-    let backtrackers = [
-        ClientKind::CryptoApi,
-        ClientKind::Chrome,
-        ClientKind::Edge,
-        ClientKind::Safari,
-        ClientKind::Firefox,
-    ];
-    let straightliners = [ClientKind::OpenSsl, ClientKind::GnuTls, ClientKind::MbedTls];
-    let bt_pass = backtrackers.iter().any(|&k| get(k).accepted());
-    let straight_committed = straightliners.iter().any(|&k| {
-        matches!(
-            get(k).verdict,
-            Err(ClientError::UntrustedRoot)
-                | Err(ClientError::Expired)
-                | Err(ClientError::PathLenConstraintViolated)
-                | Err(ClientError::BadKeyUsage)
+    if some(|p| p.backtracking, Result::is_ok)
+        && some(
+            |p| !p.backtracking,
+            |v| {
+                matches!(
+                    v,
+                    Err(ClientError::UntrustedRoot
+                        | ClientError::Expired
+                        | ClientError::PathLenConstraintViolated
+                        | ClientError::BadKeyUsage)
+                )
+            },
         )
-    });
-    if bt_pass && straight_committed {
+    {
         causes.push(DiscrepancyCause::Backtracking);
     }
 
