@@ -526,21 +526,20 @@ impl ChainEngine {
     ) -> (BuildOutcome, bool) {
         let p = &self.policy;
         let rejected = |path, error| {
-            let stats = BuildStats::default();
-            (
-                BuildOutcome {
-                    path,
-                    verdict: Err(error),
-                    stats,
-                },
-                false,
-            )
+            let outcome = BuildOutcome {
+                path,
+                verdict: Err(error),
+                stats: BuildStats::default(),
+            };
+            (outcome, false)
         };
         if served.is_empty() {
             return rejected(Vec::new(), ClientError::EmptyList);
         }
-        if p.max_list_len.is_some_and(|limit| served.len() > limit) {
-            return rejected(Vec::new(), ClientError::TooManyCertificates);
+        if let Some(limit) = p.max_list_len {
+            if served.len() > limit {
+                return rejected(Vec::new(), ClientError::TooManyCertificates);
+            }
         }
         let leaf = served[0].clone();
         if !p.allow_self_signed_leaf && ctx.checker.self_signed(&leaf) {
@@ -576,15 +575,12 @@ impl ChainEngine {
                 Err(search.first_error.unwrap_or(ClientError::NoIssuerFound)),
             ),
         };
-        let stats = search.stats;
-        (
-            BuildOutcome {
-                path,
-                verdict,
-                stats,
-            },
-            search.reached_aia,
-        )
+        let outcome = BuildOutcome {
+            path,
+            verdict,
+            stats: search.stats,
+        };
+        (outcome, search.reached_aia)
     }
 }
 
@@ -663,13 +659,15 @@ impl Search<'_, '_> {
             self.expansions += 1;
             self.stats.candidates_considered += 1;
             // Path length limit: appending must stay within bounds.
-            if p.max_path_len.is_some_and(|limit| path.len() + 1 > limit) {
-                self.note_error(ClientError::PathLengthExceeded);
-                if p.backtracking {
-                    self.stats.backtracks += 1;
-                    continue;
+            if let Some(limit) = p.max_path_len {
+                if path.len() + 1 > limit {
+                    self.note_error(ClientError::PathLengthExceeded);
+                    if p.backtracking {
+                        self.stats.backtracks += 1;
+                        continue;
+                    }
+                    return None;
                 }
-                return None;
             }
             path.push(cand.cert);
             let result = self.dfs(path);
@@ -778,7 +776,8 @@ impl Search<'_, '_> {
         match p.scope {
             SearchScope::FullList => {
                 // Stable by key: ties keep enumeration order.
-                out.sort_by_cached_key(|cand| self.rank(cand, current, below));
+                let now = self.ctx.now;
+                out.sort_by_cached_key(|cand| self.rank(cand, current, below, now));
             }
             SearchScope::ForwardOnly => {
                 out.retain(|cand| self.fits_in_construction(cand, current, below));
@@ -826,9 +825,19 @@ impl Search<'_, '_> {
             && ca_fits(&cand.cert, below).is_ok()
     }
 
-    fn rank(&self, cand: &Candidate, current: &Certificate, below: usize) -> CandidateKey {
+    fn rank(
+        &self,
+        cand: &Candidate,
+        current: &Certificate,
+        below: usize,
+        now: Time,
+    ) -> CandidateKey {
         let p = &self.engine.policy;
-        let trusted_rank = u8::from(!(p.trusted_first && cand.trusted));
+        let trusted_rank = if p.trusted_first && cand.trusted {
+            0
+        } else {
+            1
+        };
 
         let kid_state = match (current.akid_key_id(), cand.cert.skid()) {
             (Some(akid), Some(skid)) => {
@@ -843,14 +852,20 @@ impl Search<'_, '_> {
         };
         let kid_rank = match p.kid_priority {
             KidPriority::NoPreference => 0,
-            KidPriority::MatchOrAbsentFirst => u8::from(kid_state == 2),
+            KidPriority::MatchOrAbsentFirst => {
+                if kid_state == 2 {
+                    1
+                } else {
+                    0
+                }
+            }
             KidPriority::MatchFirst => kid_state,
         };
         let ku_rank = u8::from(p.key_usage_priority && !signs_certificates(&cand.cert));
         let bc_rank = u8::from(p.basic_constraints_priority && ca_fits(&cand.cert, below).is_err());
 
         let validity = cand.cert.validity();
-        let valid_now = validity.contains(self.ctx.now);
+        let valid_now = validity.contains(now);
         let validity_key: (i64, i64, i64) = match p.validity_priority {
             ValidityPriority::NoPreference => (0, 0, 0),
             ValidityPriority::FirstValid => (if valid_now { 0 } else { 1 }, 0, 0),
